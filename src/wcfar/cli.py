@@ -52,8 +52,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+def _seed(text: str) -> int:
+    """argparse type of --seed; its string default $WCFAR_SEED is converted only when used."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"--seed or ${SEED_ENV_VAR} is not an integer: {text!r}")
 
 
 def _write_text(text: str, out_path: str | None):
@@ -88,6 +92,14 @@ def _parse_dcf(text: str) -> DcfParams:
 def _load_theta(path: str) -> Hyperparameters:
     with open(path) as fh:
         return Hyperparameters.from_json(json.load(fh))
+
+
+def _spec(cls, obj: dict):
+    """Build a spec dataclass; a TypeError from a bad key or value is a user error."""
+    try:
+        return cls(**obj)
+    except TypeError as exc:
+        raise ValueError(f"bad simulation spec: {exc}") from None
 
 
 def _resolve_tau(args) -> float:
@@ -175,14 +187,17 @@ def cmd_empirical(args) -> int:
     return 0
 
 
+def _predict(args, theta: Hyperparameters, tau: float, n: int) -> EstimateWithCI:
+    cfg = EstimatorConfig(seed=args.seed, n_impostors=n, t_outer=args.t_outer)
+    if args.method == "sampling":
+        return predict_pfa_sampling(theta, tau, cfg, scores_per_pair=args.scores_per_pair)
+    return predict_pfa_closed_form(theta, tau, cfg)
+
+
 def cmd_predict(args) -> int:
     theta = _load_theta(args.theta)
     tau = _resolve_tau(args)
-    predictor = predict_pfa_sampling if args.method == "sampling" else predict_pfa_closed_form
-    rows = []
-    for n in _parse_int_list(args.n):
-        cfg = EstimatorConfig(seed=args.seed, n_impostors=n, t_outer=args.t_outer)
-        rows.append((n, predictor(theta, tau, cfg, scores_per_pair=args.scores_per_pair)))
+    rows = [(n, _predict(args, theta, tau, n)) for n in _parse_int_list(args.n)]
     _write_text(_estimate_csv(rows), args.out)
     return 0
 
@@ -190,14 +205,16 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     with open(args.spec) as fh:
         spec_obj = json.load(fh)
+    if not isinstance(spec_obj, dict):
+        raise ValueError(f"spec {args.spec} must hold a JSON object")
     kind = spec_obj.pop("kind", "model")
     if kind == "model":
-        spec = SyntheticSpec(theta=Hyperparameters.from_json(spec_obj.pop("theta")), **spec_obj)
-        corpus = generate_model_corpus(spec)
+        if "theta" in spec_obj:
+            spec_obj["theta"] = Hyperparameters.from_json(spec_obj["theta"])
+        corpus = generate_model_corpus(_spec(SyntheticSpec, spec_obj))
         labeled = None
     elif kind == "toy_asv":
-        spec = ToyAsvSpec(**spec_obj)
-        corpus, labeled = generate_toy_asv_corpus(spec)
+        corpus, labeled = generate_toy_asv_corpus(_spec(ToyAsvSpec, spec_obj))
     else:
         raise ValueError(f"unknown simulation kind {kind!r}; expected 'model' or 'toy_asv'")
 
@@ -238,7 +255,6 @@ def cmd_curve(args) -> int:
     if sorted(n_list) != n_list:
         raise ValueError("population sizes must be ascending")
     capacity = int(packed.pairs_per_target.min())
-    predictor = predict_pfa_sampling if args.method == "sampling" else predict_pfa_closed_form
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -251,8 +267,7 @@ def cmd_curve(args) -> int:
                 writer.writerow(
                     [n, label, _fmt(tau), "empirical", _fmt(est.value), _fmt(est.ci_low), _fmt(est.ci_high)]
                 )
-            cfg = EstimatorConfig(seed=args.seed, n_impostors=n, t_outer=args.t_outer)
-            est = predictor(theta, tau, cfg, scores_per_pair=args.scores_per_pair)
+            est = _predict(args, theta, tau, n)
             writer.writerow(
                 [n, label, _fmt(tau), "model", _fmt(est.value), _fmt(est.ci_low), _fmt(est.ci_high)]
             )
@@ -319,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tau_options(p)
     p.add_argument("--n", required=True, help="comma-separated population sizes, e.g. 1,2,4")
     p.add_argument("--t-outer", type=int, default=1000, help="outer Monte-Carlo iterations")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"))
     p.add_argument("--selection", choices=["closest_by_mean", "random"], default="closest_by_mean")
     p.set_defaults(func=cmd_empirical)
 
@@ -329,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tau_options(p)
     p.add_argument("--n", required=True, help="comma-separated population sizes")
     p.add_argument("--t-outer", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"))
     p.add_argument("--scores-per-pair", type=int, default=DEFAULT_SCORES_PER_PAIR,
                    help="scores per candidate set for the sampling method")
     p.add_argument("--method", choices=["closed", "sampling"], default="closed")
@@ -352,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="labelled threshold (repeatable)")
     p.add_argument("--n", required=True, help="ascending comma-separated population sizes")
     p.add_argument("--t-outer", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"))
     p.add_argument("--scores-per-pair", type=int, default=DEFAULT_SCORES_PER_PAIR)
     p.add_argument("--method", choices=["closed", "sampling"], default="closed")
     p.set_defaults(func=cmd_curve)
@@ -363,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tau_options(p)
     p.add_argument("--n-impostors", type=int, default=1000)
     p.add_argument("--t-outer", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"))
     p.set_defaults(func=cmd_diagnose)
 
     return parser

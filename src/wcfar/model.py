@@ -12,15 +12,18 @@ score mean mu around m, and scores are Gaussian around mu:
 
 Because all N candidate pairings of a target share one sigma_sq, the
 closest-of-N false alarm rate admits two estimators: a sampling one that
-scores every candidate set and keeps the highest sample mean, and a
-closed-form one that keeps the highest latent mean mu* and accumulates the
-exact Gaussian tail 1 - Phi(tau; mu*, sigma_sq).  The two agree up to the
-finite-sample selection noise of the former.
+keeps the candidate set with the highest sample mean and records its
+fraction of scores above tau, and a closed-form one that keeps the highest
+latent mean mu* and accumulates the exact Gaussian tail
+1 - Phi(tau; mu*, sigma_sq).  The two agree up to the finite-sample
+selection noise of the former.
 
-Each outer iteration draws from its own child stream in the fixed order
-(m, lam, sigma_sq, mu_1..mu_N, scores), so enlarging N keeps a common
-prefix of draws and the closed-form estimate is non-decreasing in N
-pointwise for a fixed seed.
+Neither simulates the N candidates: the maximum of N i.i.d. normals has
+the law Phi^-1(U^(1/N)) for a uniform U, so both are array kernels over
+the outer iterations at a cost independent of N.  All iterations draw
+(m, lam, sigma_sq, U) from one stream of the seed in an order free of N, so
+every N reuses the same U; as Phi^-1(U^(1/N)) rises with N, the
+closed-form estimate is non-decreasing in N pointwise for a fixed seed.
 """
 
 from __future__ import annotations
@@ -28,18 +31,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import special as sp
 
-from .estimators import EstimateWithCI, EstimatorConfig, confidence_interval
+from .estimators import EstimateWithCI, EstimatorConfig, _estimate
 from .streams import RngStream, as_generator
 
 _JSON_FIELDS = ("mu0", "sigma0_sq", "a_sigma", "b_sigma", "alpha_lambda", "beta_lambda")
 
 # default scores per candidate set, matching an 18x18 utterance-pair grid
 DEFAULT_SCORES_PER_PAIR = 324
+
+# residual floats simulated at once by the sampling predictor
+_CHUNK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,17 @@ class Hyperparameters:
     def from_json(cls, obj: "dict | str") -> "Hyperparameters":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError(f"hyperparameter JSON must be an object, got {type(obj).__name__}")
         missing = [k for k in _JSON_FIELDS if k not in obj]
         if missing:
             raise ValueError(f"hyperparameter JSON missing key(s) {missing}")
-        return cls(**{k: float(obj[k]) for k in _JSON_FIELDS})
+        try:
+            values = {k: float(obj[k]) for k in _JSON_FIELDS}
+        except (TypeError, ValueError):
+            given = {k: obj[k] for k in _JSON_FIELDS}
+            raise ValueError(f"hyperparameters must be numbers, got {given}") from None
+        return cls(**values)
 
     def replace(self, **overrides) -> "Hyperparameters":
         unknown = set(overrides) - set(_JSON_FIELDS)
@@ -106,12 +118,17 @@ class PairDraw:
             raise ValueError(f"mu must be finite, got {self.mu}")
 
 
+def _sample_targets(h: Hyperparameters, count: int | None, g: np.random.Generator):
+    """`count` independent (m, lam, sigma_sq) draws as three arrays, or scalars for None."""
+    m = g.normal(h.mu0, math.sqrt(h.sigma0_sq), size=count)
+    lam = g.gamma(h.alpha_lambda, scale=1.0 / h.beta_lambda, size=count)
+    sigma_sq = 1.0 / g.gamma(h.a_sigma, scale=1.0 / h.b_sigma, size=count)
+    return m, lam, sigma_sq
+
+
 def sample_target(h: Hyperparameters, rng) -> TargetDraw:
     """Draw (m, lam, sigma_sq) independently from their priors."""
-    g = as_generator(rng)
-    m = g.normal(h.mu0, math.sqrt(h.sigma0_sq))
-    lam = g.gamma(h.alpha_lambda, scale=1.0 / h.beta_lambda)
-    sigma_sq = 1.0 / g.gamma(h.a_sigma, scale=1.0 / h.b_sigma)
+    m, lam, sigma_sq = _sample_targets(h, None, as_generator(rng))
     return TargetDraw(m=float(m), lam=float(lam), sigma_sq=float(sigma_sq))
 
 
@@ -129,8 +146,27 @@ def sample_scores(t: TargetDraw, p: PairDraw, count: int, rng) -> np.ndarray:
     return g.normal(p.mu, math.sqrt(t.sigma_sq), size=count)
 
 
-def _pair_means(t: TargetDraw, n: int, g: np.random.Generator) -> np.ndarray:
-    return g.normal(t.m, math.sqrt(t.sigma_sq / t.lam), size=n)
+def _outer_draws(h: Hyperparameters, cfg: EstimatorConfig):
+    """Per outer iteration, target latents and the maximum of N standard
+    normals Phi^-1(U^(1/N)), U in (0, 1], computed without cancellation when
+    U^(1/N) is close to 1; then the generator, for any further draws."""
+    g = RngStream(cfg.seed).generator()
+    m, lam, sigma_sq = _sample_targets(h, cfg.t_outer, g)
+    u = 1.0 - g.random(cfg.t_outer)
+    z_max = -sp.ndtri(-np.expm1(np.log(u) / cfg.n_impostors))
+    return m, lam, sigma_sq, z_max, g
+
+
+def gaussian_tail(mu, sigma_sq, tau: float) -> np.ndarray:
+    """P(score > tau) for Normal(mu, sigma_sq) scores, elementwise; exact at tau = +-inf."""
+    if math.isinf(tau):
+        return np.full(np.shape(mu), 0.0 if tau > 0 else 1.0)
+    return sp.ndtr((mu - tau) / np.sqrt(sigma_sq))
+
+
+def score_set_tail(means, residuals, tau: float) -> np.ndarray:
+    """Fraction of each score set `means[t] + residuals[t, :]` above `tau`."""
+    return np.mean(residuals > (tau - means)[:, None], axis=1)
 
 
 def predict_pfa_sampling(
@@ -139,104 +175,52 @@ def predict_pfa_sampling(
     cfg: EstimatorConfig,
     scores_per_pair: int = DEFAULT_SCORES_PER_PAIR,
     level: float = 0.99,
-    injected_draws: Iterable[tuple[TargetDraw, Sequence[float], np.ndarray | None]] | None = None,
 ) -> EstimateWithCI:
-    """Closest-of-N false alarm rate by explicit score simulation.
+    """Closest-of-N false alarm rate by simulating the winning score set.
 
-    Per outer iteration: one target draw, `cfg.n_impostors` pair means
-    sharing it, one score set of `scores_per_pair` per pair; the set with
-    the highest sample mean is kept and its fraction of scores above `tau`
-    recorded.  `injected_draws` substitutes an explicit sequence of
-    (target, pair means, optional score matrix) for the random draws, for
-    deterministic micro-examples.
+    Per outer iteration, of N = `cfg.n_impostors` candidate sets of L =
+    `scores_per_pair` scores sharing one target draw, the set with the
+    highest sample mean wins and its fraction of scores above `tau` is
+    recorded.  Only the winner is simulated, exactly in law: the sample
+    means are i.i.d. Normal(m, sigma_sq / lam + sigma_sq / L), and a
+    Gaussian sample's residuals are independent of its mean, so the
+    winner's scores are its mean plus the centred residuals of L fresh
+    Normal(0, sigma_sq) draws.
     """
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
     if scores_per_pair < 1:
         raise ValueError(f"scores_per_pair must be >= 1, got {scores_per_pair}")
-    n = cfg.n_impostors
-    if injected_draws is not None:
-        values = []
-        for _target, _mus, score_sets in injected_draws:
-            if score_sets is None:
-                raise ValueError("sampling predictor needs score sets in injected draws")
-            scores = np.asarray(score_sets, dtype=float)
-            k = int(np.argmax(scores.mean(axis=1)))
-            values.append(float(np.mean(scores[k] > tau)))
-        values = np.asarray(values)
-        return _predict_estimate(values, len(values), n, tau, level)
-
-    root = RngStream(cfg.seed)
+    m, lam, sigma_sq, z_max, g = _outer_draws(h, cfg)
+    means = m + np.sqrt(sigma_sq * (1.0 / lam + 1.0 / scores_per_pair)) * z_max
     values = np.empty(cfg.t_outer)
-    scores = np.empty((n, scores_per_pair))
-    for t in range(cfg.t_outer):
-        g = root.child(t).generator()
-        target = sample_target(h, g)
-        mus = _pair_means(target, n, g)
-        g.standard_normal(out=scores)
-        scores *= math.sqrt(target.sigma_sq)
-        scores += mus[:, None]
-        k = int(np.argmax(scores.mean(axis=1)))
-        values[t] = np.mean(scores[k] > tau)
-    return _predict_estimate(values, cfg.t_outer, n, tau, level)
+    rows = max(1, _CHUNK_FLOATS // scores_per_pair)
+    for start in range(0, cfg.t_outer, rows):
+        part = slice(start, start + rows)
+        residuals = g.standard_normal((values[part].size, scores_per_pair))
+        residuals -= residuals.mean(axis=1, keepdims=True)
+        residuals *= np.sqrt(sigma_sq[part])[:, None]
+        values[part] = score_set_tail(means[part], residuals, tau)
+    return _estimate(values, cfg, cfg.n_impostors, tau, level)
 
 
 def predict_pfa_closed_form(
     h: Hyperparameters,
     tau: float,
     cfg: EstimatorConfig,
-    scores_per_pair: int = DEFAULT_SCORES_PER_PAIR,
     level: float = 0.99,
-    injected_draws: Iterable[tuple[TargetDraw, Sequence[float]]] | None = None,
 ) -> EstimateWithCI:
     """Closest-of-N false alarm rate without simulating scores.
 
-    Selection is by the largest latent pair mean mu*, and each iteration
-    contributes the exact Gaussian tail mass above `tau` for that mean and
-    the target's shared variance.  `scores_per_pair` is accepted for
-    signature parity with the sampling predictor and does not enter the
-    estimate.
+    Selection is by the largest latent pair mean mu* = m + sqrt(sigma_sq /
+    lam) * Z_N, and each iteration contributes the exact Gaussian tail mass
+    above `tau` for that mean and the target's shared variance.
     """
-    del scores_per_pair
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
-    n = cfg.n_impostors
-    if injected_draws is not None:
-        values = []
-        for target, mus in injected_draws:
-            mu_star = float(np.max(np.asarray(mus, dtype=float)))
-            values.append(_gaussian_tail(tau, mu_star, target.sigma_sq))
-        values = np.asarray(values)
-        return _predict_estimate(values, len(values), n, tau, level)
-
-    root = RngStream(cfg.seed)
-    values = np.empty(cfg.t_outer)
-    for t in range(cfg.t_outer):
-        g = root.child(t).generator()
-        target = sample_target(h, g)
-        mu_star = float(np.max(_pair_means(target, n, g)))
-        values[t] = _gaussian_tail(tau, mu_star, target.sigma_sq)
-    return _predict_estimate(values, cfg.t_outer, n, tau, level)
-
-
-def _gaussian_tail(tau: float, mu: float, sigma_sq: float) -> float:
-    """P(score > tau) for a Normal(mu, sigma_sq) score; exact at tau = +-inf."""
-    if math.isinf(tau):
-        return 0.0 if tau > 0 else 1.0
-    return float(sp.ndtr((mu - tau) / math.sqrt(sigma_sq)))
-
-
-def _predict_estimate(values: np.ndarray, n_outer: int, n_impostors: int, tau: float, level: float):
-    value = float(values.mean())
-    low, high = confidence_interval(values, level) if values.size >= 2 else (value, value)
-    return EstimateWithCI(
-        value=value,
-        ci_low=low,
-        ci_high=high,
-        n_outer=n_outer,
-        n_impostors=n_impostors,
-        tau=tau,
-    )
+    m, lam, sigma_sq, z_max, _ = _outer_draws(h, cfg)
+    values = gaussian_tail(m + np.sqrt(sigma_sq / lam) * z_max, sigma_sq, tau)
+    return _estimate(values, cfg, cfg.n_impostors, tau, level)
 
 
 def marginal_score_samples(h: Hyperparameters, count: int, rng) -> np.ndarray:
@@ -248,8 +232,6 @@ def marginal_score_samples(h: Hyperparameters, count: int, rng) -> np.ndarray:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     g = as_generator(rng)
-    m = g.normal(h.mu0, math.sqrt(h.sigma0_sq), size=count)
-    lam = g.gamma(h.alpha_lambda, scale=1.0 / h.beta_lambda, size=count)
-    sigma_sq = 1.0 / g.gamma(h.a_sigma, scale=1.0 / h.b_sigma, size=count)
+    m, lam, sigma_sq = _sample_targets(h, count, g)
     mu = g.normal(m, np.sqrt(sigma_sq / lam))
     return g.normal(mu, np.sqrt(sigma_sq))

@@ -1,14 +1,23 @@
 """Independent reference computations used by the test suite.
 
 Everything here deliberately avoids the code paths under test: the grid
-searches enumerate objective values directly, and the posterior oracle
+searches enumerate objective values directly, the posterior oracle
 integrates the exact joint density on a dense grid (with the pair means
 marginalised in closed form, which is an identity of Gaussian algebra, not
-a property of the inference code).
+a property of the inference code), the loop predictors simulate all N
+candidates of every outer iteration, and the closest-of-N quadrature
+integrates the predictors' expectation deterministically.
 """
 
+import math
+
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy import stats
+from scipy.special import gammaln, logsumexp, ndtr, ndtri
+
+from wcfar.estimators import EstimateWithCI, confidence_interval
+from wcfar.model import sample_target
+from wcfar.streams import RngStream
 
 
 def gamma_objective_grid(mean_x, mean_log_x, alpha_hat, beta_hat, n=200, decades=2.0):
@@ -124,3 +133,75 @@ def importance_log_evidence(scores, h, n_draws, seed):
     weights = np.exp(log_like - log_like.max())
     rel_se = weights.std(ddof=1) / (np.sqrt(n_draws) * weights.mean())
     return float(log_mean), float(rel_se)
+
+
+def _loop_estimate(values, cfg, tau, level):
+    value = float(values.mean())
+    low, high = confidence_interval(values, level) if values.size >= 2 else (value, value)
+    return EstimateWithCI(value, low, high, cfg.t_outer, cfg.n_impostors, tau)
+
+
+def loop_predict_pfa_sampling(h, tau, cfg, scores_per_pair, level=0.99):
+    """Closest-of-N sampling predictor that simulates every candidate set.
+
+    Per outer iteration, from its own child stream: one target draw, N pair
+    means, N score sets of `scores_per_pair`; the set with the highest sample
+    mean is kept and its fraction of scores above `tau` recorded.  Costs
+    O(T N L) time and O(N L) memory.
+    """
+    n = cfg.n_impostors
+    root = RngStream(cfg.seed)
+    values = np.empty(cfg.t_outer)
+    scores = np.empty((n, scores_per_pair))
+    for t in range(cfg.t_outer):
+        g = root.child(t).generator()
+        target = sample_target(h, g)
+        mus = g.normal(target.m, math.sqrt(target.sigma_sq / target.lam), size=n)
+        g.standard_normal(out=scores)
+        scores *= math.sqrt(target.sigma_sq)
+        scores += mus[:, None]
+        k = int(np.argmax(scores.mean(axis=1)))
+        values[t] = np.mean(scores[k] > tau)
+    return _loop_estimate(values, cfg, tau, level)
+
+
+def loop_predict_pfa_closed_form(h, tau, cfg, level=0.99):
+    """Closest-of-N closed-form predictor that draws all N latent pair means.
+
+    Per outer iteration: one target draw, N pair means, and the exact
+    Gaussian tail above `tau` for the largest of them.
+    """
+    root = RngStream(cfg.seed)
+    values = np.empty(cfg.t_outer)
+    for t in range(cfg.t_outer):
+        g = root.child(t).generator()
+        target = sample_target(h, g)
+        mus = g.normal(target.m, math.sqrt(target.sigma_sq / target.lam), size=cfg.n_impostors)
+        mu_star = float(np.max(mus))
+        values[t] = ndtr((mu_star - tau) / math.sqrt(target.sigma_sq))
+    return _loop_estimate(values, cfg, tau, level)
+
+
+def closest_of_n_quadrature(h, tau, n, scores_per_pair=None, nodes=64):
+    """Expected closest-of-n false alarm rate by 3-D Gauss-Legendre quadrature.
+
+    Without `scores_per_pair` this is the closed-form predictor's
+    expectation E[Phi((mu0 + sigma Z_n / sqrt(lam) - tau) / sqrt(sigma0_sq +
+    sigma^2))], with Z_n the maximum of n standard normals (CDF Phi^n) and
+    the target location m integrated out analytically.  With L =
+    `scores_per_pair` it is the sampling predictor's expectation: the
+    winner's sample mean is m + sigma sqrt(1/lam + 1/L) Z_n and each of its
+    scores adds a centred residual of variance sigma^2 (1 - 1/L).  lam,
+    sigma^2 and Z_n are written as quantile functions of uniforms, and the
+    unit cube is integrated on a `nodes`^3 grid.
+    """
+    inv_l = 0.0 if scores_per_pair is None else 1.0 / scores_per_pair
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    lam = stats.gamma.ppf(u, h.alpha_lambda, scale=1.0 / h.beta_lambda)[:, None, None]
+    sig_sq = stats.invgamma.ppf(u, h.a_sigma, scale=h.b_sigma)[None, :, None]
+    z = -ndtri(-np.expm1(np.log(u) / n))[None, None, :]
+    arg = (h.mu0 - tau + np.sqrt(sig_sq * (1.0 / lam + inv_l)) * z) / np.sqrt(
+        h.sigma0_sq + sig_sq * (1.0 - inv_l)
+    )
+    return float(np.einsum("i,j,k,ijk->", w, w, w, ndtr(arg)))

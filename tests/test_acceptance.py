@@ -213,6 +213,7 @@ def test_acceptance_4_hyperparameter_recovery():
 
 
 def test_acceptance_5_sampling_vs_closed_form():
+    started = time.perf_counter()
     tau = 1.5
     gaps = []
     for n in (1, 10, 100, 1000):
@@ -222,8 +223,10 @@ def test_acceptance_5_sampling_vs_closed_form():
         gap = abs(sampled.value - closed.value)
         allowed = joint_halfwidth(sampled, closed)
         gaps.append((n, gap, allowed))
-    ok = all(gap <= allowed for _, gap, allowed in gaps)
+    elapsed = time.perf_counter() - started
+    ok = all(gap <= allowed for _, gap, allowed in gaps) and elapsed < 10.0
     detail = ", ".join(f"N={n}: |gap|={gap:.4f}<={allowed:.4f}" for n, gap, allowed in gaps)
+    detail += f", {elapsed:.1f}s < 10s"
     report(5, "sampling agrees with closed form", ok, detail)
 
 

@@ -56,6 +56,10 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def error_lines(capsys) -> list[str]:
+    return [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+
+
 class TestThresholdCommand:
     def test_eer_output(self, labels_csv, tmp_path, capsys):
         out = tmp_path / "thr.json"
@@ -172,6 +176,22 @@ class TestPredictCommand:
             == 0
         )
 
+    @pytest.mark.parametrize("method", ["closed", "sampling"])
+    def test_rows_do_not_depend_on_other_populations(self, theta_json, capsys, method):
+        common = ["predict", "--theta", theta_json, "--tau", "1.0", "--t-outer", "200",
+                  "--seed", "4", "--method", method, "--scores-per-pair", "16"]
+        lines = {}
+        for n in ("1,1000", "1", "1000"):
+            assert run(common + ["--n", n]) == 0
+            lines[n] = capsys.readouterr().out.splitlines()
+        assert lines["1,1000"] == lines["1"] + lines["1000"][1:]
+
+    def test_null_hyperparameter(self, tmp_path, capsys):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({**THETA.to_json(), "mu0": None}))
+        assert run(["predict", "--theta", theta, "--tau", "1.0", "--n", "1"]) == 1
+        assert len(error_lines(capsys)) == 1
+
 
 class TestSimulateCommand:
     def test_model_corpus_round_trips(self, tmp_path):
@@ -231,6 +251,20 @@ class TestSimulateCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"kind": "voice"}))
         assert run(["simulate", "--spec", spec_path]) == 1
+
+    @pytest.mark.parametrize(
+        "edit", [{"theta": None}, {"colour": "blue"}], ids=["missing_theta", "unknown_key"]
+    )
+    def test_bad_spec_keys(self, tmp_path, capsys, edit):
+        spec = {
+            "kind": "model", "theta": THETA.to_json(), "t_targets": 1,
+            "n_impostors_per_target": 1, "l_scores_per_pair": 1, "seed": 1,
+        }
+        spec = {k: v for k, v in {**spec, **edit}.items() if v is not None}  # None drops a key
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run(["simulate", "--spec", spec_path]) == 1
+        assert len(error_lines(capsys)) == 1
 
 
 class TestCurveCommand:
@@ -308,3 +342,9 @@ class TestCliContract:
         assert run(["empirical", "--corpus", corpus_csv, "--tau", "1.0",
                     "--n", "1", "--t-outer", "100", "--seed", "99", "--out", out_flag]) == 0
         assert out_env.read_bytes() == out_flag.read_bytes()
+
+    def test_non_integer_seed_env(self, theta_json, monkeypatch, capsys):
+        monkeypatch.setenv("WCFAR_SEED", "abc")
+        assert run(["predict", "--theta", theta_json, "--tau", "1.0", "--n", "1"]) == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and "WCFAR_SEED" in errors[0]

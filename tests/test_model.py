@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,16 +11,23 @@ from wcfar.model import (
     Hyperparameters,
     PairDraw,
     TargetDraw,
+    gaussian_tail,
     marginal_score_samples,
     predict_pfa_closed_form,
     predict_pfa_sampling,
     sample_pair,
     sample_scores,
     sample_target,
+    score_set_tail,
 )
 from wcfar.special_math import GaussianParams, normal_cdf
 from wcfar.streams import RngStream
 
+from oracles import (
+    closest_of_n_quadrature,
+    loop_predict_pfa_closed_form,
+    loop_predict_pfa_sampling,
+)
 from test_estimators import joint_halfwidth
 
 BASE = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
@@ -127,32 +135,26 @@ class TestPredictors:
         assert est.value == pytest.approx(expected, abs=0.005)
 
     def test_closed_form_injected_draws(self):
-        target = TargetDraw(m=0.0, lam=1.0, sigma_sq=1.0)
-        cfg = EstimatorConfig(seed=1, n_impostors=2, t_outer=1)
-        est = predict_pfa_closed_form(
-            BASE, 1.0, cfg, injected_draws=[(target, [0.0, 1.0])]
-        )
-        assert est.value == pytest.approx(0.5, abs=1e-12)
+        # winning latent mean 1 with unit variance: half the mass above tau = 1
+        tail = gaussian_tail(np.array([1.0]), np.array([1.0]), 1.0)
+        assert tail[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_sampling_injected_draws(self):
-        target = TargetDraw(m=0.0, lam=1.0, sigma_sq=1.0)
-        sets = np.array([[0.0, 0.0], [2.0, 0.5]])
-        cfg = EstimatorConfig(seed=1, n_impostors=2, t_outer=1)
-        est = predict_pfa_sampling(BASE, 1.0, cfg, injected_draws=[(target, [0.0, 1.0], sets)])
-        assert est.value == 0.5  # picks the second set, one of two scores above 1
+        # winning mean 1.25 with residuals +-0.75: scores 2.0 and 0.5, one above 1
+        tail = score_set_tail(np.array([1.25]), np.array([[0.75, -0.75]]), 1.0)
+        assert tail[0] == 0.5
 
     def test_sampling_injection_requires_scores(self):
-        target = TargetDraw(m=0.0, lam=1.0, sigma_sq=1.0)
         cfg = EstimatorConfig(seed=1, n_impostors=2, t_outer=1)
-        with pytest.raises(ValueError, match="score sets"):
-            predict_pfa_sampling(BASE, 1.0, cfg, injected_draws=[(target, [0.0, 1.0], None)])
+        with pytest.raises(ValueError, match="scores_per_pair"):
+            predict_pfa_sampling(BASE, 1.0, cfg, scores_per_pair=0)
 
     def test_closed_form_pointwise_monotone_in_n(self):
         values = []
-        for n in (1, 2, 4, 8, 16, 64):
+        for n in (1, 2, 4, 8, 16, 64, 10**6, 10**9):
             cfg = EstimatorConfig(seed=13, n_impostors=n, t_outer=500)
             values.append(predict_pfa_closed_form(BASE, 1.5, cfg).value)
-        # shared per-iteration draw prefix makes this monotone exactly
+        # every N reuses the same uniforms, and Phi^-1(U^(1/N)) rises with N
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_closed_form_non_increasing_in_tau(self):
@@ -182,6 +184,52 @@ class TestPredictors:
         assert predict_pfa_sampling(BASE, 0.5, cfg, scores_per_pair=9) == predict_pfa_sampling(
             BASE, 0.5, cfg, scores_per_pair=9
         )
+
+
+def _halfwidth(est) -> float:
+    return max(est.value - est.ci_low, est.ci_high - est.value)
+
+
+class TestPredictorOracles:
+    @pytest.mark.parametrize("n", [1, 1000, 10**9])
+    def test_closed_form_matches_quadrature(self, n):
+        cfg = EstimatorConfig(seed=31, n_impostors=n, t_outer=20_000)
+        est = predict_pfa_closed_form(BASE, 1.5, cfg)
+        assert abs(est.value - closest_of_n_quadrature(BASE, 1.5, n)) <= 2.0 * _halfwidth(est)
+
+    @pytest.mark.parametrize("n", [1, 1000, 10**9])
+    def test_sampling_matches_quadrature(self, n):
+        # two scores per set keep selection by sample mean well apart from
+        # selection by latent mean, and the winner's residual variance
+        # sigma^2 (1 - 1/L) well apart from sigma^2
+        cfg = EstimatorConfig(seed=31, n_impostors=n, t_outer=20_000)
+        est = predict_pfa_sampling(BASE, 1.5, cfg, scores_per_pair=2)
+        expected = closest_of_n_quadrature(BASE, 1.5, n, scores_per_pair=2)
+        assert abs(est.value - expected) <= 2.0 * _halfwidth(est)
+
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_closed_form_matches_loop(self, n):
+        cfg = EstimatorConfig(seed=32, n_impostors=n, t_outer=4000)
+        fast = predict_pfa_closed_form(BASE, 1.5, cfg)
+        loop = loop_predict_pfa_closed_form(BASE, 1.5, cfg)
+        assert abs(fast.value - loop.value) <= joint_halfwidth(fast, loop)
+
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    def test_sampling_matches_loop(self, n):
+        cfg = EstimatorConfig(seed=32, n_impostors=n, t_outer=4000)
+        fast = predict_pfa_sampling(BASE, 1.5, cfg, scores_per_pair=2)
+        loop = loop_predict_pfa_sampling(BASE, 1.5, cfg, scores_per_pair=2)
+        assert abs(fast.value - loop.value) <= joint_halfwidth(fast, loop)
+
+    def test_closed_form_memory_independent_of_n(self):
+        cfg = EstimatorConfig(seed=33, n_impostors=10**9, t_outer=10_000)
+        tracemalloc.start()
+        try:
+            predict_pfa_closed_form(BASE, 1.5, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestMarginalSamples:
