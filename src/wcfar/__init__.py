@@ -35,14 +35,11 @@ from .model import (
 )
 from .score_data import (
     CorpusSummary,
-    ImpostorGroup,
     LabeledScoreSet,
-    TargetGroup,
-    TrialCorpus,
+    PackedCorpus,
     corpus_stats,
     load_corpus,
     load_labeled_scores,
-    pack_corpus,
 )
 from .special_math import (
     GammaParams,
@@ -69,11 +66,11 @@ __all__ = [
     "GammaParams",
     "GaussianParams",
     "Hyperparameters",
-    "ImpostorGroup",
     "InfeasibleMomentsError",
     "InvGammaParams",
     "LabeledScoreSet",
     "NumericError",
+    "PackedCorpus",
     "PairDraw",
     "ParseError",
     "PosteriorFactors",
@@ -81,10 +78,8 @@ __all__ = [
     "SufficientStats",
     "SyntheticSpec",
     "TargetDraw",
-    "TargetGroup",
     "ThresholdSpec",
     "ToyAsvSpec",
-    "TrialCorpus",
     "confidence_interval",
     "corpus_stats",
     "diagnose",
@@ -104,7 +99,6 @@ __all__ = [
     "marginal_score_samples",
     "min_dcf_threshold",
     "normal_cdf",
-    "pack_corpus",
     "predict_pfa_closed_form",
     "predict_pfa_sampling",
     "sample_gamma",

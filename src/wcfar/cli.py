@@ -15,6 +15,9 @@ import io
 import json
 import os
 import sys
+from itertools import chain, islice, repeat
+
+import numpy as np
 
 from . import __version__
 from .errors import NumericError
@@ -32,10 +35,12 @@ from .model import (
     predict_pfa_closed_form,
     predict_pfa_sampling,
 )
-from .score_data import load_corpus, load_labeled_scores, pack_corpus
+from .score_data import load_corpus, load_labeled_scores
 from .synthetic import SyntheticSpec, ToyAsvSpec, generate_model_corpus, generate_toy_asv_corpus
 
 SEED_ENV_VAR = "WCFAR_SEED"
+
+_CHUNK_ROWS = 1 << 16  # lines per string written by `_score_lines`
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,12 +65,28 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"--seed or ${SEED_ENV_VAR} is not an integer: {text!r}")
 
 
-def _write_text(text: str, out_path: str | None):
+def _write_text(text, out_path: str | None):
+    """Write `text`, a string or an iterable of strings, to `out_path` or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _score_lines(header: str, prefixes: list[str], counts: list[int], scores):
+    """`header`, then one ``<prefix><score>`` line per score, `_CHUNK_ROWS` lines per string.
+
+    Each of `prefixes` holds leading cells, comma included, and starts the
+    next `counts` lines.  Scores are formatted as `_fmt` formats them.
+    """
+    prefixes = chain.from_iterable(map(repeat, prefixes, counts))
+    yield header
+    for start in range(0, len(scores), _CHUNK_ROWS):
+        chunk = scores[start : start + _CHUNK_ROWS].tolist()
+        cells = chain.from_iterable(zip(islice(prefixes, len(chunk)), chunk))
+        yield ("%s%.17g\n" * len(chunk)) % tuple(cells)
 
 
 def _json_dump(obj) -> str:
@@ -218,32 +239,26 @@ def cmd_simulate(args) -> int:
     else:
         raise ValueError(f"unknown simulation kind {kind!r}; expected 'model' or 'toy_asv'")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["target_id", "impostor_id", "score"])
-    for tgt in corpus.targets:
-        for grp in tgt.impostors:
-            for s in grp.scores:
-                writer.writerow([tgt.target_id, grp.impostor_id, _fmt(s)])
-    _write_text(buf.getvalue(), args.out)
+    # generated ids hold only letters, digits and underscores: no cell needs CSV quoting
+    pair_prefix = [
+        f"{corpus.target_ids[t]},{impostor_id},"
+        for t, impostor_id in zip(corpus.pair_target.tolist(), corpus.impostor_ids)
+    ]
+    counts = corpus.pair_count.tolist()
+    _write_text(_score_lines("target_id,impostor_id,score\n", pair_prefix, counts, corpus.scores), args.out)
 
     if args.labeled_out:
         if labeled is None:
             raise ValueError("--labeled-out is only available for kind 'toy_asv'")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["label", "score"])
-        for s in labeled.target_scores:
-            writer.writerow(["target", _fmt(s)])
-        for s in labeled.nontarget_scores:
-            writer.writerow(["nontarget", _fmt(s)])
-        _write_text(buf.getvalue(), args.labeled_out)
+        counts = [labeled.target_scores.size, labeled.nontarget_scores.size]
+        scores = np.concatenate((labeled.target_scores, labeled.nontarget_scores))
+        lines = _score_lines("label,score\n", ["target,", "nontarget,"], counts, scores)
+        _write_text(lines, args.labeled_out)
     return 0
 
 
 def cmd_curve(args) -> int:
-    corpus = load_corpus(args.corpus, format=args.format)
-    packed = pack_corpus(corpus)
+    packed = load_corpus(args.corpus, format=args.format)
     theta = _load_theta(args.theta)
     taus = []
     for item in args.tau:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import ConfigError
-from .score_data import PackedCorpus, TrialCorpus, pack_corpus, sample_skewness
+from .score_data import PackedCorpus, sample_skewness
 from .streams import RngStream
 
 _SELECTIONS = ("closest_by_mean", "random")
@@ -89,8 +89,7 @@ def confidence_interval(per_iter_estimates, level: float = 0.99) -> tuple[float,
     return max(mean - z * stderr, 0.0), min(mean + z * stderr, 1.0)
 
 
-def _validated_pack(corpus: TrialCorpus | PackedCorpus) -> PackedCorpus:
-    packed = corpus if isinstance(corpus, PackedCorpus) else pack_corpus(corpus)
+def _validated(packed: PackedCorpus) -> PackedCorpus:
     if packed.n_targets < 1:
         raise ValueError("corpus has no targets")
     pools = packed.pairs_per_target
@@ -157,7 +156,7 @@ def _estimate(values: np.ndarray, cfg: EstimatorConfig, n_impostors: int, tau: f
 
 
 def estimate_pfa_zero_effort(
-    corpus: TrialCorpus | PackedCorpus,
+    corpus: PackedCorpus,
     tau: float,
     cfg: EstimatorConfig,
     level: float = 0.99,
@@ -167,7 +166,7 @@ def estimate_pfa_zero_effort(
     `cfg.n_impostors` and `cfg.selection` are ignored: each iteration draws
     a single impostor uniformly within a uniformly drawn target.
     """
-    packed = _validated_pack(corpus)
+    packed = _validated(corpus)
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
     pair_fa = packed.pair_exceed_fraction(tau)
@@ -176,7 +175,7 @@ def estimate_pfa_zero_effort(
 
 
 def estimate_pfa_worst_case(
-    corpus: TrialCorpus | PackedCorpus,
+    corpus: PackedCorpus,
     tau: float,
     cfg: EstimatorConfig,
     level: float = 0.99,
@@ -187,7 +186,7 @@ def estimate_pfa_worst_case(
     sampled set instead, which matches the zero-effort rate in expectation
     for every population size.
     """
-    packed = _validated_pack(corpus)
+    packed = _validated(corpus)
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
     _require_pool(packed, cfg.n_impostors)
@@ -243,7 +242,7 @@ def _selected_stdev(pair_var: np.ndarray, selected: np.ndarray) -> tuple[float |
 
 
 def diagnose(
-    corpus: TrialCorpus | PackedCorpus,
+    corpus: PackedCorpus,
     tau: float,
     cfg: EstimatorConfig,
 ) -> DiagnosticsReport:
@@ -254,20 +253,13 @@ def diagnose(
     picked as closest-of-N versus at random (same candidate-set sizes).
     Pairs with fewer than 2 scores are skipped from the spread averages.
     """
-    packed = _validated_pack(corpus)
+    packed = _validated(corpus)
     _require_pool(packed, cfg.n_impostors)
     pair_means = packed.pair_means()
     pair_var = packed.pair_variances()
 
-    skews = []
-    excluded = 0
-    offsets = packed.pair_offsets
-    for p in range(packed.n_pairs):
-        skew = sample_skewness(packed.scores[offsets[p] : offsets[p + 1]])
-        if skew is None:
-            excluded += 1
-        else:
-            skews.append(skew)
+    skews = packed.pair_skewness()
+    kept = skews[~np.isnan(skews)]
 
     root = RngStream(cfg.seed)
     closest = _draw_pairs(
@@ -282,9 +274,9 @@ def diagnose(
         tau=tau,
         n_impostors=cfg.n_impostors,
         t_outer=cfg.t_outer,
-        avg_pairwise_skewness=float(np.mean(skews)) if skews else None,
+        avg_pairwise_skewness=float(kept.mean()) if kept.size else None,
         pair_mean_skewness=sample_skewness(pair_means),
-        skewness_excluded_pairs=excluded,
+        skewness_excluded_pairs=int(skews.size - kept.size),
         closest_impostor_stdev=closest_sd,
         random_impostor_stdev=random_sd,
         closest_excluded_iterations=closest_skip,

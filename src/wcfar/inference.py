@@ -44,7 +44,7 @@ from scipy import special as sp
 
 from .errors import NumericError
 from .model import Hyperparameters
-from .score_data import PackedCorpus, TrialCorpus, pack_corpus
+from .score_data import PackedCorpus
 from .special_math import fit_gamma_from_expectations, fit_inv_gamma_from_expectations
 
 VARIANCE_FLOOR = 1e-12
@@ -149,7 +149,7 @@ def update_q_mu(q: PosteriorFactors, data: PackedCorpus, h: Hyperparameters) -> 
     tgt = data.pair_target
     lam = stats.lam_mean[tgt]
     counts = data.pair_count
-    pair_sum, _ = data.pair_sums()
+    pair_sum = data.pair_sums
     q.pair_mean = (pair_sum + lam * stats.m_mean[tgt]) / (counts + lam)
     q.pair_var = np.maximum(1.0 / (stats.inv_sigma[tgt] * (counts + lam)), VARIANCE_FLOOR)
     q.validate()
@@ -352,7 +352,7 @@ def moment_init(data: PackedCorpus) -> Hyperparameters:
 
 
 def fit(
-    corpus: TrialCorpus | PackedCorpus,
+    data: PackedCorpus,
     init: Hyperparameters | None = None,
     *,
     tol: float = 1e-7,
@@ -369,7 +369,6 @@ def fit(
     Returns a FitReport, or (FitReport, PosteriorFactors) when
     `return_factors` is set.
     """
-    data = corpus if isinstance(corpus, PackedCorpus) else pack_corpus(corpus)
     if data.n_targets < 1:
         raise ValueError("cannot fit an empty corpus")
     h = init if init is not None else moment_init(data)

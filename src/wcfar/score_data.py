@@ -8,7 +8,7 @@ scores.  The loader accepts two row-oriented wire formats:
 
 Scores are kept at full double precision; no calibration or normalisation
 is applied.  Loading is deterministic: targets and impostors are sorted by
-identifier, scores keep input order.
+identifier (code point order), scores keep input order within a pair.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Mapping, Sequence
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -25,71 +27,10 @@ import numpy as np
 from .errors import ParseError
 
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    arr = np.atleast_1d(arr)
+def _frozen_array(values, dtype=float) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(values, dtype=dtype))
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class ImpostorGroup:
-    """All scores between one target and one impostor speaker."""
-
-    impostor_id: str
-    scores: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "scores", _frozen_array(self.scores))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ImpostorGroup)
-            and self.impostor_id == other.impostor_id
-            and np.array_equal(self.scores, other.scores)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class TargetGroup:
-    target_id: str
-    impostors: tuple[ImpostorGroup, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "impostors", tuple(self.impostors))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TargetGroup)
-            and self.target_id == other.target_id
-            and self.impostors == other.impostors
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class TrialCorpus:
-    """Immutable nested view of all non-target trials."""
-
-    targets: tuple[TargetGroup, ...]
-    gender_labels: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TrialCorpus)
-            and self.targets == other.targets
-            and self.gender_labels == other.gender_labels
-        )
-
-    @property
-    def n_targets(self) -> int:
-        return len(self.targets)
-
-    @property
-    def n_scores(self) -> int:
-        return sum(len(g.scores) for t in self.targets for g in t.impostors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,61 +55,94 @@ class LabeledScoreSet:
 def _parse_score(text_or_value, line: int) -> float:
     try:
         value = float(text_or_value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"score {text_or_value!r} is not a number", line) from None
     if not math.isfinite(value):
         raise ParseError(f"score {text_or_value!r} is not finite", line)
     return value
 
 
-def _iter_csv_rows(path: Path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+class _CorpusRows:
+    """Validated rows as interned id codes and parsed scores, in compact arrays."""
+
+    def __init__(self):
+        self.targets: dict[str, int] = {}
+        self.impostors: dict[str, int] = {}
+        self.target_codes, self.impostor_codes, self.scores = array("q"), array("q"), array("d")
+
+    def add(self, line: int | None, target_id: str, impostor_id: str, raw_score) -> None:
+        if not target_id or not impostor_id:
+            raise ParseError("empty speaker identifier", line)
+        if target_id == impostor_id:
+            raise ParseError(f"target and impostor are the same speaker {target_id!r}", line)
+        self.target_codes.append(self.targets.setdefault(target_id, len(self.targets)))
+        self.impostor_codes.append(self.impostors.setdefault(impostor_id, len(self.impostors)))
+        self.scores.append(_parse_score(raw_score, line))
+
+    def pack(self) -> PackedCorpus:
+        return PackedCorpus.from_codes(
+            list(self.targets),
+            list(self.impostors),
+            np.frombuffer(self.target_codes, dtype=np.int64),
+            np.frombuffer(self.impostor_codes, dtype=np.int64),
+            np.frombuffer(self.scores, dtype=float),
+        )
+
+
+def _blank(row: list[str]) -> bool:
+    return not "".join(row).strip()
+
+
+def _read_csv_rows(fh, add) -> None:
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file", 1) from None
+    header = [h.strip() for h in header]
+    required = ("target_id", "impostor_id", "score")
+    try:
+        t_col, i_col, s_col = [header.index(name) for name in required]
+    except ValueError as exc:
+        missing = [name for name in required if name not in header]
+        raise ParseError(f"missing column(s) {missing} in header {header}", 1) from exc
+    for line, row in enumerate(reader, start=2):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", 1) from None
-        header = [h.strip() for h in header]
-        required = ("target_id", "impostor_id", "score")
+            target_id, impostor_id, raw_score = row[t_col].strip(), row[i_col].strip(), row[s_col]
+        except IndexError:
+            if _blank(row):
+                continue
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line) from None
+        if (not target_id or not impostor_id) and _blank(row):
+            continue
+        add(line, target_id, impostor_id, raw_score)
+
+
+def _read_jsonl_rows(fh, add) -> None:
+    any_row = False
+    for line, raw in enumerate(fh, start=1):
+        if not raw.strip():
+            continue
+        any_row = True
         try:
-            cols = [header.index(name) for name in required]
-        except ValueError as exc:
-            missing = [name for name in required if name not in header]
-            raise ParseError(f"missing column(s) {missing} in header {header}", 1) from exc
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if max(cols) >= len(row):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
-            yield line, row[cols[0]].strip(), row[cols[1]].strip(), row[cols[2]]
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("row is not an object", line)
+        missing = [k for k in ("target", "impostor", "score") if k not in obj]
+        if missing:
+            raise ParseError(f"missing key(s) {missing}", line)
+        score = obj["score"]
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise ParseError(f"score {score!r} is not a number", line)
+        add(line, str(obj["target"]), str(obj["impostor"]), score)
+    if not any_row:
+        raise ParseError("empty file", 1)
 
 
-def _iter_jsonl_rows(path: Path):
-    with open(path) as fh:
-        any_row = False
-        for line, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            any_row = True
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("row is not an object", line)
-            missing = [k for k in ("target", "impostor", "score") if k not in obj]
-            if missing:
-                raise ParseError(f"missing key(s) {missing}", line)
-            score = obj["score"]
-            if isinstance(score, bool) or not isinstance(score, (int, float)):
-                raise ParseError(f"score {score!r} is not a number", line)
-            yield line, str(obj["target"]), str(obj["impostor"]), score
-        if not any_row:
-            raise ParseError("empty file", 1)
-
-
-def load_corpus(path, format: str | None = None) -> TrialCorpus:
-    """Load and validate a non-target trial corpus from `path`.
+def load_corpus(path, format: str | None = None) -> PackedCorpus:
+    """Load and validate a non-target trial corpus from `path` in one pass.
 
     `format` is "csv" or "jsonl"; when omitted it is inferred from the file
     suffix.  Any malformed row raises ParseError naming the line number.
@@ -180,37 +154,18 @@ def load_corpus(path, format: str | None = None) -> TrialCorpus:
             raise ParseError(f"cannot infer format from suffix {path.suffix!r}; pass format=")
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}, expected 'csv' or 'jsonl'")
-    rows = _iter_csv_rows(path) if format == "csv" else _iter_jsonl_rows(path)
-
-    grouped: dict[str, dict[str, list[float]]] = {}
-    n_rows = 0
-    for line, target_id, impostor_id, raw_score in rows:
-        if not target_id or not impostor_id:
-            raise ParseError("empty speaker identifier", line)
-        if target_id == impostor_id:
-            raise ParseError(f"target and impostor are the same speaker {target_id!r}", line)
-        score = _parse_score(raw_score, line)
-        grouped.setdefault(target_id, {}).setdefault(impostor_id, []).append(score)
-        n_rows += 1
-    if n_rows == 0:
+    read = _read_csv_rows if format == "csv" else _read_jsonl_rows
+    rows = _CorpusRows()
+    with open(path, newline="" if format == "csv" else None) as fh:
+        read(fh, rows.add)
+    if not rows.scores:
         raise ParseError("file contains no data rows", 1)
-
-    targets = tuple(
-        TargetGroup(
-            target_id=tid,
-            impostors=tuple(
-                ImpostorGroup(impostor_id=iid, scores=scores)
-                for iid, scores in sorted(grouped[tid].items())
-            ),
-        )
-        for tid in sorted(grouped)
-    )
-    return TrialCorpus(targets=targets)
+    return rows.pack()
 
 
 def load_labeled_scores(path) -> LabeledScoreSet:
     """Load a ``label,score`` CSV with label in {target, nontarget}."""
-    path = Path(path)
+    buckets = {"target": array("d"), "nontarget": array("d")}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -221,41 +176,158 @@ def load_labeled_scores(path) -> LabeledScoreSet:
             label_col, score_col = header.index("label"), header.index("score")
         except ValueError:
             raise ParseError(f"expected header with 'label' and 'score', got {header}", 1) from None
-        buckets: dict[str, list[float]] = {"target": [], "nontarget": []}
         for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if _blank(row):
                 continue
-            label = row[label_col].strip()
+            try:
+                label, raw_score = row[label_col].strip(), row[score_col]
+            except IndexError:
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line) from None
             if label not in buckets:
                 raise ParseError(f"label {label!r} is not 'target' or 'nontarget'", line)
-            buckets[label].append(_parse_score(row[score_col], line))
+            buckets[label].append(_parse_score(raw_score, line))
     if not buckets["target"] or not buckets["nontarget"]:
         raise ParseError("file must contain at least one target and one nontarget score")
     return LabeledScoreSet(
-        target_scores=buckets["target"], nontarget_scores=buckets["nontarget"]
+        target_scores=np.frombuffer(buckets["target"], dtype=float),
+        nontarget_scores=np.frombuffer(buckets["nontarget"], dtype=float),
     )
+
+
+def _rank(names: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Rank of each name in code point order, and the names in that order."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return np.argsort(np.array(order, dtype=np.int64)), tuple(names[k] for k in order)
+
+
+def _skewness(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Bias-corrected (adjusted Fisher-Pearson) skewness of each segment.
+
+    Segment k is ``x[offsets[k]:offsets[k+1]]``, and every segment must be
+    non-empty.  NaN where a segment has fewer than 3 values or zero range.
+    Constant segments are found by their range: their computed mean can be
+    off by one ulp, which leaves a tiny second moment and a skewness of
+    about +-2.449 instead of none.
+    """
+    starts = offsets[:-1]
+    counts = np.diff(offsets)
+    n = counts.astype(float)
+    centered = x - np.repeat(np.add.reduceat(x, starts) / n, counts)
+    m2 = np.add.reduceat(centered**2, starts) / n
+    m3 = np.add.reduceat(centered**3, starts) / n
+    varies = np.maximum.reduceat(x, starts) > np.minimum.reduceat(x, starts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g1 = m3 / m2**1.5 * np.sqrt(n * (n - 1.0)) / (n - 2.0)
+    return np.where((n >= 3) & varies, g1, np.nan)
+
+
+def sample_skewness(values) -> float | None:
+    """Bias-corrected (adjusted Fisher-Pearson) sample skewness.
+
+    Returns None when fewer than 3 values or when all values are equal.
+    """
+    x = np.asarray(values, dtype=float).reshape(-1)
+    if x.size < 3:
+        return None
+    g1 = _skewness(x, np.array([0, x.size]))[0]
+    return None if math.isnan(g1) else float(g1)
+
+
+_ARRAY_FIELDS = ("target_offsets", "pair_target", "pair_offsets", "scores")
 
 
 @dataclass(frozen=True, eq=False)
 class PackedCorpus:
-    """Flat array view of a corpus for vectorised estimation and inference.
+    """A corpus as flat, read-only arrays for vectorised estimation and inference.
 
     Pairs are enumerated target-major, so each target owns the contiguous
     pair range ``target_offsets[i]:target_offsets[i+1]``; pair ``p`` owns the
-    contiguous score range ``pair_offsets[p]:pair_offsets[p+1]``.
+    contiguous score range ``pair_offsets[p]:pair_offsets[p+1]`` and has
+    impostor ``impostor_ids[p]``.  `from_codes`, which every loader and
+    generator goes through, orders targets and the impostors within a
+    target by id.
     """
 
-    n_targets: int
     target_ids: tuple[str, ...]
-    impostor_ids: tuple[str, ...]
+    impostor_ids: tuple[str, ...]  # (P,) impostor of each pair
     target_offsets: np.ndarray  # (T+1,) pair ranges
     pair_target: np.ndarray  # (P,) owning target of each pair
     pair_offsets: np.ndarray  # (P+1,) score ranges
     scores: np.ndarray  # flat score values
 
+    def __post_init__(self):
+        for name in _ARRAY_FIELDS:
+            dtype = float if name == "scores" else np.int64
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PackedCorpus)
+            and self.target_ids == other.target_ids
+            and self.impostor_ids == other.impostor_ids
+            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAY_FIELDS)
+        )
+
+    @classmethod
+    def from_codes(
+        cls,
+        target_names: Sequence[str],
+        impostor_names: Sequence[str],
+        target_codes: np.ndarray,
+        impostor_codes: np.ndarray,
+        scores: np.ndarray,
+    ) -> PackedCorpus:
+        """Pack rows given as indices into the two name lists.
+
+        Targets, and the impostors within a target, are ordered by id in
+        code point order; rows of one pair keep their order.  Every target
+        name is kept, even one without rows.
+        """
+        target_rank, target_ids = _rank(target_names)
+        impostor_rank, impostor_sorted = _rank(impostor_names)
+        width = max(len(impostor_names), 1)
+        key = target_rank[target_codes] * width + impostor_rank[impostor_codes]
+        if np.any(key[1:] < key[:-1]):  # rows already in id order, as generated ones are, need no sort
+            order = np.argsort(key, kind="stable")
+            key, scores = key[order], scores[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        pair_key = key[first]
+        pair_target = pair_key // width
+        return cls(
+            target_ids=target_ids,
+            impostor_ids=tuple(impostor_sorted[k] for k in (pair_key % width).tolist()),
+            target_offsets=np.searchsorted(pair_target, np.arange(len(target_ids) + 1)),
+            pair_target=pair_target,
+            pair_offsets=np.append(np.flatnonzero(first), key.size),
+            scores=scores,
+        )
+
+    @classmethod
+    def from_groups(cls, groups: Mapping[str, Mapping[str, Sequence[float]]]) -> PackedCorpus:
+        """Pack ``{target_id: {impostor_id: scores}}`` as `load_corpus` would.
+
+        A target may have no impostors; a pair without scores is left out.
+        """
+        rows = _CorpusRows()
+        for target_id, pairs in groups.items():
+            rows.targets.setdefault(target_id, len(rows.targets))
+            for impostor_id, values in pairs.items():
+                for value in np.asarray(values, dtype=float).reshape(-1).tolist():
+                    rows.add(None, target_id, impostor_id, value)
+        return rows.pack()
+
+    @property
+    def n_targets(self) -> int:
+        return len(self.target_ids)
+
     @property
     def n_pairs(self) -> int:
         return len(self.pair_target)
+
+    @property
+    def n_scores(self) -> int:
+        return self.scores.size
 
     @cached_property
     def pair_count(self) -> np.ndarray:
@@ -266,14 +338,9 @@ class PackedCorpus:
         return np.diff(self.target_offsets)
 
     @cached_property
-    def _sums(self) -> tuple[np.ndarray, np.ndarray]:
-        first = np.add.reduceat(self.scores, self.pair_offsets[:-1])
-        second = np.add.reduceat(self.scores**2, self.pair_offsets[:-1])
-        return first, second
-
-    def pair_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pair (sum of scores, sum of squared scores)."""
-        return self._sums
+    def pair_sums(self) -> np.ndarray:
+        """Per-pair sum of scores."""
+        return np.add.reduceat(self.scores, self.pair_offsets[:-1])
 
     @cached_property
     def pair_centered_ss(self) -> np.ndarray:
@@ -282,13 +349,11 @@ class PackedCorpus:
         Two-pass computation: exact for constant pairs and free of the
         cancellation that the raw-moment expansion suffers.
         """
-        if self.n_pairs == 0:
-            return np.empty(0)
         centered = self.scores - np.repeat(self.pair_means(), self.pair_count)
         return np.add.reduceat(centered**2, self.pair_offsets[:-1])
 
     def pair_means(self) -> np.ndarray:
-        return self.pair_sums()[0] / self.pair_count
+        return self.pair_sums / self.pair_count
 
     def pair_variances(self) -> np.ndarray:
         """Unbiased per-pair sample variance; NaN where fewer than 2 scores."""
@@ -297,54 +362,14 @@ class PackedCorpus:
             v = self.pair_centered_ss / (n - 1.0)
         return np.where(n >= 2, v, np.nan)
 
+    def pair_skewness(self) -> np.ndarray:
+        """Per-pair `sample_skewness`; NaN where it is undefined."""
+        return _skewness(self.scores, self.pair_offsets)
+
     def pair_exceed_fraction(self, tau: float) -> np.ndarray:
         """Per-pair fraction of scores strictly above `tau`."""
         hits = np.add.reduceat((self.scores > tau).astype(float), self.pair_offsets[:-1])
         return hits / self.pair_count
-
-
-def pack_corpus(corpus: TrialCorpus) -> PackedCorpus:
-    target_ids = []
-    impostor_ids = []
-    target_offsets = [0]
-    pair_target = []
-    pair_offsets = [0]
-    chunks = []
-    for i, tgt in enumerate(corpus.targets):
-        target_ids.append(tgt.target_id)
-        for grp in tgt.impostors:
-            impostor_ids.append(grp.impostor_id)
-            pair_target.append(i)
-            pair_offsets.append(pair_offsets[-1] + len(grp.scores))
-            chunks.append(grp.scores)
-        target_offsets.append(len(pair_target))
-    scores = np.concatenate(chunks) if chunks else np.empty(0)
-    return PackedCorpus(
-        n_targets=corpus.n_targets,
-        target_ids=tuple(target_ids),
-        impostor_ids=tuple(impostor_ids),
-        target_offsets=np.asarray(target_offsets, dtype=np.int64),
-        pair_target=np.asarray(pair_target, dtype=np.int64),
-        pair_offsets=np.asarray(pair_offsets, dtype=np.int64),
-        scores=scores,
-    )
-
-
-def sample_skewness(values) -> float | None:
-    """Bias-corrected (adjusted Fisher-Pearson) sample skewness.
-
-    Returns None when fewer than 3 values or when the variance vanishes.
-    """
-    x = np.asarray(values, dtype=float)
-    n = len(x)
-    if n < 3:
-        return None
-    centered = x - x.mean()
-    m2 = np.mean(centered**2)
-    if m2 <= 0:
-        return None
-    g1 = np.mean(centered**3) / m2**1.5
-    return float(g1 * math.sqrt(n * (n - 1.0)) / (n - 2.0))
 
 
 @dataclass(frozen=True)
@@ -369,37 +394,14 @@ class CorpusSummary:
     pairs: tuple[PairMoments, ...]
 
     def to_json(self) -> dict:
-        return {
-            "n_targets": self.n_targets,
-            "n_scores": self.n_scores,
-            "impostors_per_target": {
-                "min": self.impostors_per_target[0],
-                "max": self.impostors_per_target[1],
-                "mean": self.impostors_per_target[2],
-            },
-            "scores_per_pair": {
-                "min": self.scores_per_pair[0],
-                "max": self.scores_per_pair[1],
-                "mean": self.scores_per_pair[2],
-            },
-            "avg_pair_skewness": self.avg_pair_skewness,
-            "pair_mean_skewness": self.pair_mean_skewness,
-            "skewness_excluded_pairs": self.skewness_excluded_pairs,
-            "pairs": [
-                {
-                    "target_id": p.target_id,
-                    "impostor_id": p.impostor_id,
-                    "count": p.count,
-                    "mean": p.mean,
-                    "variance": p.variance,
-                    "skewness": p.skewness,
-                }
-                for p in self.pairs
-            ],
-        }
+        out = asdict(self)
+        for key in ("impostors_per_target", "scores_per_pair"):
+            out[key] = dict(zip(("min", "max", "mean"), out[key]))
+        out["pairs"] = list(out["pairs"])
+        return out
 
 
-def corpus_stats(corpus: TrialCorpus) -> CorpusSummary:
+def corpus_stats(corpus: PackedCorpus) -> CorpusSummary:
     """Per-pair moments plus corpus-level shape summaries.
 
     Pairs with fewer than 3 scores (or zero spread) are excluded from the
@@ -407,40 +409,34 @@ def corpus_stats(corpus: TrialCorpus) -> CorpusSummary:
     """
     if corpus.n_targets == 0:
         raise ValueError("corpus has no targets")
-    pairs = []
-    pair_means = []
-    skews = []
-    excluded = 0
-    for tgt in corpus.targets:
-        for grp in tgt.impostors:
-            x = grp.scores
-            mean = float(x.mean())
-            variance = float(x.var(ddof=1)) if len(x) >= 2 else None
-            skew = sample_skewness(x)
-            if skew is None:
-                excluded += 1
-            else:
-                skews.append(skew)
-            pair_means.append(mean)
-            pairs.append(
-                PairMoments(
-                    target_id=tgt.target_id,
-                    impostor_id=grp.impostor_id,
-                    count=len(x),
-                    mean=mean,
-                    variance=variance,
-                    skewness=skew,
-                )
-            )
-    n_imp = [len(t.impostors) for t in corpus.targets]
-    n_scores = [p.count for p in pairs]
+    counts, means, skews = corpus.pair_count, corpus.pair_means(), corpus.pair_skewness()
+    pairs = tuple(
+        PairMoments(
+            target_id=corpus.target_ids[t],
+            impostor_id=impostor_id,
+            count=count,
+            mean=mean,
+            variance=None if math.isnan(variance) else variance,
+            skewness=None if math.isnan(skew) else skew,
+        )
+        for t, impostor_id, count, mean, variance, skew in zip(
+            corpus.pair_target.tolist(),
+            corpus.impostor_ids,
+            counts.tolist(),
+            means.tolist(),
+            corpus.pair_variances().tolist(),
+            skews.tolist(),
+        )
+    )
+    kept = skews[~np.isnan(skews)]
+    n_imp = corpus.pairs_per_target
     return CorpusSummary(
         n_targets=corpus.n_targets,
-        n_scores=int(sum(n_scores)),
-        impostors_per_target=(min(n_imp), max(n_imp), float(np.mean(n_imp))),
-        scores_per_pair=(min(n_scores), max(n_scores), float(np.mean(n_scores))),
-        avg_pair_skewness=float(np.mean(skews)) if skews else None,
-        pair_mean_skewness=sample_skewness(pair_means),
-        skewness_excluded_pairs=excluded,
-        pairs=tuple(pairs),
+        n_scores=corpus.n_scores,
+        impostors_per_target=(int(n_imp.min()), int(n_imp.max()), float(n_imp.mean())),
+        scores_per_pair=(int(counts.min()), int(counts.max()), float(counts.mean())),
+        avg_pair_skewness=float(kept.mean()) if kept.size else None,
+        pair_mean_skewness=sample_skewness(means),
+        skewness_excluded_pairs=int(skews.size - kept.size),
+        pairs=pairs,
     )

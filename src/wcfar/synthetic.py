@@ -17,13 +17,22 @@ Two generators back the validation loop without any real recordings:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Hyperparameters, sample_target
-from .score_data import ImpostorGroup, LabeledScoreSet, TargetGroup, TrialCorpus
+from .score_data import LabeledScoreSet, PackedCorpus
 from .streams import RngStream
+
+
+def _require(kind: type, spec, names: tuple[str, ...]) -> None:
+    """Each named field must be an instance of `kind`; a bool never is."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +46,9 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        for name in ("t_targets", "n_impostors_per_target", "l_scores_per_pair"):
+        counts = ("t_targets", "n_impostors_per_target", "l_scores_per_pair")
+        _require(numbers.Integral, self, counts + ("seed",))
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -54,43 +65,39 @@ class ToyAsvSpec:
     seed: int
 
     def __post_init__(self):
+        _require(numbers.Integral, self, ("embedding_dim", "n_speakers", "n_utts_per_speaker", "seed"))
+        _require(numbers.Real, self, ("speaker_spread", "utterance_noise"))
         if self.embedding_dim < 1 or self.n_speakers < 1 or self.n_utts_per_speaker < 1:
             raise ValueError("dimensions and counts must be >= 1")
         if not (self.speaker_spread > 0 and self.utterance_noise > 0):
             raise ValueError("spread parameters must be positive")
 
 
-def _target_id(i: int) -> str:
-    return f"t{i + 1:04d}"
-
-
-def _impostor_id(i: int, j: int) -> str:
-    return f"i{i + 1:04d}_{j + 1:04d}"
-
-
-def generate_model_corpus(spec: SyntheticSpec) -> TrialCorpus:
+def generate_model_corpus(spec: SyntheticSpec) -> PackedCorpus:
     """Sample a corpus from the hierarchical model, one stream per target.
 
     Per target the draw order is (m, lam, sigma_sq), then all pair means,
     then all scores, so corpora are reproducible and per-target generation
     is order-independent.
     """
-    n, l = spec.n_impostors_per_target, spec.l_scores_per_pair
+    t, n, l = spec.t_targets, spec.n_impostors_per_target, spec.l_scores_per_pair
     root = RngStream(spec.seed)
-    targets = []
-    for i in range(spec.t_targets):
+    scores = np.empty((t, n, l))
+    for i in range(t):
         g = root.child(i).generator()
         draw = sample_target(spec.theta, g)
         mus = g.normal(draw.m, math.sqrt(draw.sigma_sq / draw.lam), size=n)
-        scores = g.normal(mus[:, None], math.sqrt(draw.sigma_sq), size=(n, l))
-        impostors = tuple(
-            ImpostorGroup(impostor_id=_impostor_id(i, j), scores=scores[j]) for j in range(n)
-        )
-        targets.append(TargetGroup(target_id=_target_id(i), impostors=impostors))
-    return TrialCorpus(targets=tuple(targets))
+        scores[i] = g.normal(mus[:, None], math.sqrt(draw.sigma_sq), size=(n, l))
+    return PackedCorpus.from_codes(
+        [f"t{i + 1:04d}" for i in range(t)],
+        [f"i{i + 1:04d}_{j + 1:04d}" for i in range(t) for j in range(n)],
+        np.repeat(np.arange(t), n * l),
+        np.repeat(np.arange(t * n), l),
+        scores.reshape(-1),
+    )
 
 
-def generate_toy_asv_corpus(spec: ToyAsvSpec) -> tuple[TrialCorpus, LabeledScoreSet]:
+def generate_toy_asv_corpus(spec: ToyAsvSpec) -> tuple[PackedCorpus, LabeledScoreSet]:
     """Generate non-target trials plus labelled scores from the toy pipeline.
 
     Scores are 1 - ||x_e - x_t||^2 / (2 d): a monotone similarity that
@@ -116,24 +123,20 @@ def generate_toy_asv_corpus(spec: ToyAsvSpec) -> tuple[TrialCorpus, LabeledScore
     dist_sq = np.maximum(sq_norm[:, None] + sq_norm[None, :] - 2.0 * gram, 0.0)
     sim = 1.0 - dist_sq / (2.0 * d)
 
+    # blocks[i, j] holds the u x u scores of speaker i's utterances against j's
+    blocks = sim.reshape(k, u, k, u).transpose(0, 2, 1, 3).reshape(k, k, u * u)
     speaker_ids = [f"s{s + 1:04d}" for s in range(k)]
-    targets = []
-    nontarget_scores = []
-    for i in range(k):
-        impostors = []
-        for j in range(k):
-            if j == i:
-                continue
-            block = sim[i * u : (i + 1) * u, j * u : (j + 1) * u].reshape(-1)
-            impostors.append(ImpostorGroup(impostor_id=speaker_ids[j], scores=block))
-            if j > i:
-                nontarget_scores.append(block)
-        targets.append(TargetGroup(target_id=speaker_ids[i], impostors=tuple(impostors)))
-
-    upper = np.triu_indices(u, k=1)
-    target_scores = [sim[i * u : (i + 1) * u, i * u : (i + 1) * u][upper] for i in range(k)]
-    labeled = LabeledScoreSet(
-        target_scores=np.concatenate(target_scores),
-        nontarget_scores=np.concatenate(nontarget_scores),
+    others = ~np.eye(k, dtype=bool)
+    corpus = PackedCorpus.from_codes(
+        speaker_ids,
+        speaker_ids,
+        np.repeat(np.arange(k), (k - 1) * u * u),
+        np.repeat(np.nonzero(others)[1], u * u),
+        blocks[others].reshape(-1),
     )
-    return TrialCorpus(targets=tuple(targets)), labeled
+    upper = np.triu_indices(u, k=1)
+    labeled = LabeledScoreSet(
+        target_scores=np.concatenate([blocks[i, i].reshape(u, u)[upper] for i in range(k)]),
+        nontarget_scores=blocks[np.triu_indices(k, k=1)].reshape(-1),
+    )
+    return corpus, labeled

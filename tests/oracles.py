@@ -5,8 +5,10 @@ searches enumerate objective values directly, the posterior oracle
 integrates the exact joint density on a dense grid (with the pair means
 marginalised in closed form, which is an identity of Gaussian algebra, not
 a property of the inference code), the loop predictors simulate all N
-candidates of every outer iteration, and the closest-of-N quadrature
-integrates the predictors' expectation deterministically.
+candidates of every outer iteration, the closest-of-N quadrature
+integrates the predictors' expectation deterministically, the grouped
+corpus is the original dict-of-lists loader, and the skewness oracle loops
+over pairs one at a time.
 """
 
 import math
@@ -205,3 +207,51 @@ def closest_of_n_quadrature(h, tau, n, scores_per_pair=None, nodes=64):
         h.sigma0_sq + sig_sq * (1.0 - inv_l)
     )
     return float(np.einsum("i,j,k,ijk->", w, w, w, ndtr(arg)))
+
+
+def grouped_corpus(rows):
+    """Pack (target, impostor, score) rows the way the original loader did.
+
+    Rows are grouped into a dict of lists, then targets and the impostors of
+    each target are sorted by id, and each pair keeps its row order.
+    Returns (target_ids, impostor_ids, target_offsets, pair_target,
+    pair_offsets, scores), plus the grouping itself.
+    """
+    grouped = {}
+    for target_id, impostor_id, score in rows:
+        grouped.setdefault(target_id, {}).setdefault(impostor_id, []).append(score)
+    impostor_ids, target_offsets, pair_target, pair_offsets, scores = [], [0], [], [0], []
+    target_ids = sorted(grouped)
+    for t, target_id in enumerate(target_ids):
+        for impostor_id, values in sorted(grouped[target_id].items()):
+            impostor_ids.append(impostor_id)
+            pair_target.append(t)
+            pair_offsets.append(pair_offsets[-1] + len(values))
+            scores.extend(values)
+        target_offsets.append(len(pair_target))
+    packed = (
+        tuple(target_ids),
+        tuple(impostor_ids),
+        np.array(target_offsets),
+        np.array(pair_target, dtype=np.int64),
+        np.array(pair_offsets),
+        np.array(scores, dtype=float),
+    )
+    return packed, grouped
+
+
+def loop_pair_skewness(scores, pair_offsets):
+    """Adjusted Fisher-Pearson skewness of each pair, one pair at a time.
+
+    NaN where a pair has fewer than 3 scores or all its scores are equal.
+    """
+    out = np.full(len(pair_offsets) - 1, np.nan)
+    for p in range(len(out)):
+        x = np.asarray(scores[pair_offsets[p] : pair_offsets[p + 1]], dtype=float)
+        n = len(x)
+        if n < 3 or x.max() == x.min():
+            continue
+        centered = x - x.mean()
+        m2 = np.mean(centered**2)
+        out[p] = np.mean(centered**3) / m2**1.5 * math.sqrt(n * (n - 1.0)) / (n - 2.0)
+    return out

@@ -25,7 +25,7 @@ from wcfar.model import (
     predict_pfa_closed_form,
     predict_pfa_sampling,
 )
-from wcfar.score_data import pack_corpus
+from wcfar.score_data import PackedCorpus
 from wcfar.special_math import (
     GammaParams,
     InvGammaParams,
@@ -38,7 +38,7 @@ from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
 from oracles import gamma_objective_grid, inv_gamma_objective_grid, quadrature_posterior
-from test_estimators import corpus_of, joint_halfwidth
+from test_estimators import joint_halfwidth
 from test_inference import packed_single_target
 
 Z99 = float(ndtri(0.995))
@@ -52,15 +52,13 @@ def report(number, name, ok, detail):
 
 def test_acceptance_1_zero_effort_reduction():
     started = time.perf_counter()
-    corpus = pack_corpus(
-        generate_model_corpus(
-            SyntheticSpec(
-                theta=Hyperparameters(0.5, 1.0, 4.0, 3.0, 4.0, 4.0),
-                t_targets=500,
-                n_impostors_per_target=100,
-                l_scores_per_pair=20,
-                seed=223,
-            )
+    corpus = generate_model_corpus(
+        SyntheticSpec(
+            theta=Hyperparameters(0.5, 1.0, 4.0, 3.0, 4.0, 4.0),
+            t_targets=500,
+            n_impostors_per_target=100,
+            l_scores_per_pair=20,
+            seed=223,
         )
     )
     tau = 1.5
@@ -80,15 +78,13 @@ def test_acceptance_1_zero_effort_reduction():
 
 
 def test_acceptance_2_monotone_in_population_size():
-    corpus = pack_corpus(
-        generate_model_corpus(
-            SyntheticSpec(
-                theta=THETA,
-                t_targets=40,
-                n_impostors_per_target=1100,
-                l_scores_per_pair=4,
-                seed=81,
-            )
+    corpus = generate_model_corpus(
+        SyntheticSpec(
+            theta=THETA,
+            t_targets=40,
+            n_impostors_per_target=1100,
+            l_scores_per_pair=4,
+            seed=81,
         )
     )
     tau = 2.0
@@ -140,7 +136,7 @@ def test_acceptance_3_inference_bound_and_oracle():
             l_scores_per_pair=int(rng.integers(2, 12)),
             seed=int(rng.integers(0, 2**31)),
         )
-        trace = fit(pack_corpus(generate_model_corpus(spec)), max_iter=60, tol=0.0).elbo_trace
+        trace = fit(generate_model_corpus(spec), max_iter=60, tol=0.0).elbo_trace
         if len(trace) > 1:
             worst_step = min(worst_step, float(np.diff(trace).min()))
 
@@ -183,12 +179,10 @@ def test_acceptance_3_inference_bound_and_oracle():
 def test_acceptance_4_hyperparameter_recovery():
     started = time.perf_counter()
     truth = Hyperparameters(0.5, 1.0, 4.0, 3.0, 4.0, 4.0)
-    corpus = pack_corpus(
-        generate_model_corpus(
-            SyntheticSpec(
-                theta=truth, t_targets=500, n_impostors_per_target=50,
-                l_scores_per_pair=20, seed=223,
-            )
+    corpus = generate_model_corpus(
+        SyntheticSpec(
+            theta=truth, t_targets=500, n_impostors_per_target=50,
+            l_scores_per_pair=20, seed=223,
         )
     )
     h = fit(corpus).hyperparameters
@@ -231,7 +225,7 @@ def test_acceptance_5_sampling_vs_closed_form():
 
 
 def test_acceptance_6_exhaustive_micro_oracle():
-    corpus = corpus_of({"t": {"A": [0.0, 0.0], "B": [1.0, 1.0], "C": [2.0, 2.0]}})
+    corpus = PackedCorpus.from_groups({"t": {"A": [0.0, 0.0], "B": [1.0, 1.0], "C": [2.0, 2.0]}})
     cfg = EstimatorConfig(seed=76, n_impostors=2, t_outer=100_000)
     est = estimate_pfa_worst_case(corpus, 1.5, cfg)
     sigma = math.sqrt((2.0 / 3.0) * (1.0 / 3.0) / cfg.t_outer)

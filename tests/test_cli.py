@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from wcfar.cli import main
 from wcfar.errors import NumericError
 from wcfar.model import Hyperparameters
-from wcfar.score_data import load_corpus, pack_corpus
+from wcfar.score_data import load_corpus
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
 THETA = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
@@ -24,10 +25,10 @@ def corpus_csv(tmp_path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["target_id", "impostor_id", "score"])
-        for tgt in corpus.targets:
-            for grp in tgt.impostors:
-                for s in grp.scores:
-                    writer.writerow([tgt.target_id, grp.impostor_id, repr(float(s))])
+        for p, impostor_id in enumerate(corpus.impostor_ids):
+            target_id = corpus.target_ids[corpus.pair_target[p]]
+            for s in corpus.scores[corpus.pair_offsets[p] : corpus.pair_offsets[p + 1]]:
+                writer.writerow([target_id, impostor_id, repr(float(s))])
     return path
 
 
@@ -207,16 +208,12 @@ class TestSimulateCommand:
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "sim.csv"
         assert run(["simulate", "--spec", spec_path, "--out", out]) == 0
-        reloaded = pack_corpus(load_corpus(out))
-        direct = pack_corpus(
-            generate_model_corpus(
-                SyntheticSpec(
-                    theta=THETA, t_targets=3, n_impostors_per_target=2,
-                    l_scores_per_pair=4, seed=5,
-                )
+        direct = generate_model_corpus(
+            SyntheticSpec(
+                theta=THETA, t_targets=3, n_impostors_per_target=2, l_scores_per_pair=4, seed=5,
             )
         )
-        assert np.array_equal(reloaded.scores, direct.scores)  # lossless round trip
+        assert load_corpus(out) == direct  # lossless round trip
 
     def test_toy_asv_with_labels(self, tmp_path):
         spec = {
@@ -263,6 +260,49 @@ class TestSimulateCommand:
         spec = {k: v for k, v in {**spec, **edit}.items() if v is not None}  # None drops a key
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
+        assert run(["simulate", "--spec", spec_path]) == 1
+        assert len(error_lines(capsys)) == 1
+
+
+    # sha256 of the parent commit's output for the acceptance-9 specs; guards
+    # the generators and the chunked writer against any change of bytes
+    PINNED = {
+        "model": {"sim.csv": "09e1158247871905a2849c27b058423d4e40b39972b408d3f5b8ca08a0e5f502"},
+        "toy_asv": {
+            "sim.csv": "abd1c3e9d8a072d0bd464600d9c6de9d37c9f258b479cbc25af9813d265d71d4",
+            "labeled.csv": "ea73fe594791ac4ac6545f6f83faee10ec20ec81f645717f8cdadb2582b1b551",
+        },
+    }
+    SPECS = {
+        "model": {
+            "kind": "model", "theta": THETA.to_json(), "t_targets": 10,
+            "n_impostors_per_target": 8, "l_scores_per_pair": 6, "seed": 5,
+        },
+        "toy_asv": {
+            "kind": "toy_asv", "embedding_dim": 8, "speaker_spread": 1.0,
+            "utterance_noise": 1.0, "n_speakers": 6, "n_utts_per_speaker": 4, "seed": 6,
+        },
+    }
+
+    @pytest.mark.parametrize("kind", ["model", "toy_asv"])
+    def test_output_bytes_pinned(self, tmp_path, kind):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.SPECS[kind]))
+        args = ["simulate", "--spec", spec_path, "--out", tmp_path / "sim.csv"]
+        if kind == "toy_asv":
+            args += ["--labeled-out", tmp_path / "labeled.csv"]
+        assert run(args) == 0
+        for name, digest in self.PINNED[kind].items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [("model", {"seed": "x"}), ("model", {"t_targets": 2.5}), ("toy_asv", {"embedding_dim": "8"})],
+        ids=["string_seed", "float_count", "string_dim"],
+    )
+    def test_wrong_typed_spec_values(self, tmp_path, capsys, kind, edit):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**self.SPECS[kind], **edit}))
         assert run(["simulate", "--spec", spec_path]) == 1
         assert len(error_lines(capsys)) == 1
 

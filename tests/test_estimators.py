@@ -14,20 +14,12 @@ from wcfar.estimators import (
     estimate_pfa_zero_effort,
 )
 from wcfar.model import Hyperparameters
-from wcfar.score_data import ImpostorGroup, TargetGroup, TrialCorpus, pack_corpus
+from wcfar.score_data import PackedCorpus, sample_skewness
 from wcfar.special_math import GaussianParams, normal_cdf
 from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
 Z99 = float(ndtri(0.995))
-
-
-def corpus_of(pairs_by_target):
-    targets = []
-    for t, (tid, groups) in enumerate(pairs_by_target.items()):
-        impostors = tuple(ImpostorGroup(iid, scores) for iid, scores in groups.items())
-        targets.append(TargetGroup(tid, impostors))
-    return TrialCorpus(targets=tuple(targets))
 
 
 def joint_halfwidth(a: EstimateWithCI, b: EstimateWithCI) -> float:
@@ -73,20 +65,20 @@ class TestConfidenceInterval:
 
 class TestZeroEffort:
     def test_all_below_threshold(self):
-        corpus = corpus_of({"t": {"a": [0.0, 0.1], "b": [-1.0]}})
+        corpus = PackedCorpus.from_groups({"t": {"a": [0.0, 0.1], "b": [-1.0]}})
         est = estimate_pfa_zero_effort(corpus, 5.0, EstimatorConfig(seed=1, t_outer=500))
         assert est.value == 0.0
         assert (est.ci_low, est.ci_high) == (0.0, 0.0)
 
     def test_single_pair_exact(self):
-        corpus = corpus_of({"t": {"a": [-1.0, 1.0]}})
+        corpus = PackedCorpus.from_groups({"t": {"a": [-1.0, 1.0]}})
         for t_outer in (2, 17, 400):
             est = estimate_pfa_zero_effort(corpus, 0.0, EstimatorConfig(seed=3, t_outer=t_outer))
             assert est.value == 0.5
 
     def test_iid_gaussian_corpus(self):
         g = RngStream(8).generator()
-        corpus = corpus_of(
+        corpus = PackedCorpus.from_groups(
             {
                 f"t{i}": {f"i{j}": g.standard_normal(100) for j in range(20)}
                 for i in range(50)
@@ -98,18 +90,18 @@ class TestZeroEffort:
         # fluctuates around the population value with the corpus size
         corpus_se = math.sqrt(expected * (1 - expected) / corpus.n_scores)
         assert est.value == pytest.approx(expected, abs=0.012)
-        pooled = float(np.mean(pack_corpus(corpus).scores > 1.0))
+        pooled = float(np.mean(corpus.scores > 1.0))
         assert est.ci_low - 3 * corpus_se < pooled < est.ci_high + 3 * corpus_se
         assert est.ci_low < pooled < est.ci_high
 
     def test_infinite_thresholds(self):
-        corpus = corpus_of({"t": {"a": [0.0, 1.0], "b": [2.0]}})
+        corpus = PackedCorpus.from_groups({"t": {"a": [0.0, 1.0], "b": [2.0]}})
         cfg = EstimatorConfig(seed=1, t_outer=100)
         assert estimate_pfa_zero_effort(corpus, -math.inf, cfg).value == 1.0
         assert estimate_pfa_zero_effort(corpus, math.inf, cfg).value == 0.0
 
     def test_empty_impostor_list_rejected(self):
-        corpus = TrialCorpus(targets=(TargetGroup("t", ()),))
+        corpus = PackedCorpus.from_groups({"t": {}})
         with pytest.raises(ValueError, match="no impostor groups"):
             estimate_pfa_zero_effort(corpus, 0.0, EstimatorConfig(seed=1))
 
@@ -117,11 +109,10 @@ class TestZeroEffort:
         # with equal scores per pair the estimator's expectation is the
         # flat fraction of all scores above tau
         g = RngStream(10).generator()
-        corpus = corpus_of(
+        corpus = PackedCorpus.from_groups(
             {f"t{i}": {f"i{j}": g.standard_normal(10) for j in range(5)} for i in range(40)}
         )
-        packed = pack_corpus(corpus)
-        pooled = float(np.mean(packed.scores > 0.5))
+        pooled = float(np.mean(corpus.scores > 0.5))
         est = estimate_pfa_zero_effort(corpus, 0.5, EstimatorConfig(seed=11, t_outer=60_000))
         assert abs(est.value - pooled) <= 1.2 * (est.ci_high - est.ci_low) / 2.0
 
@@ -130,7 +121,7 @@ class TestWorstCase:
     def test_three_impostor_enumeration(self):
         # candidate pairs at N=2 out of {A, B, C}: (A,B) picks B with rate 0,
         # (A,C) and (B,C) pick C with rate 1, so the expectation is 2/3
-        corpus = corpus_of({"t": {"A": [0.0, 0.0], "B": [1.0, 1.0], "C": [2.0, 2.0]}})
+        corpus = PackedCorpus.from_groups({"t": {"A": [0.0, 0.0], "B": [1.0, 1.0], "C": [2.0, 2.0]}})
         cfg = EstimatorConfig(seed=5, n_impostors=2, t_outer=100_000)
         est = estimate_pfa_worst_case(corpus, 1.5, cfg)
         sigma = math.sqrt((2.0 / 3.0) * (1.0 / 3.0) / cfg.t_outer)
@@ -182,14 +173,14 @@ class TestWorstCase:
 
     def test_tie_break_lowest_impostor_index(self):
         # equal means: the first impostor in sorted-id order must win
-        corpus = corpus_of({"t": {"a": [1.0, -1.0], "b": [-1.0, 1.0], "c": [-1.0, 1.0]}})
+        corpus = PackedCorpus.from_groups({"t": {"a": [1.0, -1.0], "b": [-1.0, 1.0], "c": [-1.0, 1.0]}})
         cfg = EstimatorConfig(seed=2, n_impostors=3, t_outer=64)
         est = estimate_pfa_worst_case(corpus, 0.0, cfg)
         # all three pairs tie on mean 0; pair "a" is always selected
         assert est.value == 0.5
 
     def test_seed_determinism(self):
-        corpus = corpus_of(
+        corpus = PackedCorpus.from_groups(
             {f"t{i}": {f"i{j}": [float(i + j), float(i - j)] for j in range(6)} for i in range(4)}
         )
         cfg = EstimatorConfig(seed=77, n_impostors=3, t_outer=500)
@@ -198,18 +189,18 @@ class TestWorstCase:
         assert a == b
 
     def test_infinite_thresholds(self):
-        corpus = corpus_of({"t": {"a": [0.0, 1.0], "b": [2.0, 3.0]}})
+        corpus = PackedCorpus.from_groups({"t": {"a": [0.0, 1.0], "b": [2.0, 3.0]}})
         cfg = EstimatorConfig(seed=1, n_impostors=2, t_outer=100)
         assert estimate_pfa_worst_case(corpus, -math.inf, cfg).value == 1.0
         assert estimate_pfa_worst_case(corpus, math.inf, cfg).value == 0.0
 
     def test_pool_too_small(self):
-        corpus = corpus_of({"t": {"a": [0.0], "b": [1.0]}})
+        corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0]}})
         with pytest.raises(ConfigError, match="exceeds"):
             estimate_pfa_worst_case(corpus, 0.0, EstimatorConfig(seed=1, n_impostors=3))
 
     def test_values_within_unit_interval(self):
-        corpus = corpus_of({"t": {"a": [0.4, 0.6], "b": [0.2, 0.8], "c": [0.5, 0.5]}})
+        corpus = PackedCorpus.from_groups({"t": {"a": [0.4, 0.6], "b": [0.2, 0.8], "c": [0.5, 0.5]}})
         cfg = EstimatorConfig(seed=4, n_impostors=2, t_outer=300)
         est = estimate_pfa_worst_case(corpus, 0.45, cfg)
         assert 0.0 <= est.ci_low <= est.value <= est.ci_high <= 1.0
@@ -258,14 +249,21 @@ class TestDiagnose:
             mean = float(j)
             sd = 0.5 if j >= 20 else 2.0
             groups[f"i{j:02d}"] = mean + sd * g.standard_normal(40)
-        corpus = corpus_of({"t": groups})
+        corpus = PackedCorpus.from_groups({"t": groups})
         report = diagnose(corpus, 10.0, EstimatorConfig(seed=44, n_impostors=10, t_outer=4000))
         assert report.closest_impostor_stdev < report.random_impostor_stdev
 
     def test_short_pairs_are_counted(self):
-        corpus = corpus_of({"t": {"a": [0.5], "b": [0.1, 0.9, 0.2], "c": [0.4, 0.6, 0.8]}})
+        corpus = PackedCorpus.from_groups({"t": {"a": [0.5], "b": [0.1, 0.9, 0.2], "c": [0.4, 0.6, 0.8]}})
         report = diagnose(corpus, 0.0, EstimatorConfig(seed=45, n_impostors=1, t_outer=300))
         assert report.skewness_excluded_pairs == 1
+        # a constant pair has no skewness, even where its mean is off by an ulp
+        constant = PackedCorpus.from_groups({"t": {"a": [0.1] * 3, "b": [0.2, 0.5, 0.9]}})
+        report_constant = diagnose(constant, 0.0, EstimatorConfig(seed=45, n_impostors=1, t_outer=300))
+        assert report_constant.skewness_excluded_pairs == 1
+        assert report_constant.avg_pairwise_skewness == pytest.approx(
+            sample_skewness([0.2, 0.5, 0.9]), rel=1e-12
+        )
         assert report.closest_excluded_iterations > 0
         total = report.to_json()
         assert set(total) >= {"avg_pairwise_skewness", "closest_impostor_stdev"}

@@ -20,13 +20,7 @@ from wcfar.inference import (
     VARIANCE_FLOOR,
 )
 from wcfar.model import Hyperparameters
-from wcfar.score_data import (
-    ImpostorGroup,
-    PackedCorpus,
-    TargetGroup,
-    TrialCorpus,
-    pack_corpus,
-)
+from wcfar.score_data import PackedCorpus
 from wcfar.special_math import digamma
 from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
@@ -38,24 +32,12 @@ THETA_FIELDS = ("mu0", "sigma0_sq", "a_sigma", "b_sigma", "alpha_lambda", "beta_
 
 
 def packed_single_target(pairs):
-    corpus = TrialCorpus(
-        targets=(
-            TargetGroup("t", tuple(ImpostorGroup(f"i{k}", p) for k, p in enumerate(pairs))),
-        )
-    )
-    return pack_corpus(corpus)
+    # zero-padded ids, so that id order keeps the order of `pairs`
+    return PackedCorpus.from_groups({"t": {f"i{k:04d}": p for k, p in enumerate(pairs)}})
 
 
 def empty_packed(n_targets=1):
-    return PackedCorpus(
-        n_targets=n_targets,
-        target_ids=tuple(f"t{k}" for k in range(n_targets)),
-        impostor_ids=(),
-        target_offsets=np.zeros(n_targets + 1, dtype=np.int64),
-        pair_target=np.array([], dtype=np.int64),
-        pair_offsets=np.array([0], dtype=np.int64),
-        scores=np.array([]),
-    )
+    return PackedCorpus.from_groups({f"t{k}": {} for k in range(n_targets)})
 
 
 def point_mass_gamma(value, concentration=1e12):
@@ -71,7 +53,7 @@ def small_corpus(seed=2, t=30, n=8, l=6, theta=None):
         l_scores_per_pair=l,
         seed=seed,
     )
-    return pack_corpus(generate_model_corpus(spec))
+    return generate_model_corpus(spec)
 
 
 def rel_delta(a: Hyperparameters, b: Hyperparameters) -> float:
@@ -314,13 +296,8 @@ class TestFit:
         assert not report.converged
 
     def test_degenerate_corpus_floors_and_survives(self):
-        corpus = TrialCorpus(
-            targets=tuple(
-                TargetGroup(
-                    f"t{i}", tuple(ImpostorGroup(f"i{j}", [1.0, 1.0, 1.0]) for j in range(3))
-                )
-                for i in range(4)
-            )
+        corpus = PackedCorpus.from_groups(
+            {f"t{i}": {f"i{j}": [1.0, 1.0, 1.0] for j in range(3)} for i in range(4)}
         )
         # identical scores have no finite optimum; the fit must terminate
         # cleanly with the location recovered, all scales at their floors,

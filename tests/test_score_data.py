@@ -1,21 +1,25 @@
+import csv
+import io
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wcfar.errors import ParseError
 from wcfar.model import Hyperparameters
 from wcfar.score_data import (
-    ImpostorGroup,
-    TargetGroup,
-    TrialCorpus,
+    PackedCorpus,
     corpus_stats,
     load_corpus,
     load_labeled_scores,
-    pack_corpus,
     sample_skewness,
 )
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
+
+from oracles import grouped_corpus, loop_pair_skewness
 
 CSV_ROWS = [
     "target_id,impostor_id,score",
@@ -36,11 +40,10 @@ class TestLoadCorpus:
     def test_csv_grouping(self, tmp_path):
         corpus = load_corpus(write(tmp_path, "c.csv", CSV_ROWS))
         assert corpus.n_targets == 1
-        (target,) = corpus.targets
-        assert target.target_id == "alice"
-        assert [g.impostor_id for g in target.impostors] == ["bob", "carol"]
-        assert [len(g.scores) for g in target.impostors] == [2, 2]
-        assert np.array_equal(target.impostors[0].scores, [0.25, 0.75])
+        assert corpus.target_ids == ("alice",)
+        assert corpus.impostor_ids == ("bob", "carol")
+        assert corpus.pair_count.tolist() == [2, 2]
+        assert np.array_equal(corpus.scores, [0.25, 0.75, -1.5, -0.5])
 
     def test_jsonl_equivalent(self, tmp_path):
         rows = [
@@ -62,12 +65,27 @@ class TestLoadCorpus:
         a = load_corpus(write(tmp_path, "a.csv", CSV_ROWS))
         b = load_corpus(write(tmp_path, "b.csv", shuffled))
         # per-pair score order follows the input, so only the grouping matches
-        assert [t.target_id for t in b.targets] == [t.target_id for t in a.targets]
-        assert {g.impostor_id for g in b.targets[0].impostors} == {"bob", "carol"}
+        assert b.target_ids == a.target_ids
+        assert b.impostor_ids == a.impostor_ids == ("bob", "carol")
 
     def test_row_count_preserved(self, tmp_path):
         corpus = load_corpus(write(tmp_path, "c.csv", CSV_ROWS))
         assert corpus.n_scores == len(CSV_ROWS) - 1
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        # the earliest bad row wins, whatever its fault, and blank rows count as lines
+        rows = [CSV_ROWS[0], "a,b,0.5", "", "a,b,zero", "a,b,1.5", "a,a,0.5", "a,b,inf"]
+        with pytest.raises(ParseError, match="line 4: score 'zero' is not a number"):
+            load_corpus(write(tmp_path, "a.csv", rows))
+        rows[3] = "a,b,2.5"
+        with pytest.raises(ParseError, match="line 6: .*same speaker"):
+            load_corpus(write(tmp_path, "b.csv", rows))
+        rows[5] = "a,c"
+        with pytest.raises(ParseError, match="line 6: expected 3 fields, got 2"):
+            load_corpus(write(tmp_path, "c.csv", rows))
+        rows[5] = " , ,"
+        with pytest.raises(ParseError, match="line 7: score 'inf' is not finite"):
+            load_corpus(write(tmp_path, "d.csv", rows))
 
     def test_nan_score_reports_line(self, tmp_path):
         path = write(tmp_path, "c.csv", CSV_ROWS + ["alice,bob,NaN"])
@@ -142,6 +160,21 @@ class TestLabeledScores:
         with pytest.raises(ParseError, match="line 2"):
             load_labeled_scores(path)
 
+    def test_first_bad_row_is_reported(self, tmp_path):
+        rows = ["label,score", "target,1.0", "nontarget,x", "target,2.0", "impostor,0.5"]
+        with pytest.raises(ParseError, match="line 3: score 'x' is not a number"):
+            load_labeled_scores(write(tmp_path, "a.csv", rows))
+        rows[2] = "nontarget,0.0"
+        with pytest.raises(ParseError, match="line 5: label 'impostor'"):
+            load_labeled_scores(write(tmp_path, "b.csv", rows))
+        rows[4] = "target"
+        with pytest.raises(ParseError, match="line 5: expected 2 fields, got 1"):
+            load_labeled_scores(write(tmp_path, "c.csv", rows))
+        rows[4] = ""
+        labeled = load_labeled_scores(write(tmp_path, "d.csv", rows))
+        assert labeled.target_scores.tolist() == [1.0, 2.0]
+        assert labeled.nontarget_scores.tolist() == [0.0]
+
     def test_requires_both_classes(self, tmp_path):
         path = write(tmp_path, "l.csv", ["label,score", "target,0.5"])
         with pytest.raises(ParseError, match="at least one"):
@@ -151,6 +184,9 @@ class TestLabeledScores:
 class TestSkewness:
     def test_constant_scores_excluded(self):
         assert sample_skewness([0.0, 0.0, 0.0]) is None
+        # the computed mean of these is one ulp off, leaving m2 > 0
+        assert sample_skewness([0.1, 0.1, 0.1]) is None
+        assert sample_skewness([0.7] * 3) is None
 
     def test_too_few_scores_excluded(self):
         assert sample_skewness([1.0, 2.0]) is None
@@ -163,20 +199,26 @@ class TestSkewness:
         expected = (m3 / m2**1.5) * np.sqrt(n * (n - 1)) / (n - 2)
         assert sample_skewness(x) == pytest.approx(expected, rel=1e-12)
 
+    def test_pair_skewness_matches_loop(self):
+        g = np.random.default_rng(3)
+        groups = {
+            f"t{t}": {
+                f"i{j}": np.round(g.gamma(2.0, size=g.integers(1, 7)), int(g.integers(1, 3)))
+                for j in range(30)
+            }
+            for t in range(4)
+        }
+        groups["t0"].update({"c1": [0.1] * 3, "c2": [0.7] * 5, "c3": [2.0] * 2})
+        corpus = PackedCorpus.from_groups(groups)
+        got = corpus.pair_skewness()
+        want = loop_pair_skewness(corpus.scores, corpus.pair_offsets)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True)
+
 
 class TestCorpusStats:
     def corpus(self):
-        return TrialCorpus(
-            targets=(
-                TargetGroup(
-                    "t1",
-                    (
-                        ImpostorGroup("i1", [0.0, 0.0, 0.0]),
-                        ImpostorGroup("i2", [1.0, 2.0, 3.0]),
-                    ),
-                ),
-            )
-        )
+        return PackedCorpus.from_groups({"t1": {"i1": [0.0, 0.0, 0.0], "i2": [1.0, 2.0, 3.0]}})
 
     def test_trivial_moments(self):
         summary = corpus_stats(self.corpus())
@@ -206,9 +248,9 @@ class TestCorpusStats:
         corpus = generate_model_corpus(spec)
         summary = corpus_stats(corpus)
         flat = {}
-        for tgt in corpus.targets:
-            for grp in tgt.impostors:
-                flat[(tgt.target_id, grp.impostor_id)] = np.asarray(grp.scores)
+        for p, impostor_id in enumerate(corpus.impostor_ids):
+            target_id = corpus.target_ids[corpus.pair_target[p]]
+            flat[(target_id, impostor_id)] = corpus.scores[corpus.pair_offsets[p] : corpus.pair_offsets[p + 1]]
         for pair in summary.pairs:
             scores = flat[(pair.target_id, pair.impostor_id)]
             assert pair.mean == pytest.approx(float(scores.mean()), rel=1e-12)
@@ -234,37 +276,93 @@ class TestCorpusStats:
 
 class TestPackCorpus:
     def test_layout_and_reductions(self):
-        corpus = TrialCorpus(
-            targets=(
-                TargetGroup("a", (ImpostorGroup("x", [1.0, 2.0]), ImpostorGroup("y", [3.0]))),
-                TargetGroup("b", (ImpostorGroup("z", [4.0, 5.0, 6.0]),)),
-            )
+        corpus = PackedCorpus.from_groups(
+            {"b": {"z": [4.0, 5.0, 6.0]}, "a": {"y": [3.0], "x": [1.0, 2.0]}}
         )
-        packed = pack_corpus(corpus)
-        assert packed.n_targets == 2
-        assert packed.n_pairs == 3
-        assert np.array_equal(packed.pair_target, [0, 0, 1])
-        assert np.array_equal(packed.pair_count, [2, 1, 3])
-        assert np.array_equal(packed.pairs_per_target, [2, 1])
-        sums, sumsq = packed.pair_sums()
-        assert np.array_equal(sums, [3.0, 3.0, 15.0])
-        assert np.array_equal(sumsq, [5.0, 9.0, 77.0])
-        assert np.allclose(packed.pair_means(), [1.5, 3.0, 5.0])
-        variances = packed.pair_variances()
+        assert corpus.n_targets == 2
+        assert corpus.n_pairs == 3
+        assert corpus.target_ids == ("a", "b")
+        assert corpus.impostor_ids == ("x", "y", "z")
+        assert np.array_equal(corpus.pair_target, [0, 0, 1])
+        assert np.array_equal(corpus.pair_count, [2, 1, 3])
+        assert np.array_equal(corpus.pairs_per_target, [2, 1])
+        assert np.array_equal(corpus.pair_sums, [3.0, 3.0, 15.0])
+        assert np.allclose(corpus.pair_means(), [1.5, 3.0, 5.0])
+        variances = corpus.pair_variances()
         assert variances[0] == pytest.approx(0.5)
         assert np.isnan(variances[1])
         assert variances[2] == pytest.approx(1.0)
-        assert np.allclose(packed.pair_exceed_fraction(2.5), [0.0, 1.0, 1.0])
+        assert np.allclose(corpus.pair_exceed_fraction(2.5), [0.0, 1.0, 1.0])
 
     def test_scores_immutable(self):
-        group = ImpostorGroup("x", [1.0, 2.0])
-        with pytest.raises(ValueError):
-            group.scores[0] = 5.0
+        corpus = PackedCorpus.from_groups({"a": {"x": [1.0, 2.0]}})
+        for array in (corpus.scores, corpus.pair_offsets, corpus.target_offsets, corpus.pair_target):
+            with pytest.raises(ValueError):
+                array[0] = 5
 
-    def test_gender_labels_are_metadata_only(self):
-        targets = (TargetGroup("a", (ImpostorGroup("x", [1.0]),)),)
-        plain = TrialCorpus(targets=targets)
-        tagged = TrialCorpus(targets=targets, gender_labels={"a": "f"})
-        assert plain != tagged
-        assert tagged == TrialCorpus(targets=targets, gender_labels={"a": "f"})
-        assert pack_corpus(plain).scores.tolist() == pack_corpus(tagged).scores.tolist()
+
+# ids mix commas, quotes and non-ASCII so that CSV quoting and code point
+# order are exercised; the loader strips ids, so none has outer whitespace
+_IDS = st.text(alphabet='ab,"\u00e9 Z', min_size=1, max_size=3).map(str.strip).filter(bool)
+_SCORES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _corpus_rows(draw):
+    ids = draw(st.lists(_IDS, min_size=2, max_size=6, unique=True))
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    return [(*draw(pair), draw(_SCORES)) for _ in range(draw(st.integers(1, 25)))]
+
+
+def _csv_line(cells) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+def _corpus_text(rows, fmt: str, blanks: list[int], rng: random.Random) -> str:
+    """`rows` as a CSV or JSONL file, with blank or whitespace-only lines at `blanks`."""
+    if fmt == "csv":
+        header = _csv_line(["target_id", "impostor_id", "score"])
+        lines = [_csv_line([t, i, repr(score)]) for t, i, score in rows]
+        variants = ["\n", "   \n", " , ,\n", "\t\n"]
+    else:
+        header = ""
+        lines = [json.dumps({"target": t, "impostor": i, "score": score}) + "\n" for t, i, score in rows]
+        variants = ["\n", "   \n", "\t\n"]
+    for position in sorted(blanks, reverse=True):
+        lines.insert(min(position, len(lines)), rng.choice(variants))
+    return header + "".join(lines)
+
+
+class TestLoaderProperties:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=_corpus_rows(),
+        fmt=st.sampled_from(["csv", "jsonl"]),
+        blanks=st.lists(st.integers(0, 25), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_grouping_oracle_and_ignores_row_order(self, tmp_path, rows, fmt, blanks, seed):
+        rng = random.Random(seed)
+        path = tmp_path / f"c.{fmt}"
+        path.write_text(_corpus_text(rows, fmt, blanks, rng))
+        loaded = load_corpus(path)
+        path.write_text(_corpus_text(rng.sample(rows, len(rows)), fmt, blanks, rng))
+        shuffled = load_corpus(path)
+        want, grouped = grouped_corpus(rows)
+        assert (loaded.target_ids, loaded.impostor_ids) == want[:2]
+        arrays = (loaded.target_offsets, loaded.pair_target, loaded.pair_offsets, loaded.scores)
+        for got, expected in zip(arrays, want[2:]):
+            assert np.array_equal(got, expected)
+        assert PackedCorpus.from_groups(grouped) == loaded
+        # a shuffle keeps the layout and each pair's multiset of scores
+        assert shuffled.target_ids == loaded.target_ids
+        assert shuffled.impostor_ids == loaded.impostor_ids
+        assert np.array_equal(shuffled.pair_offsets, loaded.pair_offsets)
+        assert np.array_equal(shuffled.target_offsets, loaded.target_offsets)
+        pair_of_score = np.repeat(np.arange(loaded.n_pairs), loaded.pair_count)
+        assert np.array_equal(
+            shuffled.scores[np.lexsort((shuffled.scores, pair_of_score))],
+            loaded.scores[np.lexsort((loaded.scores, pair_of_score))],
+        )

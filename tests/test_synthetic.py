@@ -8,7 +8,6 @@ from wcfar.estimators import EstimatorConfig, estimate_pfa_worst_case
 from wcfar.inference import fit
 from wcfar.metrics import eer_threshold
 from wcfar.model import Hyperparameters, predict_pfa_sampling
-from wcfar.score_data import pack_corpus, sample_skewness
 from wcfar.synthetic import (
     SyntheticSpec,
     ToyAsvSpec,
@@ -27,8 +26,8 @@ class TestModelCorpus:
         )
         corpus = generate_model_corpus(spec)
         assert corpus.n_scores == 2 * 3 * 4
-        assert [t.target_id for t in corpus.targets] == ["t0001", "t0002"]
-        assert corpus.targets[0].impostors[1].impostor_id == "i0001_0002"
+        assert corpus.target_ids == ("t0001", "t0002")
+        assert corpus.impostor_ids[1] == "i0001_0002"
 
     def test_seed_reproducibility(self):
         spec = SyntheticSpec(
@@ -45,8 +44,7 @@ class TestModelCorpus:
         spec = SyntheticSpec(
             theta=theta, t_targets=400, n_impostors_per_target=20, l_scores_per_pair=10, seed=2
         )
-        packed = pack_corpus(generate_model_corpus(spec))
-        assert packed.scores.mean() == pytest.approx(3.0, abs=0.1)
+        assert generate_model_corpus(spec).scores.mean() == pytest.approx(3.0, abs=0.1)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -58,7 +56,7 @@ class TestModelCorpus:
         spec = SyntheticSpec(
             theta=THETA, t_targets=300, n_impostors_per_target=30, l_scores_per_pair=15, seed=23
         )
-        report = fit(pack_corpus(generate_model_corpus(spec)))
+        report = fit(generate_model_corpus(spec))
         h = report.hyperparameters
         assert report.converged
         assert h.mu0 == pytest.approx(THETA.mu0, abs=0.15)
@@ -72,7 +70,7 @@ class TestModelCorpus:
         spec = SyntheticSpec(
             theta=THETA, t_targets=2000, n_impostors_per_target=100, l_scores_per_pair=20, seed=53
         )
-        packed = pack_corpus(generate_model_corpus(spec))
+        packed = generate_model_corpus(spec)
         for n in (1, 10, 50):
             emp = estimate_pfa_worst_case(
                 packed, 1.5, EstimatorConfig(seed=54, n_impostors=n, t_outer=20_000)
@@ -106,7 +104,7 @@ class TestToyAsv:
         )
         corpus, labeled = generate_toy_asv_corpus(small)
         assert corpus.n_targets == 5
-        assert all(len(t.impostors) == 4 for t in corpus.targets)
+        assert corpus.pairs_per_target.tolist() == [4] * 5
         assert corpus.n_scores == 5 * 4 * 9
         # 3 utterance pairs per speaker, 10 unordered speaker pairs x 9 trials
         assert len(labeled.target_scores) == 5 * 3
@@ -147,13 +145,7 @@ class TestToyAsv:
                     n_speakers=60, n_utts_per_speaker=10, seed=51,
                 )
             )
-            values = [
-                s
-                for t in corpus.targets
-                for g in t.impostors
-                if (s := sample_skewness(g.scores)) is not None
-            ]
-            return float(np.mean(values))
+            return float(np.nanmean(corpus.pair_skewness()))
 
         low_d, high_d = mean_skew(16), mean_skew(256)
         assert abs(high_d) < abs(low_d)
@@ -163,10 +155,9 @@ class TestToyAsv:
         corpus, labeled = generate_toy_asv_corpus(self.SPEC)
         spec, eer = eer_threshold(labeled)
         assert 0.05 < eer < 0.35
-        packed = pack_corpus(corpus)
         estimates = [
             estimate_pfa_worst_case(
-                packed, spec.tau, EstimatorConfig(seed=52, n_impostors=n, t_outer=10_000)
+                corpus, spec.tau, EstimatorConfig(seed=52, n_impostors=n, t_outer=10_000)
             )
             for n in (1, 10, 100)
         ]
