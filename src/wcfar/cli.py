@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -160,17 +161,17 @@ def cmd_threshold(args) -> int:
         "degenerate": spec.degenerate,
     }
     if spec.dcf_params is not None:
-        payload["dcf_params"] = {
-            "p_target": spec.dcf_params.p_target,
-            "c_miss": spec.dcf_params.c_miss,
-            "c_fa": spec.dcf_params.c_fa,
-        }
+        payload["dcf_params"] = asdict(spec.dcf_params)
     _write_text(_json_dump(payload), args.out)
     return 0
 
 
 def cmd_fit(args) -> int:
     corpus = load_corpus(args.corpus, format=args.format)
+    if corpus.n_targets < 2:
+        raise ValueError("cannot fit: the corpus has one target; the prior over targets needs 2 or more")
+    if not np.any(corpus.pair_count >= 2):
+        raise ValueError("cannot fit: every pair has a single score; within-pair variance needs 2 or more")
     init = _load_theta(args.init) if args.init else None
     report = fit(corpus, init=init, tol=args.tol, max_iter=args.max_iter)
     theta = report.hyperparameters

@@ -25,10 +25,10 @@ given (corpus, config) pair always produces the identical estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ConfigError
 from .score_data import PackedCorpus, sample_skewness
@@ -85,7 +85,7 @@ def confidence_interval(per_iter_estimates, level: float = 0.99) -> tuple[float,
         raise ValueError(f"level must be in (0, 1), got {level}")
     mean = float(values.mean())
     stderr = float(values.std(ddof=1)) / math.sqrt(values.size)
-    z = float(sp.ndtri(0.5 * (1.0 + level)))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     return max(mean - z * stderr, 0.0), min(mean + z * stderr, 1.0)
 
 
@@ -218,18 +218,7 @@ class DiagnosticsReport:
     random_excluded_iterations: int
 
     def to_json(self) -> dict:
-        return {
-            "tau": self.tau,
-            "n_impostors": self.n_impostors,
-            "t_outer": self.t_outer,
-            "avg_pairwise_skewness": self.avg_pairwise_skewness,
-            "pair_mean_skewness": self.pair_mean_skewness,
-            "skewness_excluded_pairs": self.skewness_excluded_pairs,
-            "closest_impostor_stdev": self.closest_impostor_stdev,
-            "random_impostor_stdev": self.random_impostor_stdev,
-            "closest_excluded_iterations": self.closest_excluded_iterations,
-            "random_excluded_iterations": self.random_excluded_iterations,
-        }
+        return asdict(self)
 
 
 def _selected_stdev(pair_var: np.ndarray, selected: np.ndarray) -> tuple[float | None, int]:

@@ -22,13 +22,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import InfeasibleMomentsError, NumericError
 from .streams import as_generator
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 200
+
+
+def sp():
+    """`scipy.special`, imported on the first call rather than at load time, so
+    that only the commands that evaluate a special function pay its ~0.3 s import."""
+    from scipy import special
+
+    return special
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class GammaParams:
     @property
     def mean_log(self) -> float:
         """E[log x] = psi(alpha) - log(beta)."""
-        return float(sp.digamma(self.alpha) - np.log(self.beta))
+        return float(sp().digamma(self.alpha) - np.log(self.beta))
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,7 @@ class InvGammaParams:
     @property
     def mean_log(self) -> float:
         """E[log x] = log(b) - psi(a)."""
-        return float(np.log(self.b) - sp.digamma(self.a))
+        return float(np.log(self.b) - sp().digamma(self.a))
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ def normal_cdf(x, p: GaussianParams):
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
         raise ValueError("normal_cdf is undefined for NaN input")
-    out = sp.ndtr((arr - p.mean) / math.sqrt(p.variance))
+    out = sp().ndtr((arr - p.mean) / math.sqrt(p.variance))
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -104,7 +111,7 @@ def digamma(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError(f"digamma requires finite x > 0, got {x}")
-    out = sp.digamma(arr)
+    out = sp().digamma(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -123,7 +130,7 @@ def sample_inv_gamma(p: InvGammaParams, rng, size=None):
 def _psi_minus_log(x: float) -> float:
     """psi(x) - log(x), computed without cancellation for large x."""
     if x < 32.0:
-        return float(sp.digamma(x) - math.log(x))
+        return float(sp().digamma(x) - math.log(x))
     # asymptotic tail: -1/(2x) - 1/(12x^2) + 1/(120x^4) - 1/(252x^6) + 1/(240x^8)
     inv = 1.0 / x
     inv2 = inv * inv
@@ -133,7 +140,7 @@ def _psi_minus_log(x: float) -> float:
 def _trigamma_minus_inv(x: float) -> float:
     """psi'(x) - 1/x, the derivative of `_psi_minus_log`; strictly positive."""
     if x < 32.0:
-        return float(sp.polygamma(1, x) - 1.0 / x)
+        return float(sp().polygamma(1, x) - 1.0 / x)
     inv = 1.0 / x
     inv2 = inv * inv
     return inv2 * (0.5 + inv * (1 / 6.0 - inv2 * (1 / 30.0 - inv2 * (1 / 42.0 - inv2 / 30.0))))
@@ -181,14 +188,14 @@ def _solve_shape(c: float) -> float:
 def gamma_fit_objective(p: GammaParams, mean_x: float, mean_log_x: float) -> float:
     """Per-observation expected log density maximised by `fit_gamma_from_expectations`."""
     return float(
-        p.alpha * np.log(p.beta) - sp.gammaln(p.alpha) + (p.alpha - 1.0) * mean_log_x - p.beta * mean_x
+        p.alpha * np.log(p.beta) - sp().gammaln(p.alpha) + (p.alpha - 1.0) * mean_log_x - p.beta * mean_x
     )
 
 
 def inv_gamma_fit_objective(p: InvGammaParams, mean_inv_x: float, mean_log_x: float) -> float:
     """Per-observation expected log density maximised by `fit_inv_gamma_from_expectations`."""
     return float(
-        p.a * np.log(p.b) - sp.gammaln(p.a) - (p.a + 1.0) * mean_log_x - p.b * mean_inv_x
+        p.a * np.log(p.b) - sp().gammaln(p.a) - (p.a + 1.0) * mean_log_x - p.b * mean_inv_x
     )
 
 

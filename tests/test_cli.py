@@ -119,6 +119,23 @@ class TestFitCommand:
             assert run(["fit", "--corpus", corpus_csv]) == 2
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            ("t,a,0.1\nt,a,0.4\nt,b,0.2\nt,b,0.7\n", "one target"),
+            ("t1,a,0.1\nt1,b,0.4\nt2,a,0.2\nt2,b,0.7\n", "single score"),
+        ],
+        ids=["one-target", "single-scores"],
+    )
+    def test_non_identifiable_corpus(self, tmp_path, capsys, rows, reason):
+        path = tmp_path / "corpus.csv"
+        path.write_text("target_id,impostor_id,score\n" + rows)
+        assert run(["fit", "--corpus", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: cannot fit") and reason in line
+
 
 class TestEmpiricalCommand:
     def test_csv_output(self, corpus_csv, capsys):

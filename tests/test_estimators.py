@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -61,6 +62,14 @@ class TestConfidenceInterval:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             confidence_interval([0.1, 0.2], 1.5)
+
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6])
+    def test_quantile_matches_scipy(self, level):
+        z = NormalDist().inv_cdf(0.5 * (1.0 + level))
+        assert abs(z - ndtri(0.5 * (1.0 + level))) <= 4 * math.ulp(z)
+        # deviations -3/8, 1/8, 1/8, 1/8 about 0.5: the mean and the stderr 1/8 are exact
+        low, high = confidence_interval([0.125, 0.625, 0.625, 0.625], level)
+        assert (low, high) == (max(0.5 - z / 8, 0.0), min(0.5 + z / 8, 1.0))
 
 
 class TestZeroEffort:
