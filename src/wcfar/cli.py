@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import asdict
 from itertools import chain, islice, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .model import (
     predict_pfa_closed_form,
     predict_pfa_sampling,
 )
-from .score_data import load_corpus, load_labeled_scores
+from .score_data import FORMAT_BY_SUFFIX, load_corpus, load_labeled_scores
 from .synthetic import SyntheticSpec, ToyAsvSpec, generate_model_corpus, generate_toy_asv_corpus
 
 SEED_ENV_VAR = "WCFAR_SEED"
@@ -124,15 +125,27 @@ def _spec(cls, obj: dict):
         raise ValueError(f"bad simulation spec: {exc}") from None
 
 
+def _load_corpus(args):
+    """`load_corpus` on --corpus, with a format that cannot be inferred reported in terms of --format."""
+    fmt = args.format or FORMAT_BY_SUFFIX.get(Path(args.corpus).suffix.lower())
+    if fmt is None:
+        raise ValueError(
+            f"cannot infer the format of {args.corpus} from its suffix; pass --format csv or --format jsonl"
+        )
+    return load_corpus(args.corpus, format=fmt)
+
+
 def _resolve_tau(args) -> float:
     if getattr(args, "tau", None) is not None:
         return args.tau
     if getattr(args, "threshold", None) is not None:
         with open(args.threshold) as fh:
-            obj = json.load(fh)
-        if "tau" not in obj:
-            raise ValueError(f"threshold file {args.threshold} has no 'tau' key")
-        return float(obj["tau"])
+            try:
+                return float(json.load(fh)["tau"])
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(
+                    f"threshold file {args.threshold} must hold a JSON object with a numeric 'tau'"
+                ) from None
     raise ValueError("one of --tau or --threshold is required")
 
 
@@ -167,7 +180,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    corpus = load_corpus(args.corpus, format=args.format)
+    corpus = _load_corpus(args)
     if corpus.n_targets < 2:
         raise ValueError("cannot fit: the corpus has one target; the prior over targets needs 2 or more")
     if not np.any(corpus.pair_count >= 2):
@@ -197,7 +210,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_empirical(args) -> int:
-    corpus = load_corpus(args.corpus, format=args.format)
+    corpus = _load_corpus(args)
     tau = _resolve_tau(args)
     rows = []
     for n in _parse_int_list(args.n):
@@ -259,7 +272,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    packed = load_corpus(args.corpus, format=args.format)
+    packed = _load_corpus(args)
     theta = _load_theta(args.theta)
     taus = []
     for item in args.tau:
@@ -292,7 +305,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    corpus = load_corpus(args.corpus, format=args.format)
+    corpus = _load_corpus(args)
     tau = _resolve_tau(args)
     cfg = EstimatorConfig(seed=args.seed, n_impostors=args.n_impostors, t_outer=args.t_outer)
     report = diagnose(corpus, tau, cfg)

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import NumericError
 from .model import Hyperparameters
 from .score_data import PackedCorpus
-from .special_math import fit_gamma_from_expectations, fit_inv_gamma_from_expectations, sp
+from .special_math import digamma, fit_gamma_from_expectations, fit_inv_gamma_from_expectations, gammaln
 
 VARIANCE_FLOOR = 1e-12
 # ceiling on fitted prior shapes: beyond this the prior is numerically a
@@ -114,9 +114,9 @@ def sufficient_stats(q: PosteriorFactors) -> SufficientStats:
         m_mean=q.m_mean,
         m_second=q.m_mean**2 + q.m_var,
         inv_sigma=q.sigma_shape / q.sigma_scale,
-        log_sigma=np.log(q.sigma_scale) - sp().digamma(q.sigma_shape),
+        log_sigma=np.log(q.sigma_scale) - digamma(q.sigma_shape),
         lam_mean=q.lam_shape / q.lam_rate,
-        log_lam=sp().digamma(q.lam_shape) - np.log(q.lam_rate),
+        log_lam=digamma(q.lam_shape) - np.log(q.lam_rate),
         pair_mean=q.pair_mean,
         pair_second=q.pair_mean**2 + q.pair_var,
     )
@@ -256,13 +256,13 @@ def elbo(data: PackedCorpus, q: PosteriorFactors, h: Hyperparameters) -> float:
     ) / (2.0 * h.sigma0_sq)
     cross_lam = (
         h.alpha_lambda * math.log(h.beta_lambda)
-        - sp().gammaln(h.alpha_lambda)
+        - gammaln(h.alpha_lambda)
         + (h.alpha_lambda - 1.0) * stats.log_lam
         - h.beta_lambda * stats.lam_mean
     )
     cross_sigma = (
         h.a_sigma * math.log(h.b_sigma)
-        - sp().gammaln(h.a_sigma)
+        - gammaln(h.a_sigma)
         - (h.a_sigma + 1.0) * stats.log_sigma
         - h.b_sigma * stats.inv_sigma
     )
@@ -288,14 +288,14 @@ def elbo(data: PackedCorpus, q: PosteriorFactors, h: Hyperparameters) -> float:
     ent_lam = (
         q.lam_shape
         - np.log(q.lam_rate)
-        + sp().gammaln(q.lam_shape)
-        + (1.0 - q.lam_shape) * sp().digamma(q.lam_shape)
+        + gammaln(q.lam_shape)
+        + (1.0 - q.lam_shape) * digamma(q.lam_shape)
     )
     ent_sigma = (
         q.sigma_shape
         + np.log(q.sigma_scale)
-        + sp().gammaln(q.sigma_shape)
-        - (1.0 + q.sigma_shape) * sp().digamma(q.sigma_shape)
+        + gammaln(q.sigma_shape)
+        - (1.0 + q.sigma_shape) * digamma(q.sigma_shape)
     )
 
     return float(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimateWithCI, EstimatorConfig, _estimate
-from .special_math import sp
+from .special_math import ndtr, ndtri
 from .streams import RngStream, as_generator
 
 _JSON_FIELDS = ("mu0", "sigma0_sq", "a_sigma", "b_sigma", "alpha_lambda", "beta_lambda")
@@ -153,7 +153,7 @@ def _outer_draws(h: Hyperparameters, cfg: EstimatorConfig):
     g = RngStream(cfg.seed).generator()
     m, lam, sigma_sq = _sample_targets(h, cfg.t_outer, g)
     u = 1.0 - g.random(cfg.t_outer)
-    z_max = -sp().ndtri(-np.expm1(np.log(u) / cfg.n_impostors))
+    z_max = -ndtri(-np.expm1(np.log(u) / cfg.n_impostors))
     return m, lam, sigma_sq, z_max, g
 
 
@@ -161,7 +161,7 @@ def gaussian_tail(mu, sigma_sq, tau: float) -> np.ndarray:
     """P(score > tau) for Normal(mu, sigma_sq) scores, elementwise; exact at tau = +-inf."""
     if math.isinf(tau):
         return np.full(np.shape(mu), 0.0 if tau > 0 else 1.0)
-    return sp().ndtr((mu - tau) / np.sqrt(sigma_sq))
+    return ndtr((mu - tau) / np.sqrt(sigma_sq))
 
 
 def score_set_tail(means, residuals, tau: float) -> np.ndarray:

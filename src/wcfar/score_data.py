@@ -141,6 +141,9 @@ def _read_jsonl_rows(fh, add) -> None:
         raise ParseError("empty file", 1)
 
 
+FORMAT_BY_SUFFIX = {".csv": "csv", ".jsonl": "jsonl"}
+
+
 def load_corpus(path, format: str | None = None) -> PackedCorpus:
     """Load and validate a non-target trial corpus from `path` in one pass.
 
@@ -149,7 +152,7 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
     """
     path = Path(path)
     if format is None:
-        format = {".csv": "csv", ".jsonl": "jsonl"}.get(path.suffix.lower())
+        format = FORMAT_BY_SUFFIX.get(path.suffix.lower())
         if format is None:
             raise ParseError(f"cannot infer format from suffix {path.suffix!r}; pass format=")
     if format not in ("csv", "jsonl"):

@@ -162,6 +162,24 @@ class TestEmpiricalCommand:
             == 0
         )
 
+    @pytest.mark.parametrize("payload", ["5", '{"tau": null}', '{"tau": "abc"}', '[1.0]', "{}", "nope"])
+    def test_bad_threshold_file(self, corpus_csv, tmp_path, capsys, payload):
+        thr = tmp_path / "thr.json"
+        thr.write_text(payload)
+        code = run(["empirical", "--corpus", corpus_csv, "--threshold", thr, "--n", "1"])
+        assert code == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and str(thr) in errors[0]
+
+    def test_corpus_without_suffix(self, corpus_csv, tmp_path, capsys):
+        bare = tmp_path / "corpus"
+        bare.write_bytes(corpus_csv.read_bytes())
+        assert run(["empirical", "--corpus", bare, "--tau", "1.0", "--n", "1"]) == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and "--format" in errors[0] and "format=" not in errors[0]
+        args = ["empirical", "--corpus", bare, "--format", "csv", "--tau", "1.0", "--n", "1"]
+        assert run(args) == 0
+
     def test_population_exceeding_corpus(self, corpus_csv, capsys):
         code = run(
             ["empirical", "--corpus", corpus_csv, "--tau", "1.0",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from wcfar.errors import InfeasibleMomentsError
 from wcfar.special_math import (
@@ -14,10 +15,14 @@ from wcfar.special_math import (
     fit_gamma_from_expectations,
     fit_inv_gamma_from_expectations,
     gamma_fit_objective,
+    gammaln,
     inv_gamma_fit_objective,
+    ndtr,
+    ndtri,
     normal_cdf,
     sample_gamma,
     sample_inv_gamma,
+    trigamma,
 )
 from wcfar.streams import RngStream
 
@@ -106,6 +111,66 @@ class TestDigamma:
     @given(x=st.floats(0.1, 100.0))
     def test_recurrence_property(self, x):
         assert digamma(x + 1.0) - digamma(x) - 1.0 / x == pytest.approx(0.0, abs=1e-12)
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want) / np.abs(want))
+
+
+class TestKernelsAgainstScipy:
+    """The numpy kernels against `scipy.special`, which the package does not import."""
+
+    # dense on [0.5, 12], which holds the roots of gammaln and digamma and the switch to the series at 10
+    X = np.concatenate([
+        np.geomspace(1e-8, 1e6, 200_001),
+        np.linspace(0.5, 12.0, 100_001),
+        [1.0, 2.0, 1.4616321449683623, 9.999999999999998, 10.0],
+    ])
+
+    def test_ndtri(self):
+        p = np.concatenate([
+            np.geomspace(1e-300, 0.5, 200_001),
+            np.linspace(0.0, 1.0, 100_001)[1:-1],
+            1.0 - np.geomspace(1e-16, 0.5, 100_001),
+            [0.075, 0.925, 0.5 - 1e-17, 0.5 + 1e-16],
+        ])
+        want = special.ndtri(p)
+        nonzero = want != 0
+        assert relative_error(ndtri(p)[nonzero], want[nonzero]) <= 1e-14
+        assert np.all(ndtri(p)[~nonzero] == 0.0)
+        assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
+        assert np.array_equal(ndtri(np.array([0.0, 1.0])), [-np.inf, np.inf])
+
+    def test_ndtr(self):
+        edges = np.array([0.46875, 4.0]) * math.sqrt(2.0)
+        z = np.concatenate([
+            np.linspace(-37.0, 8.0, 450_001),
+            edges, -edges, np.nextafter(edges, 0), -np.nextafter(edges, 0),
+        ])
+        want = special.ndtr(z)
+        positive = want > 0
+        assert relative_error(ndtr(z)[positive], want[positive]) <= 1e-12
+        assert ndtr(-np.inf) == 0.0 and ndtr(np.inf) == 1.0
+        assert ndtr(0.0) == 0.5 and ndtr(-0.0) == 0.5
+
+    @pytest.mark.parametrize("ours,theirs", [(gammaln, special.gammaln), (digamma, special.digamma)])
+    def test_gammaln_and_digamma(self, ours, theirs):
+        want = theirs(self.X)
+        assert np.max(np.abs(ours(self.X) - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+
+    def test_trigamma(self):
+        assert relative_error(trigamma(self.X), special.polygamma(1, self.X)) <= 1e-14
+
+    @pytest.mark.parametrize("f,x", [(ndtr, 0.3), (ndtri, 0.3), (gammaln, 2.5), (digamma, 2.5), (trigamma, 2.5)])
+    def test_scalar_and_array_input(self, f, x):
+        assert isinstance(f(x), float)
+        grid = np.full((2, 3), x)
+        assert f(grid).shape == (2, 3)
+        assert np.all(f(grid) == f(x))
+
+    def test_nan_propagates(self):
+        assert np.isnan(ndtr(np.nan)) and np.isnan(ndtri(np.nan))
+        assert np.isnan(ndtri(np.array([-0.5, 1.5]))).all()
 
 
 class TestSamplers:

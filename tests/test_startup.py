@@ -1,10 +1,11 @@
-"""Start-up guard: only commands that evaluate a special function import scipy.
+"""Start-up guard: no command imports scipy, which only the tests use as an oracle.
 
 Each command runs `wcfar.cli.main` in a fresh interpreter, which then
-reports whether `scipy` is in `sys.modules`.  A top-level scipy import
-anywhere in the package makes the first group fail.
+reports whether `scipy` is in `sys.modules`.  A static check covers the
+library code that no command runs.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -24,7 +25,7 @@ CHILD = (
     "print('scipy' in sys.modules); sys.exit(code)"
 )
 
-SCIPY_FREE = {
+COMMANDS = {
     "version": ["--version"],
     "simulate-model": ["simulate", "--spec", "{model}", "--out", "{out}"],
     "simulate-toy": ["simulate", "--spec", "{toy}", "--out", "{out}", "--labeled-out", "{out}.labels"],
@@ -33,10 +34,16 @@ SCIPY_FREE = {
     "diagnose": [
         "diagnose", "--corpus", "{corpus}", "--tau", "1.0", "--n-impostors", "2", "--out", "{out}",
     ],
-}
-SCIPY_USERS = {
     "fit": ["fit", "--corpus", "{corpus}", "--out", "{out}"],
     "predict": ["predict", "--theta", "{theta}", "--tau", "1.0", "--n", "1,100", "--out", "{out}"],
+    "predict-sampling": [
+        "predict", "--theta", "{theta}", "--tau", "1.0", "--n", "1,100", "--method", "sampling",
+        "--out", "{out}",
+    ],
+    "curve": [
+        "curve", "--corpus", "{corpus}", "--theta", "{theta}", "--tau", "lo=1.0", "--n", "1,2,100",
+        "--out", "{out}",
+    ],
 }
 
 
@@ -60,12 +67,12 @@ def paths(tmp_path_factory):
     return paths
 
 
-def loads_scipy(template: list[str], paths) -> bool:
-    """Run one command in a fresh interpreter; True if it imported scipy."""
+def loads_scipy(template: list[str], paths, preamble: str = "") -> bool:
+    """Run one command in a fresh interpreter, after `preamble`; True if scipy is loaded."""
     args = [arg.format(**paths) for arg in template]
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *args],
+        [sys.executable, "-c", preamble + CHILD, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
@@ -74,11 +81,37 @@ def loads_scipy(template: list[str], paths) -> bool:
     return proc.stdout.splitlines()[-1] == "True"
 
 
-@pytest.mark.parametrize("name", SCIPY_FREE)
+@pytest.mark.parametrize("name", COMMANDS)
 def test_command_skips_scipy(name, paths):
-    assert not loads_scipy(SCIPY_FREE[name], paths)
+    assert not loads_scipy(COMMANDS[name], paths)
 
 
-@pytest.mark.parametrize("name", SCIPY_USERS)
-def test_special_function_command_loads_scipy(name, paths):
-    assert loads_scipy(SCIPY_USERS[name], paths)
+def test_probe_sees_scipy_when_loaded(paths):
+    """Positive control: the probe reports scipy once something has imported it."""
+    assert loads_scipy(COMMANDS["version"], paths, preamble="import scipy.special; ")
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """`import scipy...` and `from scipy... import` statements in one module, nested ones included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_no_module_imports_scipy():
+    modules = sorted(Path(wcfar.__file__).parent.rglob("*.py"))
+    assert len(modules) > 5
+    assert [hit for path in modules for hit in scipy_imports(path)] == []
+
+
+def test_scipy_import_scan_sees_nested_imports(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text("import os, scipy.special as sp\ndef f():\n    from scipy import stats\n")
+    assert scipy_imports(module) == ["probe.py:1: scipy.special", "probe.py:3: scipy"]
