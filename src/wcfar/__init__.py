@@ -10,83 +10,42 @@ that probability to impostor populations far larger than the corpus.
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, InfeasibleMomentsError, NumericError, ParseError
+from .errors import NumericError
 from .estimators import (
-    DiagnosticsReport,
     EstimateWithCI,
     EstimatorConfig,
-    confidence_interval,
     diagnose,
     estimate_pfa_worst_case,
     estimate_pfa_zero_effort,
 )
-from .inference import FitReport, PosteriorFactors, SufficientStats, elbo, fit
-from .metrics import DcfParams, ThresholdSpec, eer_threshold, empirical_pfa, min_dcf_threshold
+from .inference import PosteriorFactors, e_step, fit, sufficient_stats
+from .metrics import DcfParams, eer_threshold, min_dcf_threshold
 from .model import (
     Hyperparameters,
-    PairDraw,
-    TargetDraw,
     marginal_score_samples,
     predict_pfa_closed_form,
     predict_pfa_sampling,
-    sample_pair,
-    sample_scores,
-    sample_target,
 )
-from .score_data import (
-    CorpusSummary,
-    LabeledScoreSet,
-    PackedCorpus,
-    corpus_stats,
-    load_corpus,
-    load_labeled_scores,
-)
-from .special_math import (
-    GammaParams,
-    GaussianParams,
-    InvGammaParams,
-    digamma,
-    fit_gamma_from_expectations,
-    fit_inv_gamma_from_expectations,
-    normal_cdf,
-    sample_gamma,
-    sample_inv_gamma,
-)
+from .score_data import PackedCorpus, load_corpus, load_labeled_scores
+from .special_math import fit_gamma_from_expectations, fit_inv_gamma_from_expectations
 from .streams import RngStream
 from .synthetic import SyntheticSpec, ToyAsvSpec, generate_model_corpus, generate_toy_asv_corpus
 
+# the names the command line and the acceptance suite use
 __all__ = [
-    "ConfigError",
-    "CorpusSummary",
     "DcfParams",
-    "DiagnosticsReport",
     "EstimateWithCI",
     "EstimatorConfig",
-    "FitReport",
-    "GammaParams",
-    "GaussianParams",
     "Hyperparameters",
-    "InfeasibleMomentsError",
-    "InvGammaParams",
-    "LabeledScoreSet",
     "NumericError",
     "PackedCorpus",
-    "PairDraw",
-    "ParseError",
     "PosteriorFactors",
     "RngStream",
-    "SufficientStats",
     "SyntheticSpec",
-    "TargetDraw",
-    "ThresholdSpec",
     "ToyAsvSpec",
-    "confidence_interval",
-    "corpus_stats",
     "diagnose",
-    "digamma",
+    "e_step",
     "eer_threshold",
-    "elbo",
-    "empirical_pfa",
     "estimate_pfa_worst_case",
     "estimate_pfa_zero_effort",
     "fit",
@@ -98,12 +57,7 @@ __all__ = [
     "load_labeled_scores",
     "marginal_score_samples",
     "min_dcf_threshold",
-    "normal_cdf",
     "predict_pfa_closed_form",
     "predict_pfa_sampling",
-    "sample_gamma",
-    "sample_inv_gamma",
-    "sample_pair",
-    "sample_scores",
-    "sample_target",
+    "sufficient_stats",
 ]

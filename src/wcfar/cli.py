@@ -112,9 +112,16 @@ def _parse_dcf(text: str) -> DcfParams:
     return DcfParams(p_target=float(parts[0]), c_miss=float(parts[1]), c_fa=float(parts[2]))
 
 
-def _load_theta(path: str) -> Hyperparameters:
+def _read_json(path: str):
     with open(path) as fh:
-        return Hyperparameters.from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path} is not a JSON file: {exc}") from None
+
+
+def _load_theta(path: str) -> Hyperparameters:
+    return Hyperparameters.from_json(_read_json(path))
 
 
 def _spec(cls, obj: dict):
@@ -181,10 +188,6 @@ def cmd_threshold(args) -> int:
 
 def cmd_fit(args) -> int:
     corpus = _load_corpus(args)
-    if corpus.n_targets < 2:
-        raise ValueError("cannot fit: the corpus has one target; the prior over targets needs 2 or more")
-    if not np.any(corpus.pair_count >= 2):
-        raise ValueError("cannot fit: every pair has a single score; within-pair variance needs 2 or more")
     init = _load_theta(args.init) if args.init else None
     report = fit(corpus, init=init, tol=args.tol, max_iter=args.max_iter)
     theta = report.hyperparameters
@@ -238,8 +241,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.spec) as fh:
-        spec_obj = json.load(fh)
+    spec_obj = _read_json(args.spec)
     if not isinstance(spec_obj, dict):
         raise ValueError(f"spec {args.spec} must hold a JSON object")
     kind = spec_obj.pop("kind", "model")

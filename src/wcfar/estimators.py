@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from statistics import NormalDist
 
 import numpy as np
 
 from .errors import ConfigError
 from .score_data import PackedCorpus, sample_skewness
+from .special_math import ndtri
 from .streams import RngStream
 
 _SELECTIONS = ("closest_by_mean", "random")
@@ -85,7 +85,7 @@ def confidence_interval(per_iter_estimates, level: float = 0.99) -> tuple[float,
         raise ValueError(f"level must be in (0, 1), got {level}")
     mean = float(values.mean())
     stderr = float(values.std(ddof=1)) / math.sqrt(values.size)
-    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     return max(mean - z * stderr, 0.0), min(mean + z * stderr, 1.0)
 
 

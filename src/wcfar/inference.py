@@ -356,8 +356,7 @@ def fit(
     *,
     tol: float = 1e-7,
     max_iter: int = 500,
-    return_factors: bool = False,
-):
+) -> FitReport:
     """Fit the six hyper-parameters to a corpus by variational EM.
 
     Alternates full coordinate-ascent sweeps with hyper-parameter updates
@@ -365,11 +364,14 @@ def fit(
     is hit).  Deterministic given the corpus and the starting point; when
     `init` is omitted a method-of-moments start is used.
 
-    Returns a FitReport, or (FitReport, PosteriorFactors) when
-    `return_factors` is set.
+    A corpus with fewer than 2 targets, or without a pair of 2 or more
+    scores, does not identify the model and is refused with ValueError.
     """
-    if data.n_targets < 1:
-        raise ValueError("cannot fit an empty corpus")
+    if data.n_targets < 2:
+        count = "one target" if data.n_targets else "no targets"
+        raise ValueError(f"cannot fit: the corpus has {count}; the prior over targets needs 2 or more")
+    if not np.any(data.pair_count >= 2):
+        raise ValueError("cannot fit: every pair has a single score; within-pair variance needs 2 or more")
     h = init if init is not None else moment_init(data)
     q = PosteriorFactors.from_prior(h, data)
     trace = []
@@ -388,10 +390,9 @@ def fit(
             converged = True
             break
         previous = bound
-    report = FitReport(
+    return FitReport(
         hyperparameters=h,
         elbo_trace=np.asarray(trace),
         iterations=iteration,
         converged=converged,
     )
-    return (report, q) if return_factors else report

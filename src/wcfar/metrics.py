@@ -1,5 +1,4 @@
-"""Threshold calibration (EER, minimum detection cost) and plain false
-alarm computation.
+"""Threshold calibration by equal error rate or minimum detection cost.
 
 A trial is accepted when its score is strictly above the threshold, so the
 false alarm rate is the fraction of non-target scores above tau and the
@@ -48,16 +47,6 @@ class ThresholdSpec:
             raise ValueError(f"tau must be finite, got {self.tau}")
         if self.provenance not in ("eer", "min_dcf", "manual"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-
-
-def empirical_pfa(nontarget_scores, tau: float) -> float:
-    """Fraction of non-target scores strictly greater than `tau`."""
-    scores = np.asarray(nontarget_scores, dtype=float)
-    if scores.size == 0:
-        raise ValueError("empirical_pfa requires at least one score")
-    if math.isnan(tau):
-        raise ValueError("tau must not be NaN")
-    return float(np.mean(scores > tau))
 
 
 def _candidate_thresholds(pooled: np.ndarray) -> np.ndarray:

@@ -94,56 +94,12 @@ class Hyperparameters:
         return Hyperparameters(**merged)
 
 
-@dataclass(frozen=True)
-class TargetDraw:
-    """Target-level latents shared by every candidate impostor pairing."""
-
-    m: float
-    lam: float
-    sigma_sq: float
-
-    def __post_init__(self):
-        if not (self.lam > 0 and self.sigma_sq > 0):
-            raise ValueError(f"lam and sigma_sq must be positive, got {self.lam}, {self.sigma_sq}")
-
-
-@dataclass(frozen=True)
-class PairDraw:
-    """Pair-level latent: the conditional mean of one pairing's scores."""
-
-    mu: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-
-
 def _sample_targets(h: Hyperparameters, count: int | None, g: np.random.Generator):
     """`count` independent (m, lam, sigma_sq) draws as three arrays, or scalars for None."""
     m = g.normal(h.mu0, math.sqrt(h.sigma0_sq), size=count)
     lam = g.gamma(h.alpha_lambda, scale=1.0 / h.beta_lambda, size=count)
     sigma_sq = 1.0 / g.gamma(h.a_sigma, scale=1.0 / h.b_sigma, size=count)
     return m, lam, sigma_sq
-
-
-def sample_target(h: Hyperparameters, rng) -> TargetDraw:
-    """Draw (m, lam, sigma_sq) independently from their priors."""
-    m, lam, sigma_sq = _sample_targets(h, None, as_generator(rng))
-    return TargetDraw(m=float(m), lam=float(lam), sigma_sq=float(sigma_sq))
-
-
-def sample_pair(t: TargetDraw, rng) -> PairDraw:
-    """Draw one pairing's score mean around the target location."""
-    g = as_generator(rng)
-    return PairDraw(mu=float(g.normal(t.m, math.sqrt(t.sigma_sq / t.lam))))
-
-
-def sample_scores(t: TargetDraw, p: PairDraw, count: int, rng) -> np.ndarray:
-    """Draw `count` i.i.d. scores for one pairing."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    g = as_generator(rng)
-    return g.normal(p.mu, math.sqrt(t.sigma_sq), size=count)
 
 
 def _outer_draws(h: Hyperparameters, cfg: EstimatorConfig):

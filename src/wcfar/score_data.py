@@ -18,7 +18,7 @@ import json
 import math
 from array import array
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -374,72 +374,3 @@ class PackedCorpus:
         hits = np.add.reduceat((self.scores > tau).astype(float), self.pair_offsets[:-1])
         return hits / self.pair_count
 
-
-@dataclass(frozen=True)
-class PairMoments:
-    target_id: str
-    impostor_id: str
-    count: int
-    mean: float
-    variance: float | None
-    skewness: float | None
-
-
-@dataclass(frozen=True)
-class CorpusSummary:
-    n_targets: int
-    n_scores: int
-    impostors_per_target: tuple[int, int, float]  # min, max, mean
-    scores_per_pair: tuple[int, int, float]
-    avg_pair_skewness: float | None
-    pair_mean_skewness: float | None
-    skewness_excluded_pairs: int
-    pairs: tuple[PairMoments, ...]
-
-    def to_json(self) -> dict:
-        out = asdict(self)
-        for key in ("impostors_per_target", "scores_per_pair"):
-            out[key] = dict(zip(("min", "max", "mean"), out[key]))
-        out["pairs"] = list(out["pairs"])
-        return out
-
-
-def corpus_stats(corpus: PackedCorpus) -> CorpusSummary:
-    """Per-pair moments plus corpus-level shape summaries.
-
-    Pairs with fewer than 3 scores (or zero spread) are excluded from the
-    skewness averages and counted in `skewness_excluded_pairs`.
-    """
-    if corpus.n_targets == 0:
-        raise ValueError("corpus has no targets")
-    counts, means, skews = corpus.pair_count, corpus.pair_means(), corpus.pair_skewness()
-    pairs = tuple(
-        PairMoments(
-            target_id=corpus.target_ids[t],
-            impostor_id=impostor_id,
-            count=count,
-            mean=mean,
-            variance=None if math.isnan(variance) else variance,
-            skewness=None if math.isnan(skew) else skew,
-        )
-        for t, impostor_id, count, mean, variance, skew in zip(
-            corpus.pair_target.tolist(),
-            corpus.impostor_ids,
-            counts.tolist(),
-            means.tolist(),
-            corpus.pair_variances().tolist(),
-            skews.tolist(),
-        )
-    )
-    kept = skews[~np.isnan(skews)]
-    n_imp = corpus.pairs_per_target
-    return CorpusSummary(
-        n_targets=corpus.n_targets,
-        n_scores=corpus.n_scores,
-        impostors_per_target=(int(n_imp.min()), int(n_imp.max()), float(n_imp.mean())),
-        scores_per_pair=(int(counts.min()), int(counts.max()), float(counts.mean())),
-        avg_pair_skewness=float(kept.mean()) if kept.size else None,
-        pair_mean_skewness=sample_skewness(means),
-        skewness_excluded_pairs=int(skews.size - kept.size),
-        pairs=pairs,
-    )

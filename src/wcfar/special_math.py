@@ -1,7 +1,6 @@
-"""Special functions, conjugate-family distributions and moment fitters.
+"""Special functions, gamma-family parameters and moment fitters.
 
-Everything downstream of this module is deterministic given the RNG state
-passed in explicitly.  The two fitters solve the concave problems
+The two fitters solve the concave problems
 
     max_{alpha, beta}  alpha*log(beta) - lgamma(alpha)
                        + (alpha - 1)*E[log x] - beta*E[x]          (gamma)
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleMomentsError, NumericError
-from .streams import as_generator
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 200
@@ -210,15 +208,6 @@ class GammaParams:
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ValueError(f"gamma rate must be positive and finite, got {self.beta}")
 
-    @property
-    def mean(self) -> float:
-        return self.alpha / self.beta
-
-    @property
-    def mean_log(self) -> float:
-        """E[log x] = psi(alpha) - log(beta)."""
-        return float(digamma(self.alpha) - np.log(self.beta))
-
 
 @dataclass(frozen=True)
 class InvGammaParams:
@@ -233,36 +222,6 @@ class InvGammaParams:
         if not (self.b > 0 and math.isfinite(self.b)):
             raise ValueError(f"inverse-gamma scale must be positive and finite, got {self.b}")
 
-    @property
-    def mean_inv(self) -> float:
-        """E[1/x] = a/b."""
-        return self.a / self.b
-
-    @property
-    def mean_log(self) -> float:
-        """E[log x] = log(b) - psi(a)."""
-        return float(np.log(self.b) - digamma(self.a))
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.mean):
-            raise ValueError(f"gaussian mean must be finite, got {self.mean}")
-        if not (self.variance > 0 and math.isfinite(self.variance)):
-            raise ValueError(f"gaussian variance must be positive and finite, got {self.variance}")
-
-
-def normal_cdf(x, p: GaussianParams):
-    """Gaussian CDF at `x`; accepts scalars or arrays, and +-inf limits."""
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("normal_cdf is undefined for NaN input")
-    return ndtr((arr - p.mean) / math.sqrt(p.variance))
-
 
 def digamma(x):
     """Logarithmic derivative of the gamma function for x > 0."""
@@ -272,18 +231,6 @@ def digamma(x):
     shifted, terms = _recurrence_terms(arr)
     out = np.log(shifted) + _psi_minus_log_series(shifted) - terms.sum(axis=-1)
     return _scalar_or_array(x, out)
-
-
-def sample_gamma(p: GammaParams, rng, size=None):
-    """Draw from Gamma(alpha, rate=beta)."""
-    g = as_generator(rng)
-    return g.gamma(p.alpha, scale=1.0 / p.beta, size=size)
-
-
-def sample_inv_gamma(p: InvGammaParams, rng, size=None):
-    """Draw from InvGamma(a, scale=b) as the reciprocal of a Gamma(a, rate=b) draw."""
-    g = as_generator(rng)
-    return 1.0 / g.gamma(p.a, scale=1.0 / p.b, size=size)
 
 
 def _psi_minus_log(x: float) -> float:
@@ -336,20 +283,6 @@ def _solve_shape(c: float) -> float:
     raise NumericError(
         f"shape solve did not converge in {_NEWTON_MAX_ITER} iterations; "
         f"last iterates: {trace[-5:]}"
-    )
-
-
-def gamma_fit_objective(p: GammaParams, mean_x: float, mean_log_x: float) -> float:
-    """Per-observation expected log density maximised by `fit_gamma_from_expectations`."""
-    return float(
-        p.alpha * np.log(p.beta) - gammaln(p.alpha) + (p.alpha - 1.0) * mean_log_x - p.beta * mean_x
-    )
-
-
-def inv_gamma_fit_objective(p: InvGammaParams, mean_inv_x: float, mean_log_x: float) -> float:
-    """Per-observation expected log density maximised by `fit_inv_gamma_from_expectations`."""
-    return float(
-        p.a * np.log(p.b) - gammaln(p.a) - (p.a + 1.0) * mean_log_x - p.b * mean_inv_x
     )
 
 

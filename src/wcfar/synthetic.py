@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Hyperparameters, sample_target
+from .model import Hyperparameters, _sample_targets
 from .score_data import LabeledScoreSet, PackedCorpus
 from .streams import RngStream
 
@@ -85,9 +85,11 @@ def generate_model_corpus(spec: SyntheticSpec) -> PackedCorpus:
     scores = np.empty((t, n, l))
     for i in range(t):
         g = root.child(i).generator()
-        draw = sample_target(spec.theta, g)
-        mus = g.normal(draw.m, math.sqrt(draw.sigma_sq / draw.lam), size=n)
-        scores[i] = g.normal(mus[:, None], math.sqrt(draw.sigma_sq), size=(n, l))
+        m, lam, sigma_sq = _sample_targets(spec.theta, None, g)
+        if not (lam > 0 and sigma_sq > 0):  # a gamma draw can underflow to 0 at tiny shapes
+            raise ValueError(f"lam and sigma_sq must be positive, got {lam}, {sigma_sq}")
+        mus = g.normal(m, math.sqrt(sigma_sq / lam), size=n)
+        scores[i] = g.normal(mus[:, None], math.sqrt(sigma_sq), size=(n, l))
     return PackedCorpus.from_codes(
         [f"t{i + 1:04d}" for i in range(t)],
         [f"i{i + 1:04d}_{j + 1:04d}" for i in range(t) for j in range(n)],

@@ -1,25 +1,47 @@
 """Independent reference computations used by the test suite.
 
-Everything here deliberately avoids the code paths under test: the grid
-searches enumerate objective values directly, the posterior oracle
-integrates the exact joint density on a dense grid (with the pair means
-marginalised in closed form, which is an identity of Gaussian algebra, not
-a property of the inference code), the loop predictors simulate all N
-candidates of every outer iteration, the closest-of-N quadrature
-integrates the predictors' expectation deterministically, the grouped
-corpus is the original dict-of-lists loader, and the skewness oracle loops
-over pairs one at a time.
+Everything here deliberately avoids the code paths under test: the gamma
+family moments and fit objectives use scipy, the grid searches enumerate
+objective values directly, the posterior oracle integrates the exact joint
+density on a dense grid (with the pair means marginalised in closed form,
+which is an identity of Gaussian algebra, not a property of the inference
+code), the loop predictors simulate all N candidates of every outer
+iteration, the closest-of-N quadrature integrates the predictors'
+expectation deterministically, the grouped corpus is the original
+dict-of-lists loader, and the skewness oracle loops over pairs one at a
+time.
 """
 
 import math
 
 import numpy as np
 from scipy import stats
-from scipy.special import gammaln, logsumexp, ndtr, ndtri
+from scipy.special import digamma, gammaln, logsumexp, ndtr, ndtri
 
 from wcfar.estimators import EstimateWithCI, confidence_interval
-from wcfar.model import sample_target
 from wcfar.streams import RngStream
+
+
+def gamma_moments(alpha, beta):
+    """E[x] and E[log x] = psi(alpha) - log(beta) of Gamma(alpha, rate=beta)."""
+    return alpha / beta, float(digamma(alpha) - np.log(beta))
+
+
+def inv_gamma_moments(a, b):
+    """E[1/x] and E[log x] = log(b) - psi(a) of InvGamma(a, scale=b)."""
+    return a / b, float(np.log(b) - digamma(a))
+
+
+def gamma_fit_objective(p, mean_x, mean_log_x):
+    """Per-observation expected log density maximised by `fit_gamma_from_expectations`."""
+    return float(
+        p.alpha * np.log(p.beta) - gammaln(p.alpha) + (p.alpha - 1.0) * mean_log_x - p.beta * mean_x
+    )
+
+
+def inv_gamma_fit_objective(p, mean_inv_x, mean_log_x):
+    """Per-observation expected log density maximised by `fit_inv_gamma_from_expectations`."""
+    return float(p.a * np.log(p.b) - gammaln(p.a) - (p.a + 1.0) * mean_log_x - p.b * mean_inv_x)
 
 
 def gamma_objective_grid(mean_x, mean_log_x, alpha_hat, beta_hat, n=200, decades=2.0):
@@ -137,6 +159,14 @@ def importance_log_evidence(scores, h, n_draws, seed):
     return float(log_mean), float(rel_se)
 
 
+def _target_draw(h, g):
+    """(m, lam, sigma_sq) from their priors, in the order the predictors draw them."""
+    m = g.normal(h.mu0, math.sqrt(h.sigma0_sq))
+    lam = g.gamma(h.alpha_lambda, scale=1.0 / h.beta_lambda)
+    sigma_sq = 1.0 / g.gamma(h.a_sigma, scale=1.0 / h.b_sigma)
+    return m, lam, sigma_sq
+
+
 def _loop_estimate(values, cfg, tau, level):
     value = float(values.mean())
     low, high = confidence_interval(values, level) if values.size >= 2 else (value, value)
@@ -157,10 +187,10 @@ def loop_predict_pfa_sampling(h, tau, cfg, scores_per_pair, level=0.99):
     scores = np.empty((n, scores_per_pair))
     for t in range(cfg.t_outer):
         g = root.child(t).generator()
-        target = sample_target(h, g)
-        mus = g.normal(target.m, math.sqrt(target.sigma_sq / target.lam), size=n)
+        m, lam, sigma_sq = _target_draw(h, g)
+        mus = g.normal(m, math.sqrt(sigma_sq / lam), size=n)
         g.standard_normal(out=scores)
-        scores *= math.sqrt(target.sigma_sq)
+        scores *= math.sqrt(sigma_sq)
         scores += mus[:, None]
         k = int(np.argmax(scores.mean(axis=1)))
         values[t] = np.mean(scores[k] > tau)
@@ -177,10 +207,10 @@ def loop_predict_pfa_closed_form(h, tau, cfg, level=0.99):
     values = np.empty(cfg.t_outer)
     for t in range(cfg.t_outer):
         g = root.child(t).generator()
-        target = sample_target(h, g)
-        mus = g.normal(target.m, math.sqrt(target.sigma_sq / target.lam), size=cfg.n_impostors)
+        m, lam, sigma_sq = _target_draw(h, g)
+        mus = g.normal(m, math.sqrt(sigma_sq / lam), size=cfg.n_impostors)
         mu_star = float(np.max(mus))
-        values[t] = ndtr((mu_star - tau) / math.sqrt(target.sigma_sq))
+        values[t] = ndtr((mu_star - tau) / math.sqrt(sigma_sq))
     return _loop_estimate(values, cfg, tau, level)
 
 

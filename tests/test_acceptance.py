@@ -26,18 +26,19 @@ from wcfar.model import (
     predict_pfa_sampling,
 )
 from wcfar.score_data import PackedCorpus
-from wcfar.special_math import (
-    GammaParams,
-    InvGammaParams,
-    fit_gamma_from_expectations,
-    fit_inv_gamma_from_expectations,
-    gamma_fit_objective,
-    inv_gamma_fit_objective,
-)
+from wcfar.special_math import fit_gamma_from_expectations, fit_inv_gamma_from_expectations
 from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
-from oracles import gamma_objective_grid, inv_gamma_objective_grid, quadrature_posterior
+from oracles import (
+    gamma_fit_objective,
+    gamma_moments,
+    gamma_objective_grid,
+    inv_gamma_fit_objective,
+    inv_gamma_moments,
+    inv_gamma_objective_grid,
+    quadrature_posterior,
+)
 from test_estimators import joint_halfwidth
 from test_inference import packed_single_target
 
@@ -244,17 +245,15 @@ def test_acceptance_7_moment_fitters_beat_grid():
     for _ in range(100):
         shape = float(np.exp(rng.uniform(np.log(0.1), np.log(100.0))))
         rate = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
-        g = GammaParams(shape, rate)
-        fitted = fit_gamma_from_expectations(g.mean, g.mean_log)
-        best, _, _ = gamma_objective_grid(g.mean, g.mean_log, fitted.alpha, fitted.beta)
-        worst_gap = min(worst_gap, gamma_fit_objective(fitted, g.mean, g.mean_log) - best)
+        mean, mean_log = gamma_moments(shape, rate)
+        fitted = fit_gamma_from_expectations(mean, mean_log)
+        best, _, _ = gamma_objective_grid(mean, mean_log, fitted.alpha, fitted.beta)
+        worst_gap = min(worst_gap, gamma_fit_objective(fitted, mean, mean_log) - best)
 
-        ig = InvGammaParams(shape, rate)
-        fitted_ig = fit_inv_gamma_from_expectations(ig.mean_inv, ig.mean_log)
-        best_ig, _, _ = inv_gamma_objective_grid(ig.mean_inv, ig.mean_log, fitted_ig.a, fitted_ig.b)
-        worst_gap = min(
-            worst_gap, inv_gamma_fit_objective(fitted_ig, ig.mean_inv, ig.mean_log) - best_ig
-        )
+        mean_inv, mean_log = inv_gamma_moments(shape, rate)
+        fitted_ig = fit_inv_gamma_from_expectations(mean_inv, mean_log)
+        best_ig, _, _ = inv_gamma_objective_grid(mean_inv, mean_log, fitted_ig.a, fitted_ig.b)
+        worst_gap = min(worst_gap, inv_gamma_fit_objective(fitted_ig, mean_inv, mean_log) - best_ig)
     report(
         7,
         "solvers beat 200x200 grid oracle",

@@ -109,6 +109,13 @@ class TestFitCommand:
         assert run(["fit", "--corpus", corpus_csv, "--init", theta_json, "--out", out_b]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_init_not_json(self, corpus_csv, tmp_path, capsys):
+        init = tmp_path / "init.json"
+        init.write_text("nope")
+        assert run(["fit", "--corpus", corpus_csv, "--init", init]) == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and str(init) in errors[0]
+
     def test_malformed_corpus(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("target_id,impostor_id,score\nx,x,1.0\n")
@@ -222,6 +229,13 @@ class TestPredictCommand:
             lines[n] = capsys.readouterr().out.splitlines()
         assert lines["1,1000"] == lines["1"] + lines["1000"][1:]
 
+    def test_theta_not_json(self, tmp_path, capsys):
+        theta = tmp_path / "theta.json"
+        theta.write_text("nope")
+        assert run(["predict", "--theta", theta, "--tau", "1.0", "--n", "1"]) == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and str(theta) in errors[0]
+
     def test_null_hyperparameter(self, tmp_path, capsys):
         theta = tmp_path / "theta.json"
         theta.write_text(json.dumps({**THETA.to_json(), "mu0": None}))
@@ -278,6 +292,25 @@ class TestSimulateCommand:
             )
         )
         assert run(["simulate", "--spec", spec_path, "--labeled-out", tmp_path / "x.csv"]) == 1
+
+    def test_spec_not_json(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("nope")
+        assert run(["simulate", "--spec", spec_path]) == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and str(spec_path) in errors[0]
+
+    def test_gamma_draw_underflow(self, tmp_path, capsys):
+        # Gamma(0.002) draws underflow to 0 about once in five: lam = 0 is refused
+        theta = {**THETA.to_json(), "alpha_lambda": 0.002}
+        spec = {"kind": "model", "theta": theta, "t_targets": 200,
+                "n_impostors_per_target": 2, "l_scores_per_pair": 2, "seed": 1}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run(["simulate", "--spec", spec_path]) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: lam and sigma_sq must be positive")
 
     def test_unknown_kind(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -1,9 +1,8 @@
 import math
-from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from wcfar.errors import ConfigError
 from wcfar.estimators import (
@@ -16,7 +15,7 @@ from wcfar.estimators import (
 )
 from wcfar.model import Hyperparameters
 from wcfar.score_data import PackedCorpus, sample_skewness
-from wcfar.special_math import GaussianParams, normal_cdf
+from wcfar.special_math import ndtri as wcfar_ndtri
 from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
@@ -65,7 +64,7 @@ class TestConfidenceInterval:
 
     @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6])
     def test_quantile_matches_scipy(self, level):
-        z = NormalDist().inv_cdf(0.5 * (1.0 + level))
+        z = wcfar_ndtri(0.5 * (1.0 + level))
         assert abs(z - ndtri(0.5 * (1.0 + level))) <= 4 * math.ulp(z)
         # deviations -3/8, 1/8, 1/8, 1/8 about 0.5: the mean and the stderr 1/8 are exact
         low, high = confidence_interval([0.125, 0.625, 0.625, 0.625], level)
@@ -94,7 +93,7 @@ class TestZeroEffort:
             }
         )
         est = estimate_pfa_zero_effort(corpus, 1.0, EstimatorConfig(seed=9, t_outer=10_000))
-        expected = 1.0 - normal_cdf(1.0, GaussianParams(0.0, 1.0))
+        expected = float(ndtr(-1.0))
         # the estimator targets the corpus-conditional rate, which itself
         # fluctuates around the population value with the corpus size
         corpus_se = math.sqrt(expected * (1 - expected) / corpus.n_scores)

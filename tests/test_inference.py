@@ -310,9 +310,10 @@ class TestFit:
         assert np.diff(report.elbo_trace).min() > -1e-8
 
     def test_idempotent_at_fixpoint(self):
+        # the EM loop of `fit`, run here to keep its factors
         data = small_corpus(seed=2)
-        report, q = fit(data, tol=0.0, max_iter=300, return_factors=True)
-        h = report.hyperparameters
+        h = moment_init(data)
+        q = PosteriorFactors.from_prior(h, data)
         for _ in range(20_000):
             e_step(q, data, h)
             h_next = m_step(sufficient_stats(q))
@@ -326,8 +327,24 @@ class TestFit:
         assert rel_delta(h, m_step(sufficient_stats(q))) < 1e-10
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot fit: the corpus has no targets"):
             fit(empty_packed(0))
+
+    @pytest.mark.parametrize(
+        "groups, reason",
+        [
+            ({"t": {"a": [0.1, 0.4], "b": [0.2, 0.7]}}, "one target"),
+            ({"t1": {"a": [0.1], "b": [0.4]}, "t2": {"a": [0.2], "b": [0.7]}}, "single score"),
+        ],
+        ids=["one-target", "single-scores"],
+    )
+    def test_non_identifiable_corpus_rejected(self, groups, reason, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("EM ran on a corpus that does not identify the model")
+
+        monkeypatch.setattr("wcfar.inference.e_step", no_sweep)
+        with pytest.raises(ValueError, match=f"cannot fit: .*{reason}"):
+            fit(PackedCorpus.from_groups(groups))
 
     def test_numeric_errors_carry_iteration(self):
         data = small_corpus(seed=15, t=6, n=3, l=3)

@@ -2,16 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from wcfar.metrics import (
-    DcfParams,
-    ThresholdSpec,
-    eer_threshold,
-    empirical_pfa,
-    min_dcf_threshold,
-)
-from wcfar.score_data import LabeledScoreSet
-from wcfar.special_math import GaussianParams, normal_cdf
+from wcfar.estimators import EstimatorConfig, estimate_pfa_zero_effort
+from wcfar.metrics import DcfParams, ThresholdSpec, eer_threshold, min_dcf_threshold
+from wcfar.score_data import LabeledScoreSet, PackedCorpus
 from wcfar.streams import RngStream
 
 
@@ -29,36 +24,47 @@ def dcf_at(tau, labeled, p):
     return (p.p_target * p.c_miss * p_miss + (1 - p.p_target) * p.c_fa * p_fa) / norm
 
 
+def pair_fa(scores, tau: float) -> float:
+    """`PackedCorpus.pair_exceed_fraction` of a one-pair corpus holding `scores`."""
+    scores = np.asarray(scores, dtype=float)
+    codes = np.zeros(scores.size, dtype=np.int64)
+    [fraction] = PackedCorpus.from_codes(["t"], ["i"], codes, codes, scores).pair_exceed_fraction(tau)
+    return float(fraction)
+
+
 class TestEmpiricalPfa:
+    """The plain false alarm rate: per pair as the estimators see it, and the zero-effort estimate."""
+
     def test_counting(self):
-        assert empirical_pfa([-1.0, 0.0, 1.0, 2.0], 0.5) == 0.5
+        assert pair_fa([-1.0, 0.0, 1.0, 2.0], 0.5) == 0.5
 
     def test_infinite_thresholds(self):
         scores = [-1.0, 0.0, 1.0]
-        assert empirical_pfa(scores, math.inf) == 0.0
-        assert empirical_pfa(scores, -math.inf) == 1.0
+        assert pair_fa(scores, math.inf) == 0.0
+        assert pair_fa(scores, -math.inf) == 1.0
 
     def test_strict_inequality(self):
-        assert empirical_pfa([1.0, 1.0], 1.0) == 0.0
+        assert pair_fa([1.0, 1.0], 1.0) == 0.0
 
     def test_gaussian_tail(self):
         draws = RngStream(3).generator().standard_normal(1_000_000)
-        expected = 1.0 - normal_cdf(1.0, GaussianParams(0.0, 1.0))
-        assert empirical_pfa(draws, 1.0) == pytest.approx(expected, abs=0.001)
+        assert pair_fa(draws, 1.0) == pytest.approx(float(ndtr(-1.0)), abs=0.001)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_pfa([], 0.0)
+        with pytest.raises(ValueError, match="no targets"):
+            estimate_pfa_zero_effort(PackedCorpus.from_groups({}), 0.0, EstimatorConfig(seed=1))
 
     def test_nan_tau_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_pfa([1.0], math.nan)
+        corpus = PackedCorpus.from_groups({"t": {"i": [1.0]}})
+        with pytest.raises(ValueError, match="NaN"):
+            estimate_pfa_zero_effort(corpus, math.nan, EstimatorConfig(seed=1))
 
     def test_non_increasing_in_tau(self):
-        scores = RngStream(4).generator().normal(0, 2, size=501)
-        taus = np.linspace(-6, 6, 301)
-        values = [empirical_pfa(scores, t) for t in taus]
-        assert all(a >= b for a, b in zip(values, values[1:]))
+        g = RngStream(4).generator()
+        pairs = {f"i{j}": g.normal(0, 2, size=50 + j) for j in range(10)}
+        corpus = PackedCorpus.from_groups({"t": pairs})
+        values = np.array([corpus.pair_exceed_fraction(t) for t in np.linspace(-6, 6, 301)])
+        assert np.all(np.diff(values, axis=0) <= 0.0)
 
 
 class TestEer:
@@ -70,7 +76,7 @@ class TestEer:
         )
         spec, eer = eer_threshold(labeled)
         assert spec.tau == pytest.approx(0.0, abs=0.02)
-        assert eer == pytest.approx(1.0 - normal_cdf(1.0, GaussianParams(0.0, 1.0)), abs=0.005)
+        assert eer == pytest.approx(float(ndtr(-1.0)), abs=0.005)
         assert spec.provenance == "eer"
         assert not spec.degenerate
 

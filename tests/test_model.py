@@ -4,24 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from wcfar.estimators import EstimatorConfig
-from wcfar.metrics import empirical_pfa
 from wcfar.model import (
     Hyperparameters,
-    PairDraw,
-    TargetDraw,
+    _sample_targets,
     gaussian_tail,
     marginal_score_samples,
     predict_pfa_closed_form,
     predict_pfa_sampling,
-    sample_pair,
-    sample_scores,
-    sample_target,
     score_set_tail,
 )
-from wcfar.special_math import GaussianParams, normal_cdf
 from wcfar.streams import RngStream
+from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
 from oracles import (
     closest_of_n_quadrature,
@@ -55,56 +51,66 @@ class TestHyperparameters:
             BASE.replace(gamma=1.0)
 
     def test_draw_validation(self):
-        with pytest.raises(ValueError):
-            TargetDraw(m=0.0, lam=-1.0, sigma_sq=1.0)
-        with pytest.raises(ValueError):
-            PairDraw(mu=math.nan)
+        # Gamma(0.002) draws underflow to 0 about once in five; no target may get lam = 0
+        h = BASE.replace(alpha_lambda=0.002)
+        with pytest.raises(ValueError, match="lam and sigma_sq must be positive"):
+            generate_model_corpus(model_spec(h, t=200, n=2, l=2, seed=1))
+
+
+# a shape and rate this large pin a gamma-family draw to its mean within ~1e-4
+PINNED = 1e8
+
+
+def pinned(lam: float, sigma_sq: float) -> Hyperparameters:
+    """A prior whose draws of lam and sigma_sq sit at the given values."""
+    return Hyperparameters(0.0, 1.0, PINNED, PINNED * sigma_sq, PINNED, PINNED / lam)
+
+
+def model_spec(h: Hyperparameters, t: int, n: int, l: int, seed: int) -> SyntheticSpec:
+    return SyntheticSpec(theta=h, t_targets=t, n_impostors_per_target=n, l_scores_per_pair=l, seed=seed)
 
 
 class TestHierarchySampling:
+    """The target draws every simulation shares, and `generate_model_corpus`'s pairs and scores."""
+
     def test_tiny_prior_variance_pins_location(self):
         h = BASE.replace(sigma0_sq=1e-30)
-        draw = sample_target(h, RngStream(1))
-        assert draw.m == pytest.approx(0.0, abs=1e-12)
+        m, _, _ = _sample_targets(h, None, RngStream(1).generator())
+        assert m == pytest.approx(0.0, abs=1e-12)
 
     def test_target_moments(self):
-        g = RngStream(2).generator()
-        draws = [sample_target(BASE, g) for _ in range(200_000)]
-        ms = np.array([d.m for d in draws])
-        lams = np.array([d.lam for d in draws])
-        assert ms.mean() == pytest.approx(BASE.mu0, abs=3.0 / math.sqrt(len(draws)))
+        ms, lams, _ = _sample_targets(BASE, 200_000, RngStream(2).generator())
+        assert ms.mean() == pytest.approx(BASE.mu0, abs=3.0 / math.sqrt(ms.size))
         assert lams.mean() == pytest.approx(BASE.alpha_lambda / BASE.beta_lambda, rel=0.01)
 
     def test_pair_concentrates_for_large_lam(self):
-        target = TargetDraw(m=2.0, lam=1e12, sigma_sq=1.0)
-        draw = sample_pair(target, RngStream(3))
-        assert draw.mu == pytest.approx(2.0, abs=1e-4)
+        # sigma_sq / lam = 1e-12: the pair means of a target spread by no more
+        # than their score noise, of variance sigma_sq / L = 1e-3
+        corpus = generate_model_corpus(model_spec(pinned(1e12, 1.0), t=1, n=1000, l=1000, seed=3))
+        latent_var = corpus.pair_means().var() - corpus.pair_variances().mean() / 1000
+        assert latent_var <= 2e-4
 
     def test_pair_spread(self):
-        target = TargetDraw(m=0.0, lam=4.0, sigma_sq=4.0)
-        g = RngStream(4).generator()
-        mus = np.array([sample_pair(target, g).mu for _ in range(100_000)])
-        assert mus.std() == pytest.approx(1.0, rel=0.02)
+        # pair means have variance sigma_sq / lam + sigma_sq / L = 1 + 4 / L around m
+        corpus = generate_model_corpus(model_spec(pinned(4.0, 4.0), t=1, n=100_000, l=4, seed=4))
+        latent_var = corpus.pair_means().var() - corpus.pair_variances().mean() / 4
+        assert math.sqrt(latent_var) == pytest.approx(1.0, rel=0.02)
 
     def test_scores_spread_and_degenerate_variance(self):
-        target = TargetDraw(m=0.0, lam=1.0, sigma_sq=1e-30)
-        pair = PairDraw(mu=1.5)
-        scores = sample_scores(target, pair, 50, RngStream(5))
-        assert np.allclose(scores, 1.5)
-        target = TargetDraw(m=0.0, lam=1.0, sigma_sq=2.5)
-        scores = sample_scores(target, pair, 100_000, RngStream(6))
-        assert scores.var() == pytest.approx(2.5, rel=0.05)
+        corpus = generate_model_corpus(model_spec(pinned(1.0, 1e-30), t=1, n=1, l=50, seed=5))
+        assert np.allclose(corpus.scores, corpus.scores[0])
+        corpus = generate_model_corpus(model_spec(pinned(1.0, 2.5), t=1, n=1, l=100_000, seed=6))
+        assert corpus.scores.var() == pytest.approx(2.5, rel=0.05)
 
     def test_scores_deterministic(self):
-        target = TargetDraw(m=0.0, lam=1.0, sigma_sq=1.0)
-        pair = PairDraw(mu=0.0)
-        a = sample_scores(target, pair, 32, RngStream(7, (2,)))
-        b = sample_scores(target, pair, 32, RngStream(7, (2,)))
-        assert np.array_equal(a, b)
+        # each target draws from its own stream: adding targets leaves the first ones alone
+        few = generate_model_corpus(model_spec(BASE, t=2, n=3, l=4, seed=7))
+        more = generate_model_corpus(model_spec(BASE, t=5, n=3, l=4, seed=7))
+        assert np.array_equal(few.scores, more.scores[: few.n_scores])
 
     def test_scores_count_validation(self):
         with pytest.raises(ValueError):
-            sample_scores(TargetDraw(0.0, 1.0, 1.0), PairDraw(0.0), 0, RngStream(1))
+            model_spec(BASE, t=1, n=1, l=0, seed=1)
 
 
 class TestPredictors:
@@ -131,8 +137,7 @@ class TestPredictors:
         )
         cfg = EstimatorConfig(seed=12, n_impostors=1, t_outer=2000)
         est = predict_pfa_sampling(h, 1.0, cfg, scores_per_pair=324)
-        expected = 1.0 - normal_cdf(1.0, GaussianParams(0.0, 1.0))
-        assert est.value == pytest.approx(expected, abs=0.005)
+        assert est.value == pytest.approx(float(ndtr(-1.0)), abs=0.005)
 
     def test_closed_form_injected_draws(self):
         # winning latent mean 1 with unit variance: half the mass above tau = 1
@@ -173,7 +178,7 @@ class TestPredictors:
         cfg = EstimatorConfig(seed=16, n_impostors=1, t_outer=20_000)
         closed = predict_pfa_closed_form(BASE, 1.0, cfg)
         draws = marginal_score_samples(BASE, 200_000, RngStream(17))
-        rate = empirical_pfa(draws, 1.0)
+        rate = float(np.mean(draws > 1.0))
         se_marginal = math.sqrt(rate * (1 - rate) / draws.size)
         se_closed = (closed.ci_high - closed.ci_low) / 2.0
         assert abs(closed.value - rate) <= se_closed + 3.0 * se_marginal

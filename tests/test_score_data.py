@@ -9,14 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wcfar.errors import ParseError
+from wcfar.estimators import EstimatorConfig, diagnose
 from wcfar.model import Hyperparameters
-from wcfar.score_data import (
-    PackedCorpus,
-    corpus_stats,
-    load_corpus,
-    load_labeled_scores,
-    sample_skewness,
-)
+from wcfar.score_data import PackedCorpus, load_corpus, load_labeled_scores, sample_skewness
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
 from oracles import grouped_corpus, loop_pair_skewness
@@ -217,25 +212,27 @@ class TestSkewness:
 
 
 class TestCorpusStats:
+    """The per-pair moments and skewness summaries that `diagnose` reports."""
+
     def corpus(self):
         return PackedCorpus.from_groups({"t1": {"i1": [0.0, 0.0, 0.0], "i2": [1.0, 2.0, 3.0]}})
 
     def test_trivial_moments(self):
-        summary = corpus_stats(self.corpus())
-        by_id = {p.impostor_id: p for p in summary.pairs}
-        assert by_id["i1"].variance == 0.0
-        assert by_id["i1"].skewness is None
-        assert by_id["i2"].mean == pytest.approx(2.0)
-        assert by_id["i2"].variance == pytest.approx(1.0)
-        assert by_id["i2"].skewness == pytest.approx(0.0, abs=1e-12)
-        assert summary.skewness_excluded_pairs == 1  # only the zero-spread pair
+        corpus = self.corpus()
+        assert corpus.impostor_ids == ("i1", "i2")
+        assert corpus.pair_variances()[0] == 0.0
+        assert corpus.pair_means()[1] == pytest.approx(2.0)
+        assert corpus.pair_variances()[1] == pytest.approx(1.0)
+        skews = corpus.pair_skewness()
+        assert np.isnan(skews[0])  # only the zero-spread pair is excluded
+        assert skews[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_counts(self):
-        summary = corpus_stats(self.corpus())
-        assert summary.n_targets == 1
-        assert summary.n_scores == 6
-        assert summary.impostors_per_target == (2, 2, 2.0)
-        assert summary.scores_per_pair == (3, 3, 3.0)
+        corpus = self.corpus()
+        assert corpus.n_targets == 1
+        assert corpus.n_scores == 6
+        assert np.array_equal(corpus.pairs_per_target, [2])
+        assert np.array_equal(corpus.pair_count, [3, 3])
 
     def test_moments_match_brute_force(self):
         spec = SyntheticSpec(
@@ -246,15 +243,12 @@ class TestCorpusStats:
             seed=5,
         )
         corpus = generate_model_corpus(spec)
-        summary = corpus_stats(corpus)
-        flat = {}
-        for p, impostor_id in enumerate(corpus.impostor_ids):
-            target_id = corpus.target_ids[corpus.pair_target[p]]
-            flat[(target_id, impostor_id)] = corpus.scores[corpus.pair_offsets[p] : corpus.pair_offsets[p + 1]]
-        for pair in summary.pairs:
-            scores = flat[(pair.target_id, pair.impostor_id)]
-            assert pair.mean == pytest.approx(float(scores.mean()), rel=1e-12)
-            assert pair.variance == pytest.approx(float(scores.var(ddof=1)), rel=1e-12)
+        means, variances = corpus.pair_means(), corpus.pair_variances()
+        assert means.size == variances.size == 6 * 4
+        for p in range(corpus.n_pairs):
+            scores = corpus.scores[corpus.pair_offsets[p] : corpus.pair_offsets[p + 1]]
+            assert means[p] == pytest.approx(float(scores.mean()), rel=1e-12)
+            assert variances[p] == pytest.approx(float(scores.var(ddof=1)), rel=1e-12)
 
     def test_symmetric_model_corpus_has_small_pair_mean_skewness(self):
         # one pair per target so the pair means are independent draws from
@@ -266,12 +260,14 @@ class TestCorpusStats:
             l_scores_per_pair=3,
             seed=17,
         )
-        summary = corpus_stats(generate_model_corpus(spec))
-        assert abs(summary.pair_mean_skewness) < 4.0 * np.sqrt(6.0 / 3000)
+        skew = sample_skewness(generate_model_corpus(spec).pair_means())
+        assert abs(skew) < 4.0 * np.sqrt(6.0 / 3000)
 
     def test_json_serialisable(self):
-        payload = corpus_stats(self.corpus()).to_json()
-        assert json.dumps(payload)
+        report = diagnose(self.corpus(), 1.0, EstimatorConfig(seed=1, n_impostors=2, t_outer=10))
+        payload = json.loads(json.dumps(report.to_json()))
+        assert payload["avg_pairwise_skewness"] == pytest.approx(0.0, abs=1e-12)
+        assert payload["skewness_excluded_pairs"] == 1
 
 
 class TestPackCorpus:

@@ -7,26 +7,29 @@ from hypothesis import strategies as st
 from scipy import special
 
 from wcfar.errors import InfeasibleMomentsError
+from wcfar.estimators import EstimatorConfig
+from wcfar.model import Hyperparameters, _sample_targets, gaussian_tail, predict_pfa_closed_form
 from wcfar.special_math import (
     GammaParams,
-    GaussianParams,
     InvGammaParams,
     digamma,
     fit_gamma_from_expectations,
     fit_inv_gamma_from_expectations,
-    gamma_fit_objective,
     gammaln,
-    inv_gamma_fit_objective,
     ndtr,
     ndtri,
-    normal_cdf,
-    sample_gamma,
-    sample_inv_gamma,
     trigamma,
 )
 from wcfar.streams import RngStream
 
-from oracles import gamma_objective_grid, inv_gamma_objective_grid
+from oracles import (
+    gamma_fit_objective,
+    gamma_moments,
+    gamma_objective_grid,
+    inv_gamma_fit_objective,
+    inv_gamma_moments,
+    inv_gamma_objective_grid,
+)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -44,32 +47,36 @@ class TestParams:
 
     @pytest.mark.parametrize("mean,var", [(0.0, 0.0), (0.0, -1.0), (np.nan, 1.0), (0.0, np.inf)])
     def test_gaussian_rejects_bad_params(self, mean, var):
+        # the model's one Gaussian prior, m ~ Normal(mu0, sigma0_sq)
         with pytest.raises(ValueError):
-            GaussianParams(mean, var)
+            Hyperparameters(mean, var, 4.0, 3.0, 4.0, 4.0)
 
 
 class TestNormalCdf:
+    """`gaussian_tail(mu, var, tau)`, the closed-form predictor's P(score > tau), is 1 - CDF at tau."""
+
     def test_symmetry_at_zero(self):
-        assert normal_cdf(0.0, GaussianParams(0.0, 1.0)) == pytest.approx(0.5, abs=1e-15)
+        assert gaussian_tail(0.0, 1.0, 0.0) == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("mean,var", [(0.0, 1.0), (-3.2, 0.25), (10.0, 7.0)])
     def test_half_at_mean(self, mean, var):
-        assert normal_cdf(mean, GaussianParams(mean, var)) == pytest.approx(0.5, abs=1e-15)
+        assert gaussian_tail(mean, var, mean) == pytest.approx(0.5, abs=1e-15)
 
     def test_standard_value(self):
         # reference from the exact error-function identity Phi(1) = (1 + erf(1/sqrt 2))/2
         reference = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
         assert reference == pytest.approx(0.8413447460685429, abs=1e-15)
-        assert normal_cdf(1.0, GaussianParams(0.0, 1.0)) == pytest.approx(reference, abs=1e-12)
+        assert gaussian_tail(0.0, 1.0, -1.0) == pytest.approx(reference, abs=1e-12)
 
     def test_infinite_limits(self):
-        p = GaussianParams(2.0, 3.0)
-        assert normal_cdf(-np.inf, p) == 0.0
-        assert normal_cdf(np.inf, p) == 1.0
+        assert gaussian_tail(2.0, 3.0, np.inf) == 0.0
+        assert gaussian_tail(2.0, 3.0, -np.inf) == 1.0
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            normal_cdf(np.nan, GaussianParams(0.0, 1.0))
+        # a NaN threshold is refused before any tail is evaluated
+        h = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
+        with pytest.raises(ValueError, match="NaN"):
+            predict_pfa_closed_form(h, np.nan, EstimatorConfig(seed=1))
 
     @settings(max_examples=300)
     @given(
@@ -79,14 +86,13 @@ class TestNormalCdf:
         var=st.floats(1e-3, 100),
     )
     def test_monotone_and_bounded(self, x, dx, mean, var):
-        p = GaussianParams(mean, var)
-        lo, hi = normal_cdf(x, p), normal_cdf(x + dx, p)
+        lo, hi = gaussian_tail(mean, var, x + dx), gaussian_tail(mean, var, x)
         assert 0.0 <= lo <= hi <= 1.0
 
     def test_bounded_on_large_random_batch(self):
         rng = RngStream(7).generator()
         x = rng.normal(0.0, 50.0, size=100_000)
-        values = normal_cdf(x, GaussianParams(1.0, 4.0))
+        values = gaussian_tail(x, 4.0, 1.0)  # rises with the mean as the CDF at 1 falls
         assert np.all((values >= 0.0) & (values <= 1.0))
         order = np.argsort(x)
         assert np.all(np.diff(values[order]) >= 0.0)
@@ -173,26 +179,32 @@ class TestKernelsAgainstScipy:
         assert np.isnan(ndtri(np.array([-0.5, 1.5]))).all()
 
 
+def prior_draws(stream, gamma=(1.0, 1.0), inv_gamma=(1.0, 1.0), size=1_000_000):
+    """The model's draws of lam ~ Gamma(shape, rate) and sigma_sq ~ InvGamma(shape, scale)."""
+    h = Hyperparameters(0.0, 1.0, *inv_gamma, *gamma)
+    _, lam, sigma_sq = _sample_targets(h, size, stream.generator())
+    return lam, sigma_sq
+
+
 class TestSamplers:
     def test_gamma_moments(self):
-        draws = sample_gamma(GammaParams(3.0, 1.5), RngStream(11), size=1_000_000)
+        draws, _ = prior_draws(RngStream(11), gamma=(3.0, 1.5))
         assert draws.mean() == pytest.approx(2.0, abs=0.02)
 
     def test_exponential_special_case(self):
-        draws = sample_gamma(GammaParams(1.0, 1.0), RngStream(12), size=1_000_000)
+        draws, _ = prior_draws(RngStream(12), gamma=(1.0, 1.0))
         assert np.mean(draws > 1.0) == pytest.approx(math.exp(-1.0), abs=0.002)
 
     def test_gamma_variance(self):
-        draws = sample_gamma(GammaParams(2.0, 4.0), RngStream(13), size=1_000_000)
+        draws, _ = prior_draws(RngStream(13), gamma=(2.0, 4.0))
         assert draws.var() == pytest.approx(0.125, rel=0.05)
 
     def test_inv_gamma_mean(self):
-        draws = sample_inv_gamma(InvGammaParams(4.0, 6.0), RngStream(14), size=1_000_000)
+        _, draws = prior_draws(RngStream(14), inv_gamma=(4.0, 6.0))
         assert draws.mean() == pytest.approx(2.0, abs=0.02)
 
     def test_inv_gamma_precision_and_log_moments(self):
-        p = InvGammaParams(4.0, 6.0)
-        draws = sample_inv_gamma(p, RngStream(15), size=1_000_000)
+        _, draws = prior_draws(RngStream(15), inv_gamma=(4.0, 6.0))
         assert np.mean(1.0 / draws) == pytest.approx(4.0 / 6.0, rel=0.01)
         # E[log x] = log b - psi(a), forward computed
         expected = math.log(6.0) - digamma(4.0)
@@ -200,11 +212,9 @@ class TestSamplers:
         assert np.mean(np.log(draws)) == pytest.approx(expected, abs=0.003)
 
     def test_samplers_reproducible(self):
-        a = sample_gamma(GammaParams(2.5, 0.7), RngStream(99, (4,)), size=1000)
-        b = sample_gamma(GammaParams(2.5, 0.7), RngStream(99, (4,)), size=1000)
+        a, c = prior_draws(RngStream(99, (4,)), gamma=(2.5, 0.7), inv_gamma=(3.0, 2.0), size=1000)
+        b, d = prior_draws(RngStream(99, (4,)), gamma=(2.5, 0.7), inv_gamma=(3.0, 2.0), size=1000)
         assert np.array_equal(a, b)
-        c = sample_inv_gamma(InvGammaParams(3.0, 2.0), RngStream(99).child(5), size=1000)
-        d = sample_inv_gamma(InvGammaParams(3.0, 2.0), RngStream(99).child(5), size=1000)
         assert np.array_equal(c, d)
 
 
@@ -238,8 +248,7 @@ class TestGammaFit:
         beta=st.floats(1e-3, 1e3),
     )
     def test_round_trip_identity(self, alpha, beta):
-        p = GammaParams(alpha, beta)
-        fitted = fit_gamma_from_expectations(p.mean, p.mean_log)
+        fitted = fit_gamma_from_expectations(*gamma_moments(alpha, beta))
         assert fitted.alpha == pytest.approx(alpha, rel=1e-6)
         assert fitted.beta == pytest.approx(beta, rel=1e-6)
 
@@ -248,17 +257,16 @@ class TestGammaFit:
         for _ in range(100):
             alpha = float(np.exp(rng.uniform(np.log(0.1), np.log(100.0))))
             beta = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
-            p = GammaParams(alpha, beta)
-            fitted = fit_gamma_from_expectations(p.mean, p.mean_log)
-            ours = gamma_fit_objective(fitted, p.mean, p.mean_log)
-            best, _, _ = gamma_objective_grid(p.mean, p.mean_log, fitted.alpha, fitted.beta)
+            mean, mean_log = gamma_moments(alpha, beta)
+            fitted = fit_gamma_from_expectations(mean, mean_log)
+            ours = gamma_fit_objective(fitted, mean, mean_log)
+            best, _, _ = gamma_objective_grid(mean, mean_log, fitted.alpha, fitted.beta)
             assert ours >= best - 1e-8
 
 
 class TestInvGammaFit:
     def test_round_trip_known_point(self):
-        p = InvGammaParams(4.0, 6.0)
-        fitted = fit_inv_gamma_from_expectations(p.mean_inv, p.mean_log)
+        fitted = fit_inv_gamma_from_expectations(*inv_gamma_moments(4.0, 6.0))
         assert fitted.a == pytest.approx(4.0, rel=1e-9)
         assert fitted.b == pytest.approx(6.0, rel=1e-9)
 
@@ -276,8 +284,8 @@ class TestInvGammaFit:
         for _ in range(100):
             a = float(np.exp(rng.uniform(np.log(0.1), np.log(100.0))))
             b = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
-            p = InvGammaParams(a, b)
-            fitted = fit_inv_gamma_from_expectations(p.mean_inv, p.mean_log)
-            ours = inv_gamma_fit_objective(fitted, p.mean_inv, p.mean_log)
-            best, _, _ = inv_gamma_objective_grid(p.mean_inv, p.mean_log, fitted.a, fitted.b)
+            mean_inv, mean_log = inv_gamma_moments(a, b)
+            fitted = fit_inv_gamma_from_expectations(mean_inv, mean_log)
+            ours = inv_gamma_fit_objective(fitted, mean_inv, mean_log)
+            best, _, _ = inv_gamma_objective_grid(mean_inv, mean_log, fitted.a, fitted.b)
             assert ours >= best - 1e-8
