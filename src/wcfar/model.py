@@ -95,11 +95,17 @@ class Hyperparameters:
 
 
 def _sample_targets(h: Hyperparameters, count: int | None, g: np.random.Generator):
-    """`count` independent (m, lam, sigma_sq) draws as three arrays, or scalars for None."""
+    """`count` independent (m, lam, sigma_sq) draws as three arrays, or scalars for None.
+
+    A gamma draw can underflow to 0 at a tiny shape.  Arrays carry that on as
+    lam = 0 or sigma_sq = inf; a scalar draw, one target of a corpus, is refused.
+    """
     m = g.normal(h.mu0, math.sqrt(h.sigma0_sq), size=count)
     lam = g.gamma(h.alpha_lambda, scale=1.0 / h.beta_lambda, size=count)
-    sigma_sq = 1.0 / g.gamma(h.a_sigma, scale=1.0 / h.b_sigma, size=count)
-    return m, lam, sigma_sq
+    precision = g.gamma(h.a_sigma, scale=1.0 / h.b_sigma, size=count)
+    if count is None and not (lam > 0 and precision > 0):
+        raise ValueError(f"lam and sigma_sq must be positive and finite, got {lam}, 1 / {precision}")
+    return m, lam, 1.0 / precision
 
 
 def _outer_draws(h: Hyperparameters, cfg: EstimatorConfig):

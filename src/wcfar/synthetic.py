@@ -78,7 +78,8 @@ def generate_model_corpus(spec: SyntheticSpec) -> PackedCorpus:
 
     Per target the draw order is (m, lam, sigma_sq), then all pair means,
     then all scores, so corpora are reproducible and per-target generation
-    is order-independent.
+    is order-independent.  A target whose lam or sigma_sq draw underflows
+    raises ValueError.
     """
     t, n, l = spec.t_targets, spec.n_impostors_per_target, spec.l_scores_per_pair
     root = RngStream(spec.seed)
@@ -86,8 +87,6 @@ def generate_model_corpus(spec: SyntheticSpec) -> PackedCorpus:
     for i in range(t):
         g = root.child(i).generator()
         m, lam, sigma_sq = _sample_targets(spec.theta, None, g)
-        if not (lam > 0 and sigma_sq > 0):  # a gamma draw can underflow to 0 at tiny shapes
-            raise ValueError(f"lam and sigma_sq must be positive, got {lam}, {sigma_sq}")
         mus = g.normal(m, math.sqrt(sigma_sq / lam), size=n)
         scores[i] = g.normal(mus[:, None], math.sqrt(sigma_sq), size=(n, l))
     return PackedCorpus.from_codes(

@@ -300,9 +300,11 @@ class TestSimulateCommand:
         errors = error_lines(capsys)
         assert len(errors) == 1 and str(spec_path) in errors[0]
 
-    def test_gamma_draw_underflow(self, tmp_path, capsys):
-        # Gamma(0.002) draws underflow to 0 about once in five: lam = 0 is refused
-        theta = {**THETA.to_json(), "alpha_lambda": 0.002}
+    @pytest.mark.parametrize("field", ["alpha_lambda", "a_sigma"])
+    def test_gamma_draw_underflow(self, tmp_path, capsys, field):
+        # Gamma(0.002) draws underflow to 0 about once in five: lam = 0 and
+        # sigma_sq = 1 / 0 are refused
+        theta = {**THETA.to_json(), field: 0.002}
         spec = {"kind": "model", "theta": theta, "t_targets": 200,
                 "n_impostors_per_target": 2, "l_scores_per_pair": 2, "seed": 1}
         spec_path = tmp_path / "spec.json"
