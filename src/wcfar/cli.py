@@ -217,9 +217,7 @@ def cmd_empirical(args) -> int:
     tau = _resolve_tau(args)
     rows = []
     for n in _parse_int_list(args.n):
-        cfg = EstimatorConfig(
-            seed=args.seed, n_impostors=n, t_outer=args.t_outer, selection=args.selection
-        )
+        cfg = EstimatorConfig(seed=args.seed, n_impostors=n, t_outer=args.t_outer)
         rows.append((n, estimate_pfa_worst_case(corpus, tau, cfg)))
     _write_text(_estimate_csv(rows), args.out)
     return 0
@@ -333,6 +331,13 @@ def _add_tau_options(sub):
                        help="JSON file with a 'tau' key, as written by `threshold`")
 
 
+def _add_unused_mc_options(sub):
+    """--t-outer and --seed of the exact corpus commands: checked, not used."""
+    unused = "unused: the corpus rates are exact; accepted so existing command lines still run"
+    sub.add_argument("--t-outer", type=int, default=1000, help=unused)
+    sub.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"), help=unused)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wcfar", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -360,13 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = subs.add_parser("empirical", help="closest-of-N false alarm rates from a corpus",
-                        description="Worst-case Monte-Carlo estimates; CSV N,estimate,ci_low,ci_high.")
+                        description="Exact worst-case rates with 99%% intervals across targets; "
+                                    "CSV N,estimate,ci_low,ci_high.")
     _add_common_io(p)
     _add_tau_options(p)
     p.add_argument("--n", required=True, help="comma-separated population sizes, e.g. 1,2,4")
-    p.add_argument("--t-outer", type=int, default=1000, help="outer Monte-Carlo iterations")
-    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"))
-    p.add_argument("--selection", choices=["closest_by_mean", "random"], default="closest_by_mean")
+    _add_unused_mc_options(p)
     p.set_defaults(func=cmd_empirical)
 
     p = subs.add_parser("predict", help="model-based closest-of-N false alarm rates",
@@ -408,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p)
     _add_tau_options(p)
     p.add_argument("--n-impostors", type=int, default=1000)
-    p.add_argument("--t-outer", type=int, default=1000)
-    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"))
+    _add_unused_mc_options(p)
     p.set_defaults(func=cmd_diagnose)
 
     return parser

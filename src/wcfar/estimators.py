@@ -1,6 +1,6 @@
-"""Monte-Carlo false alarm estimators on observed trial corpora.
+"""Exact false alarm estimators on observed trial corpora.
 
-Two sampling schemes over a corpus of per-pair score sets:
+Two selection schemes over a corpus of per-pair score sets:
 
   zero effort   draw a target uniformly, then one of its impostors
                 uniformly; record that pair's fraction of scores above tau.
@@ -10,16 +10,15 @@ Two sampling schemes over a corpus of per-pair score sets:
                 whose scores have the highest mean (the closest impostor)
                 and record its fraction of scores above tau.
 
-Averaging the per-iteration fractions gives the estimate; the confidence
-interval is a normal approximation over the per-iteration values, which are
-the independent units of the outer Monte-Carlo loop.  With one candidate
-per iteration the worst-case scheme reduces to zero effort.  Targets are
-drawn with replacement across iterations, candidate sets are redrawn
-independently each iteration, and mean ties break toward the lowest
-impostor index.
-
-All draws derive from the config seed through named sub-streams, so a
-given (corpus, config) pair always produces the identical estimate.
+Both are computed as the exact expectation over these draws, not by
+simulating them.  Within a target of P pairs ranked by mean, highest first
+with ties to the lower pair index, the rank-k pair is the closest of N
+with probability C(P-1-k, N-1) / C(P, N); each target's value is the
+weighted sum of its pairs' fractions.  The estimate is the mean over
+targets, and the confidence interval is a normal approximation across
+targets, the independent units of the corpus.  With one candidate the
+worst-case scheme reduces to zero effort, as does picking a random member
+of the candidate set at any N.  Nothing here draws a random number.
 """
 
 from __future__ import annotations
@@ -32,28 +31,24 @@ import numpy as np
 from .errors import ConfigError
 from .score_data import PackedCorpus, sample_skewness
 from .special_math import ndtri
-from .streams import RngStream
-
-_SELECTIONS = ("closest_by_mean", "random")
-
-# fixed sub-stream labels under a diagnose run
-_DIAG_CLOSEST, _DIAG_RANDOM = 10, 11
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """Population size N and the Monte-Carlo settings of the model predictors.
+
+    The corpus estimators read only `n_impostors`.
+    """
+
     seed: int
     n_impostors: int = 1
     t_outer: int = 1000
-    selection: str = "closest_by_mean"
 
     def __post_init__(self):
         if self.t_outer < 1:
             raise ValueError(f"t_outer must be >= 1, got {self.t_outer}")
         if self.n_impostors < 1:
             raise ValueError(f"n_impostors must be >= 1, got {self.n_impostors}")
-        if self.selection not in _SELECTIONS:
-            raise ValueError(f"selection must be one of {_SELECTIONS}, got {self.selection!r}")
 
 
 @dataclass(frozen=True)
@@ -76,11 +71,11 @@ class EstimateWithCI:
             )
 
 
-def confidence_interval(per_iter_estimates, level: float = 0.99) -> tuple[float, float]:
-    """Normal-approximation interval for the mean, clamped to [0, 1]."""
-    values = np.asarray(per_iter_estimates, dtype=float)
+def confidence_interval(values, level: float = 0.99) -> tuple[float, float]:
+    """Normal-approximation interval for the mean of independent values, clamped to [0, 1]."""
+    values = np.asarray(values, dtype=float)
     if values.size < 2:
-        raise ValueError("confidence interval is undefined for fewer than 2 iterations")
+        raise ValueError("confidence interval is undefined for fewer than 2 values")
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must be in (0, 1), got {level}")
     mean = float(values.mean())
@@ -111,48 +106,46 @@ def _require_pool(packed: PackedCorpus, n_impostors: int):
         )
 
 
-def _draw_pairs(
-    packed: PackedCorpus,
-    pair_means: np.ndarray | None,
-    n_impostors: int,
-    selection: str,
-    t_outer: int,
-    stream: RngStream,
-) -> np.ndarray:
-    """Pair index selected at each outer iteration."""
-    g_target = stream.child(0).generator()
-    g_impostor = stream.child(1).generator()
-    idx = g_target.integers(0, packed.n_targets, size=t_outer)
-    starts = packed.target_offsets[:-1]
-    pools = packed.pairs_per_target
-    if n_impostors == 1:
-        u = g_impostor.random(t_outer)
-        return starts[idx] + np.floor(u * pools[idx]).astype(np.int64)
-    selected = np.empty(t_outer, dtype=np.int64)
-    random_pick = selection == "random"
-    for t in range(t_outer):
-        i = idx[t]
-        candidates = g_impostor.choice(pools[i], size=n_impostors, replace=False)
-        candidates.sort()
-        base = starts[i]
-        if random_pick:
-            selected[t] = base + candidates[g_impostor.integers(n_impostors)]
-        else:
-            selected[t] = base + candidates[int(np.argmax(pair_means[base + candidates]))]
-    return selected
+def _closest_weights(packed: PackedCorpus, n_impostors: int) -> np.ndarray:
+    """Per pair, the probability that it is the closest of `n_impostors`
+    candidates drawn without replacement from its target's pairs.
+
+    With S_k = C(P-k, N) / C(P, N), the chance that every candidate ranks k
+    or lower, the rank-k pair wins with probability S_k - S_{k+1}.  One
+    table per distinct pool size P is built from the ratio S_{k+1} / S_k =
+    (P-k-N) / (P-k), which stays in range where C(P, N) overflows.
+    """
+    pools = packed.pairs_per_target[packed.pair_target]
+    rank = packed.pair_rank
+    weights = np.empty(packed.n_pairs)
+    for p in np.unique(pools).tolist():
+        k = np.arange(p)
+        s = np.concatenate(([1.0], np.cumprod(np.maximum(p - k - n_impostors, 0) / (p - k))))
+        at = pools == p
+        weights[at] = (s[:-1] - s[1:])[rank[at]]
+    return weights
 
 
-def _estimate(values: np.ndarray, cfg: EstimatorConfig, n_impostors: int, tau: float, level: float):
+def _uniform_weights(packed: PackedCorpus) -> np.ndarray:
+    """Per pair, the probability that a random impostor of its target picks it."""
+    return 1.0 / packed.pairs_per_target[packed.pair_target]
+
+
+def _target_means(packed: PackedCorpus, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per target, the `weights`-weighted mean of the per-pair `values`.
+
+    Dividing by the summed weights, not by 1, keeps constant values exact:
+    tau = -inf gives exactly 1 and tau = +inf exactly 0.
+    """
+    t, size = packed.pair_target, packed.n_targets
+    return np.bincount(t, weights * values, size) / np.bincount(t, weights, size)
+
+
+def _estimate(values: np.ndarray, n_impostors: int, tau: float, level: float) -> EstimateWithCI:
+    """Mean of the independent `values` with its normal interval."""
     value = float(values.mean())
     low, high = confidence_interval(values, level) if values.size >= 2 else (value, value)
-    return EstimateWithCI(
-        value=value,
-        ci_low=low,
-        ci_high=high,
-        n_outer=cfg.t_outer,
-        n_impostors=n_impostors,
-        tau=tau,
-    )
+    return EstimateWithCI(value, low, high, values.size, n_impostors, tau)
 
 
 def estimate_pfa_zero_effort(
@@ -161,17 +154,16 @@ def estimate_pfa_zero_effort(
     cfg: EstimatorConfig,
     level: float = 0.99,
 ) -> EstimateWithCI:
-    """Probability of accepting a randomly chosen impostor at threshold `tau`.
+    """Probability of accepting a random impostor of a random target at threshold `tau`.
 
-    `cfg.n_impostors` and `cfg.selection` are ignored: each iteration draws
-    a single impostor uniformly within a uniformly drawn target.
+    Each target contributes the mean of its pairs' fractions of scores
+    above `tau`.  `cfg.n_impostors` is ignored.
     """
     packed = _validated(corpus)
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
-    pair_fa = packed.pair_exceed_fraction(tau)
-    selected = _draw_pairs(packed, None, 1, "random", cfg.t_outer, RngStream(cfg.seed))
-    return _estimate(pair_fa[selected], cfg, 1, tau, level)
+    values = _target_means(packed, _uniform_weights(packed), packed.pair_exceed_fraction(tau))
+    return _estimate(values, 1, tau, level)
 
 
 def estimate_pfa_worst_case(
@@ -180,30 +172,25 @@ def estimate_pfa_worst_case(
     cfg: EstimatorConfig,
     level: float = 0.99,
 ) -> EstimateWithCI:
-    """Probability of accepting the closest of `cfg.n_impostors` candidates.
-
-    With ``selection="random"`` the candidate is drawn uniformly from the
-    sampled set instead, which matches the zero-effort rate in expectation
-    for every population size.
-    """
+    """Probability of accepting the closest of `cfg.n_impostors` candidates."""
     packed = _validated(corpus)
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
     _require_pool(packed, cfg.n_impostors)
-    pair_fa = packed.pair_exceed_fraction(tau)
-    pair_means = packed.pair_means()
-    selected = _draw_pairs(
-        packed, pair_means, cfg.n_impostors, cfg.selection, cfg.t_outer, RngStream(cfg.seed)
-    )
-    return _estimate(pair_fa[selected], cfg, cfg.n_impostors, tau, level)
+    weights = _closest_weights(packed, cfg.n_impostors)
+    values = _target_means(packed, weights, packed.pair_exceed_fraction(tau))
+    return _estimate(values, cfg.n_impostors, tau, level)
 
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """Score-shape mismatch indicators for the shared-variance Gaussian model.
 
-    Spread with closest versus random impostors is reported as the square
-    root of the average per-pair variance over the selected pairs.
+    Spread with closest versus random impostors is the square root of the
+    per-pair variance averaged with each pair's probability of selection,
+    over the pairs with 2 or more scores; `*_excluded_share` is the
+    selection probability that falls on the other pairs.  `t_outer`
+    echoes the config and is not used.
     """
 
     tau: float
@@ -214,20 +201,20 @@ class DiagnosticsReport:
     skewness_excluded_pairs: int
     closest_impostor_stdev: float | None
     random_impostor_stdev: float | None
-    closest_excluded_iterations: int
-    random_excluded_iterations: int
+    closest_excluded_share: float
+    random_excluded_share: float
 
     def to_json(self) -> dict:
         return asdict(self)
 
 
-def _selected_stdev(pair_var: np.ndarray, selected: np.ndarray) -> tuple[float | None, int]:
-    values = pair_var[selected]
-    kept = values[~np.isnan(values)]
-    excluded = int(values.size - kept.size)
-    if kept.size == 0:
-        return None, excluded
-    return float(math.sqrt(kept.mean())), excluded
+def _selected_stdev(pair_var: np.ndarray, weights: np.ndarray) -> tuple[float | None, float]:
+    kept = ~np.isnan(pair_var)
+    excluded_share = float(weights[~kept].sum() / weights.sum())
+    kept_weight = weights[kept].sum()
+    if kept_weight == 0:
+        return None, excluded_share
+    return float(math.sqrt(weights[kept] @ pair_var[kept] / kept_weight)), excluded_share
 
 
 def diagnose(
@@ -238,36 +225,25 @@ def diagnose(
     """Quantify how far the corpus is from the generative model's assumptions.
 
     Reports the average skewness of per-pair scores, the skewness of the
-    per-pair means, and the average spread of scores when impostors are
-    picked as closest-of-N versus at random (same candidate-set sizes).
-    Pairs with fewer than 2 scores are skipped from the spread averages.
+    per-pair means, and the average spread of scores when the impostor is
+    the closest of `cfg.n_impostors` versus a random one.
     """
     packed = _validated(corpus)
     _require_pool(packed, cfg.n_impostors)
-    pair_means = packed.pair_means()
     pair_var = packed.pair_variances()
-
     skews = packed.pair_skewness()
     kept = skews[~np.isnan(skews)]
-
-    root = RngStream(cfg.seed)
-    closest = _draw_pairs(
-        packed, pair_means, cfg.n_impostors, "closest_by_mean", cfg.t_outer, root.child(_DIAG_CLOSEST)
-    )
-    rand = _draw_pairs(
-        packed, pair_means, cfg.n_impostors, "random", cfg.t_outer, root.child(_DIAG_RANDOM)
-    )
-    closest_sd, closest_skip = _selected_stdev(pair_var, closest)
-    random_sd, random_skip = _selected_stdev(pair_var, rand)
+    closest_sd, closest_share = _selected_stdev(pair_var, _closest_weights(packed, cfg.n_impostors))
+    random_sd, random_share = _selected_stdev(pair_var, _uniform_weights(packed))
     return DiagnosticsReport(
         tau=tau,
         n_impostors=cfg.n_impostors,
         t_outer=cfg.t_outer,
         avg_pairwise_skewness=float(kept.mean()) if kept.size else None,
-        pair_mean_skewness=sample_skewness(pair_means),
+        pair_mean_skewness=sample_skewness(packed.pair_means()),
         skewness_excluded_pairs=int(skews.size - kept.size),
         closest_impostor_stdev=closest_sd,
         random_impostor_stdev=random_sd,
-        closest_excluded_iterations=closest_skip,
-        random_excluded_iterations=random_skip,
+        closest_excluded_share=closest_share,
+        random_excluded_share=random_share,
     )

@@ -97,14 +97,17 @@ class Hyperparameters:
 def _sample_targets(h: Hyperparameters, count: int | None, g: np.random.Generator):
     """`count` independent (m, lam, sigma_sq) draws as three arrays, or scalars for None.
 
-    A gamma draw can underflow to 0 at a tiny shape.  Arrays carry that on as
-    lam = 0 or sigma_sq = inf; a scalar draw, one target of a corpus, is refused.
+    A gamma draw can underflow to 0 at a tiny shape; lam = 0 or sigma_sq =
+    1 / 0 is refused.
     """
     m = g.normal(h.mu0, math.sqrt(h.sigma0_sq), size=count)
     lam = g.gamma(h.alpha_lambda, scale=1.0 / h.beta_lambda, size=count)
     precision = g.gamma(h.a_sigma, scale=1.0 / h.b_sigma, size=count)
-    if count is None and not (lam > 0 and precision > 0):
-        raise ValueError(f"lam and sigma_sq must be positive and finite, got {lam}, 1 / {precision}")
+    if not (np.min(lam) > 0 and np.min(precision) > 0):
+        raise ValueError(
+            f"lam and sigma_sq must be positive and finite, got lam {np.min(lam)}, "
+            f"sigma_sq 1 / {np.min(precision)}"
+        )
     return m, lam, 1.0 / precision
 
 
@@ -163,7 +166,7 @@ def predict_pfa_sampling(
         residuals -= residuals.mean(axis=1, keepdims=True)
         residuals *= np.sqrt(sigma_sq[part])[:, None]
         values[part] = score_set_tail(means[part], residuals, tau)
-    return _estimate(values, cfg, cfg.n_impostors, tau, level)
+    return _estimate(values, cfg.n_impostors, tau, level)
 
 
 def predict_pfa_closed_form(
@@ -182,7 +185,7 @@ def predict_pfa_closed_form(
         raise ValueError("tau must not be NaN")
     m, lam, sigma_sq, z_max, _ = _outer_draws(h, cfg)
     values = gaussian_tail(m + np.sqrt(sigma_sq / lam) * z_max, sigma_sq, tau)
-    return _estimate(values, cfg, cfg.n_impostors, tau, level)
+    return _estimate(values, cfg.n_impostors, tau, level)
 
 
 def marginal_score_samples(h: Hyperparameters, count: int, rng) -> np.ndarray:

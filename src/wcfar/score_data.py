@@ -358,6 +358,16 @@ class PackedCorpus:
     def pair_means(self) -> np.ndarray:
         return self.pair_sums / self.pair_count
 
+    @cached_property
+    def pair_rank(self) -> np.ndarray:
+        """Each pair's rank by mean within its target, 0 for the highest;
+        tied means rank the lower pair index first."""
+        order = np.lexsort((np.arange(self.n_pairs), -self.pair_means(), self.pair_target))
+        rank = np.empty(self.n_pairs, dtype=np.int64)
+        # sorting by target first keeps every pair's position within its target's range
+        rank[order] = np.arange(self.n_pairs) - self.target_offsets[self.pair_target]
+        return rank
+
     def pair_variances(self) -> np.ndarray:
         """Unbiased per-pair sample variance; NaN where fewer than 2 scores."""
         n = self.pair_count.astype(float)

@@ -7,12 +7,15 @@ density on a dense grid (with the pair means marginalised in closed form,
 which is an identity of Gaussian algebra, not a property of the inference
 code), the loop predictors simulate all N candidates of every outer
 iteration, the closest-of-N quadrature integrates the predictors'
-expectation deterministically, the grouped corpus is the original
+expectation deterministically, the loop corpus estimators draw a target
+and a candidate set per outer iteration, the rank-weight oracle sums
+exact rationals with `math.comb`, the grouped corpus is the original
 dict-of-lists loader, and the skewness oracle loops over pairs one at a
 time.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -212,6 +215,79 @@ def loop_predict_pfa_closed_form(h, tau, cfg, level=0.99):
         mu_star = float(np.max(mus))
         values[t] = ndtr((mu_star - tau) / math.sqrt(sigma_sq))
     return _loop_estimate(values, cfg, tau, level)
+
+
+def loop_draw_pairs(packed, n_impostors, selection, t_outer, stream):
+    """Pair index selected at each of `t_outer` outer iterations.
+
+    Each iteration draws a target uniformly, then `n_impostors` of its
+    pairs without replacement, and keeps the one with the highest mean
+    (ties to the lowest index) or, for ``selection="random"``, a uniform
+    one of them.
+    """
+    g_target = stream.child(0).generator()
+    g_impostor = stream.child(1).generator()
+    idx = g_target.integers(0, packed.n_targets, size=t_outer)
+    starts = packed.target_offsets[:-1]
+    pools = packed.pairs_per_target
+    means = packed.pair_means()
+    if n_impostors == 1:
+        u = g_impostor.random(t_outer)
+        return starts[idx] + np.floor(u * pools[idx]).astype(np.int64)
+    selected = np.empty(t_outer, dtype=np.int64)
+    for t in range(t_outer):
+        i = idx[t]
+        candidates = g_impostor.choice(pools[i], size=n_impostors, replace=False)
+        candidates.sort()
+        base = starts[i]
+        if selection == "random":
+            selected[t] = base + candidates[g_impostor.integers(n_impostors)]
+        else:
+            selected[t] = base + candidates[int(np.argmax(means[base + candidates]))]
+    return selected
+
+
+def loop_estimate_pfa_worst_case(packed, tau, cfg, selection="closest_by_mean", level=0.99):
+    """Closest-of-N false alarm rate averaged over `cfg.t_outer` drawn
+    candidate sets, with its interval over the outer iterations."""
+    selected = loop_draw_pairs(packed, cfg.n_impostors, selection, cfg.t_outer, RngStream(cfg.seed))
+    return _loop_estimate(packed.pair_exceed_fraction(tau)[selected], cfg, tau, level)
+
+
+def loop_diagnose_variances(packed, cfg):
+    """Per selection scheme, the variances of the pairs drawn at the outer
+    iterations that have one, and the share of iterations that drew a pair
+    with fewer than 2 scores: ``{"closest": (variances, share), "random": ...}``.
+    """
+    root = RngStream(cfg.seed)
+    pair_var = packed.pair_variances()
+    out = {}
+    for label, selection in ((10, "closest_by_mean"), (11, "random")):
+        drawn = pair_var[loop_draw_pairs(packed, cfg.n_impostors, selection, cfg.t_outer, root.child(label))]
+        kept = drawn[~np.isnan(drawn)]
+        out[selection.split("_")[0]] = (kept, 1.0 - kept.size / drawn.size)
+    return out
+
+
+def comb_worst_case(groups, tau, n):
+    """Exact closest-of-n false alarm rate of ``{target: {impostor: scores}}``.
+
+    Within a target of P pairs, ranked by mean, highest first, with ties to
+    the lower impostor id, the rank-k pair is the closest of n with
+    probability C(P-1-k, n-1) / C(P, n).  Summed as exact rationals, and
+    rounded once.  Means are Python sums, so the scores should add exactly.
+    """
+    total = Fraction(0)
+    for pairs in groups.values():
+        ids = sorted(pairs)
+        means = [sum(pairs[i]) / len(pairs[i]) for i in ids]
+        order = sorted(range(len(ids)), key=lambda p: (-means[p], p))
+        sets = math.comb(len(ids), n)
+        for k, p in enumerate(order):
+            scores = pairs[ids[p]]
+            rate = Fraction(sum(s > tau for s in scores), len(scores))
+            total += Fraction(math.comb(len(ids) - 1 - k, n - 1), sets) * rate
+    return float(total / len(groups))
 
 
 def closest_of_n_quadrature(h, tau, n, scores_per_pair=None, nodes=64):

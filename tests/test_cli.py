@@ -242,6 +242,20 @@ class TestPredictCommand:
         assert run(["predict", "--theta", theta, "--tau", "1.0", "--n", "1"]) == 1
         assert len(error_lines(capsys)) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["closed", "sampling"])
+    @pytest.mark.parametrize("field", ["alpha_lambda", "a_sigma"])
+    def test_gamma_draw_underflow(self, tmp_path, capsys, field, method):
+        # Gamma(0.002) draws underflow to 0 about once in five: lam = 0 and
+        # sigma_sq = 1 / 0 are refused before they reach a tail or a warning
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({**THETA.to_json(), field: 0.002}))
+        args = ["predict", "--theta", theta, "--tau", "1.5", "--n", "1,64", "--t-outer", "200",
+                "--method", method]
+        assert run(args) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: lam and sigma_sq must be positive")
+
 
 class TestSimulateCommand:
     def test_model_corpus_round_trips(self, tmp_path):
@@ -375,6 +389,32 @@ class TestSimulateCommand:
         spec_path.write_text(json.dumps({**self.SPECS[kind], **edit}))
         assert run(["simulate", "--spec", spec_path]) == 1
         assert len(error_lines(capsys)) == 1
+
+
+class TestExactCorpusCommands:
+    """`empirical`, `diagnose` and `curve`'s empirical rows draw no random numbers."""
+
+    def test_outputs_ignore_seed_and_t_outer(self, corpus_csv, theta_json, tmp_path):
+        commands = {
+            "empirical": ["empirical", "--corpus", corpus_csv, "--tau", "1.0", "--n", "1,3,8"],
+            "diagnose": ["diagnose", "--corpus", corpus_csv, "--tau", "1.0", "--n-impostors", "3"],
+            "curve": ["curve", "--corpus", corpus_csv, "--theta", theta_json, "--tau", "op=1.0",
+                      "--n", "1,4,64"],
+        }
+        for name, args in commands.items():
+            outputs = set()
+            for seed, t_outer in (("1", "10"), ("2", "10"), ("1", "1000"), ("2", "1000")):
+                out = tmp_path / f"{name}.out"
+                assert run(args + ["--seed", seed, "--t-outer", t_outer, "--out", out]) == 0
+                data = out.read_bytes()
+                if name == "curve":
+                    lines = data.splitlines(keepends=True)
+                    data = b"".join(line for line in lines if b",empirical," in line)
+                    assert data.count(b"\n") == 2  # N = 1 and 4
+                if name == "diagnose":  # all but the echo of --t-outer
+                    data = data.replace(b'"t_outer": %s' % t_outer.encode(), b'"t_outer": T')
+                outputs.add(data)
+            assert len(outputs) == 1, name
 
 
 class TestCurveCommand:

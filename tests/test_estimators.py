@@ -1,7 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from wcfar.errors import ConfigError
@@ -18,6 +21,8 @@ from wcfar.score_data import PackedCorpus, sample_skewness
 from wcfar.special_math import ndtri as wcfar_ndtri
 from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
+
+from oracles import comb_worst_case, loop_diagnose_variances, loop_estimate_pfa_worst_case
 
 Z99 = float(ndtri(0.995))
 
@@ -121,8 +126,8 @@ class TestZeroEffort:
             {f"t{i}": {f"i{j}": g.standard_normal(10) for j in range(5)} for i in range(40)}
         )
         pooled = float(np.mean(corpus.scores > 0.5))
-        est = estimate_pfa_zero_effort(corpus, 0.5, EstimatorConfig(seed=11, t_outer=60_000))
-        assert abs(est.value - pooled) <= 1.2 * (est.ci_high - est.ci_low) / 2.0
+        est = estimate_pfa_zero_effort(corpus, 0.5, EstimatorConfig(seed=11))
+        assert abs(est.value - pooled) <= 1e-12
 
 
 class TestWorstCase:
@@ -130,10 +135,8 @@ class TestWorstCase:
         # candidate pairs at N=2 out of {A, B, C}: (A,B) picks B with rate 0,
         # (A,C) and (B,C) pick C with rate 1, so the expectation is 2/3
         corpus = PackedCorpus.from_groups({"t": {"A": [0.0, 0.0], "B": [1.0, 1.0], "C": [2.0, 2.0]}})
-        cfg = EstimatorConfig(seed=5, n_impostors=2, t_outer=100_000)
-        est = estimate_pfa_worst_case(corpus, 1.5, cfg)
-        sigma = math.sqrt((2.0 / 3.0) * (1.0 / 3.0) / cfg.t_outer)
-        assert abs(est.value - 2.0 / 3.0) <= 3.0 * sigma
+        est = estimate_pfa_worst_case(corpus, 1.5, EstimatorConfig(seed=5, n_impostors=2))
+        assert abs(est.value - 2.0 / 3.0) <= 1e-12
 
     def test_reduces_to_zero_effort_at_n1(self):
         corpus = generate_model_corpus(
@@ -145,25 +148,9 @@ class TestWorstCase:
                 seed=31,
             )
         )
-        cfg_a = EstimatorConfig(seed=7, n_impostors=1, t_outer=20_000)
-        worst = estimate_pfa_worst_case(corpus, 1.0, cfg_a)
-        zero = estimate_pfa_zero_effort(corpus, 1.0, EstimatorConfig(seed=8, t_outer=20_000))
-        assert abs(worst.value - zero.value) <= joint_halfwidth(worst, zero)
-
-    def test_random_selection_matches_zero_effort(self):
-        corpus = generate_model_corpus(
-            SyntheticSpec(
-                theta=Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0),
-                t_targets=100,
-                n_impostors_per_target=30,
-                l_scores_per_pair=10,
-                seed=32,
-            )
-        )
-        cfg = EstimatorConfig(seed=12, n_impostors=8, t_outer=20_000, selection="random")
-        rand = estimate_pfa_worst_case(corpus, 1.0, cfg)
-        zero = estimate_pfa_zero_effort(corpus, 1.0, EstimatorConfig(seed=13, t_outer=20_000))
-        assert abs(rand.value - zero.value) <= joint_halfwidth(rand, zero)
+        worst = estimate_pfa_worst_case(corpus, 1.0, EstimatorConfig(seed=7, n_impostors=1))
+        zero = estimate_pfa_zero_effort(corpus, 1.0, EstimatorConfig(seed=8))
+        assert abs(worst.value - zero.value) <= 1e-12
 
     def test_non_decreasing_in_population_size(self):
         corpus = generate_model_corpus(
@@ -175,25 +162,26 @@ class TestWorstCase:
                 seed=33,
             )
         )
-        est2 = estimate_pfa_worst_case(corpus, 1.5, EstimatorConfig(seed=14, n_impostors=2, t_outer=10_000))
-        est8 = estimate_pfa_worst_case(corpus, 1.5, EstimatorConfig(seed=14, n_impostors=8, t_outer=10_000))
-        assert est8.value >= est2.value - joint_halfwidth(est2, est8)
+        est2 = estimate_pfa_worst_case(corpus, 1.5, EstimatorConfig(seed=14, n_impostors=2))
+        est8 = estimate_pfa_worst_case(corpus, 1.5, EstimatorConfig(seed=14, n_impostors=8))
+        assert est8.value >= est2.value
 
     def test_tie_break_lowest_impostor_index(self):
-        # equal means: the first impostor in sorted-id order must win
-        corpus = PackedCorpus.from_groups({"t": {"a": [1.0, -1.0], "b": [-1.0, 1.0], "c": [-1.0, 1.0]}})
-        cfg = EstimatorConfig(seed=2, n_impostors=3, t_outer=64)
-        est = estimate_pfa_worst_case(corpus, 0.0, cfg)
-        # all three pairs tie on mean 0; pair "a" is always selected
-        assert est.value == 0.5
+        # all three pairs tie on mean 0, and only pair "a" has a score above
+        # 0.5: it wins every candidate set it is in only if ties go to the
+        # first impostor in sorted-id order
+        corpus = PackedCorpus.from_groups({"t": {"a": [1.0, -1.0], "b": [0.0, 0.0], "c": [-0.5, 0.5]}})
+        for n, expected in ((1, 1.0 / 6.0), (2, 1.0 / 3.0), (3, 0.5)):
+            est = estimate_pfa_worst_case(corpus, 0.5, EstimatorConfig(seed=2, n_impostors=n))
+            assert abs(est.value - expected) <= 1e-12, n
 
     def test_seed_determinism(self):
+        # nothing is drawn: the seed and t_outer do not change the estimate
         corpus = PackedCorpus.from_groups(
             {f"t{i}": {f"i{j}": [float(i + j), float(i - j)] for j in range(6)} for i in range(4)}
         )
-        cfg = EstimatorConfig(seed=77, n_impostors=3, t_outer=500)
-        a = estimate_pfa_worst_case(corpus, 0.5, cfg)
-        b = estimate_pfa_worst_case(corpus, 0.5, cfg)
+        a = estimate_pfa_worst_case(corpus, 0.5, EstimatorConfig(seed=77, n_impostors=3, t_outer=500))
+        b = estimate_pfa_worst_case(corpus, 0.5, EstimatorConfig(seed=78, n_impostors=3, t_outer=3))
         assert a == b
 
     def test_infinite_thresholds(self):
@@ -201,6 +189,13 @@ class TestWorstCase:
         cfg = EstimatorConfig(seed=1, n_impostors=2, t_outer=100)
         assert estimate_pfa_worst_case(corpus, -math.inf, cfg).value == 1.0
         assert estimate_pfa_worst_case(corpus, math.inf, cfg).value == 0.0
+        # pools whose rank weights, summed in rank order, do not add up to exactly 1
+        for pool in (5, 9, 10, 12):
+            corpus = PackedCorpus.from_groups({"t": {f"i{j:02d}": [-float(j)] for j in range(pool)}})
+            for n in (1, 2, 3):
+                cfg = EstimatorConfig(seed=1, n_impostors=n)
+                assert estimate_pfa_worst_case(corpus, -math.inf, cfg).value == 1.0, (pool, n)
+                assert estimate_pfa_worst_case(corpus, math.inf, cfg).value == 0.0, (pool, n)
 
     def test_pool_too_small(self):
         corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0]}})
@@ -222,10 +217,6 @@ class TestConfigValidation:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             EstimatorConfig(seed=1, n_impostors=0)
-
-    def test_bad_selection(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(seed=1, selection="nearest")
 
     def test_estimate_invariants(self):
         with pytest.raises(ValueError):
@@ -272,6 +263,144 @@ class TestDiagnose:
         assert report_constant.avg_pairwise_skewness == pytest.approx(
             sample_skewness([0.2, 0.5, 0.9]), rel=1e-12
         )
-        assert report.closest_excluded_iterations > 0
+        # at N = 1 both schemes pick each of the three pairs with probability 1/3
+        assert report.closest_excluded_share == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert report.random_excluded_share == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert report.closest_impostor_stdev == pytest.approx(report.random_impostor_stdev, rel=1e-12)
         total = report.to_json()
         assert set(total) >= {"avg_pairwise_skewness", "closest_impostor_stdev"}
+
+    def test_spreads_are_selection_weighted(self):
+        # ranks by mean: c, b, a.  At N = 2, c wins with probability 2/3 and
+        # b with 1/3; a random pick takes each pair with probability 1/3
+        corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0, 3.0], "c": [3.0, 7.0]}})
+        report = diagnose(corpus, 0.0, EstimatorConfig(seed=1, n_impostors=2))
+        assert report.closest_impostor_stdev == pytest.approx(math.sqrt((2 * 8.0 + 2.0) / 3.0), rel=1e-12)
+        assert report.closest_excluded_share == 0.0
+        assert report.random_impostor_stdev == pytest.approx(math.sqrt(5.0), rel=1e-12)
+        assert report.random_excluded_share == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+def unequal_pools_with_ties():
+    """Targets of 3, 4 and 7 pairs on a half-integer grid; several pairs tie on mean."""
+    return {
+        "t0": {"i0": [0.5, 1.5], "i1": [1.0], "i2": [2.0, 0.0]},
+        "t1": {"i0": [1.0, -1.0], "i1": [0.0, 0.0], "i2": [-0.5, 0.5], "i3": [3.0]},
+        "t2": {
+            "i0": [2.0], "i1": [1.0, 3.0], "i2": [0.0, 4.0, 2.0], "i3": [-1.0, 0.5],
+            "i4": [1.5, 1.5], "i5": [-0.5], "i6": [3.5, -3.5],
+        },
+    }
+
+
+def unequal_model_groups(seed):
+    """A model-like corpus of 40 targets with 5 to 29 impostors and 1 to 5 scores per pair."""
+    g = RngStream(seed).generator()
+    groups = {}
+    for t in range(40):
+        m, spread = g.normal(), 0.5 + g.random()
+        groups[f"t{t:02d}"] = {
+            f"i{j:02d}": m + g.normal(0.0, spread) + g.standard_normal(int(g.integers(1, 6)))
+            for j in range(int(g.integers(5, 30)))
+        }
+    return groups
+
+
+class TestExactOracles:
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, 0.5, 1.5])
+    def test_matches_comb_oracle_with_ties_and_unequal_pools(self, tau):
+        groups = unequal_pools_with_ties()
+        corpus = PackedCorpus.from_groups(groups)
+        for n in (1, 2, 3):
+            est = estimate_pfa_worst_case(corpus, tau, EstimatorConfig(seed=1, n_impostors=n))
+            assert abs(est.value - comb_worst_case(groups, tau, n)) <= 1e-12, n
+
+    def test_matches_comb_oracle_on_model_corpus(self):
+        model = unequal_model_groups(3)
+        groups = {t: {i: v.tolist() for i, v in pairs.items()} for t, pairs in model.items()}
+        corpus = PackedCorpus.from_groups(groups)
+        for n in (1, 2, 5):
+            est = estimate_pfa_worst_case(corpus, 0.8, EstimatorConfig(seed=1, n_impostors=n))
+            assert abs(est.value - comb_worst_case(groups, 0.8, n)) <= 1e-12
+            assert est.n_outer == corpus.n_targets
+
+    @pytest.mark.parametrize("n, seed", [(1, 21), (2, 22), (5, 23)])
+    def test_within_loop_oracle_halfwidth(self, n, seed):
+        corpus = PackedCorpus.from_groups(unequal_model_groups(4))
+        cfg = EstimatorConfig(seed=seed, n_impostors=n, t_outer=20_000)
+        exact = estimate_pfa_worst_case(corpus, 0.8, cfg)
+        loop = loop_estimate_pfa_worst_case(corpus, 0.8, cfg)
+        assert abs(exact.value - loop.value) <= max(loop.value - loop.ci_low, loop.ci_high - loop.value)
+
+    @pytest.mark.parametrize("n, seed", [(1, 24), (5, 25)])
+    def test_diagnose_within_loop_oracle_halfwidth(self, n, seed):
+        corpus = PackedCorpus.from_groups(unequal_model_groups(5))
+        cfg = EstimatorConfig(seed=seed, n_impostors=n, t_outer=20_000)
+        report = diagnose(corpus, 0.8, cfg)
+        loop = loop_diagnose_variances(corpus, cfg)
+        for name in ("closest", "random"):
+            kept, share = loop[name]
+            variance = getattr(report, f"{name}_impostor_stdev") ** 2
+            assert abs(variance - kept.mean()) <= Z99 * kept.std(ddof=1) / math.sqrt(kept.size), name
+            exact_share = getattr(report, f"{name}_excluded_share")
+            assert abs(exact_share - share) <= Z99 * math.sqrt(share * (1 - share) / cfg.t_outer), name
+
+
+@st.composite
+def half_grid_corpora(draw):
+    """``{target: {impostor: scores}}`` of 1-4 targets with 1-6 pairs of 1-4
+    scores on a half-integer grid: sums are exact, so equal means tie."""
+    return {
+        f"t{t}": {
+            f"i{j}": draw(st.lists(st.integers(-4, 4).map(lambda v: v / 2), min_size=1, max_size=4))
+            for j in range(draw(st.integers(1, 6)))
+        }
+        for t in range(draw(st.integers(1, 4)))
+    }
+
+
+TAUS = st.one_of(st.integers(-10, 10).map(lambda v: v / 4), st.sampled_from([-math.inf, math.inf]))
+
+
+class TestExactProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(groups=half_grid_corpora(), tau=TAUS, n=st.integers(1, 6))
+    def test_matches_comb_oracle(self, groups, tau, n):
+        corpus = PackedCorpus.from_groups(groups)
+        n = min(n, int(corpus.pairs_per_target.min()))
+        est = estimate_pfa_worst_case(corpus, tau, EstimatorConfig(seed=0, n_impostors=n))
+        assert abs(est.value - comb_worst_case(groups, tau, n)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(groups=half_grid_corpora(), tau=TAUS, n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_row_order_invariant(self, groups, tau, n, seed):
+        rows = [(t, i, s) for t, pairs in groups.items() for i, scores in pairs.items() for s in scores]
+        shuffled = random.Random(seed).sample(rows, len(rows))
+        targets, impostors = sorted(groups), sorted({i for _, i, _ in rows})
+        corpus = PackedCorpus.from_codes(
+            targets,
+            impostors,
+            np.array([targets.index(t) for t, _, _ in shuffled]),
+            np.array([impostors.index(i) for _, i, _ in shuffled]),
+            np.array([s for _, _, s in shuffled]),
+        )
+        cfg = EstimatorConfig(seed=0, n_impostors=min(n, int(corpus.pairs_per_target.min())))
+        ordered = PackedCorpus.from_groups(groups)
+        assert estimate_pfa_worst_case(corpus, tau, cfg) == estimate_pfa_worst_case(ordered, tau, cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(groups=half_grid_corpora(), taus=st.lists(TAUS, min_size=2, max_size=5), n=st.integers(1, 6))
+    def test_non_increasing_in_tau(self, groups, taus, n):
+        corpus = PackedCorpus.from_groups(groups)
+        cfg = EstimatorConfig(seed=0, n_impostors=min(n, int(corpus.pairs_per_target.min())))
+        values = [estimate_pfa_worst_case(corpus, tau, cfg).value for tau in sorted(taus)]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(groups=half_grid_corpora(), tau=TAUS)
+    def test_closest_of_one_is_zero_effort(self, groups, tau):
+        corpus = PackedCorpus.from_groups(groups)
+        cfg = EstimatorConfig(seed=0, n_impostors=1)
+        worst = estimate_pfa_worst_case(corpus, tau, cfg)
+        zero = estimate_pfa_zero_effort(corpus, tau, cfg)
+        assert abs(worst.value - zero.value) <= 1e-12

@@ -65,25 +65,22 @@ class TestModelCorpus:
 
     def test_estimator_matches_model_prediction_on_model_data(self):
         # closest-of-N estimation on corpora drawn from the model must agree
-        # with the model's own prediction, up to outer-loop noise in both
-        # estimators plus the sampling noise of the finite corpus itself
+        # with the model's own prediction, up to the sampling noise of the
+        # finite corpus, which the empirical interval across targets
+        # measures, and the outer-loop noise of the model predictor
         spec = SyntheticSpec(
             theta=THETA, t_targets=2000, n_impostors_per_target=100, l_scores_per_pair=20, seed=53
         )
         packed = generate_model_corpus(spec)
         for n in (1, 10, 50):
-            emp = estimate_pfa_worst_case(
-                packed, 1.5, EstimatorConfig(seed=54, n_impostors=n, t_outer=20_000)
-            )
+            emp = estimate_pfa_worst_case(packed, 1.5, EstimatorConfig(seed=54, n_impostors=n))
             model = predict_pfa_sampling(
                 THETA, 1.5, EstimatorConfig(seed=55, n_impostors=n, t_outer=5_000),
                 scores_per_pair=20,
             )
             se_emp = (emp.ci_high - emp.ci_low) / (2.0 * Z99)
             se_model = (model.ci_high - model.ci_low) / (2.0 * Z99)
-            iter_sd = se_emp * math.sqrt(emp.n_outer)
-            corpus_se = iter_sd / math.sqrt(packed.n_targets)
-            tolerance = Z99 * math.hypot(se_emp, se_model) + 3.0 * corpus_se
+            tolerance = Z99 * math.hypot(se_emp, se_model)
             assert abs(emp.value - model.value) <= tolerance, f"N={n}"
 
 
@@ -156,9 +153,7 @@ class TestToyAsv:
         spec, eer = eer_threshold(labeled)
         assert 0.05 < eer < 0.35
         estimates = [
-            estimate_pfa_worst_case(
-                corpus, spec.tau, EstimatorConfig(seed=52, n_impostors=n, t_outer=10_000)
-            )
+            estimate_pfa_worst_case(corpus, spec.tau, EstimatorConfig(seed=52, n_impostors=n))
             for n in (1, 10, 100)
         ]
         for smaller, larger in zip(estimates, estimates[1:]):
