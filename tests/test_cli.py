@@ -229,6 +229,24 @@ class TestPredictCommand:
             lines[n] = capsys.readouterr().out.splitlines()
         assert lines["1,1000"] == lines["1"] + lines["1000"][1:]
 
+    @pytest.mark.filterwarnings("error")
+    def test_single_score_sets(self, corpus_csv, theta_json, capsys):
+        # one score per set leaves no residual: each outer iteration counts its
+        # winner's mean above tau as 0 or 1, with nothing on stderr
+        t_outer = 200
+        common = ["--t-outer", t_outer, "--seed", "4", "--method", "sampling", "--scores-per-pair", "1"]
+        for args in (
+            ["predict", "--theta", theta_json, "--tau", "1.0", "--n", "1,10,1000"],
+            ["curve", "--corpus", corpus_csv, "--theta", theta_json, "--tau", "op=1.0", "--n", "1,4,64"],
+        ):
+            assert run(args + common) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            rows = [r for r in csv.DictReader(out.splitlines()) if r.get("source", "model") == "model"]
+            values = [float(r["estimate"]) for r in rows]
+            assert len(values) == 3
+            assert all(v == round(v * t_outer) / t_outer for v in values)
+
     def test_theta_not_json(self, tmp_path, capsys):
         theta = tmp_path / "theta.json"
         theta.write_text("nope")

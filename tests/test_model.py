@@ -1,9 +1,12 @@
+import functools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from wcfar.estimators import EstimatorConfig
@@ -14,7 +17,6 @@ from wcfar.model import (
     marginal_score_samples,
     predict_pfa_closed_form,
     predict_pfa_sampling,
-    score_set_tail,
 )
 from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
@@ -27,6 +29,11 @@ from oracles import (
 from test_estimators import joint_halfwidth
 
 BASE = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
+
+
+def sampling(scores_per_pair: int):
+    """The sampling predictor at a fixed number of scores per set."""
+    return functools.partial(predict_pfa_sampling, scores_per_pair=scores_per_pair)
 
 
 class TestHyperparameters:
@@ -142,40 +149,60 @@ class TestPredictors:
         est = predict_pfa_sampling(h, 1.0, cfg, scores_per_pair=324)
         assert est.value == pytest.approx(float(ndtr(-1.0)), abs=0.005)
 
+    @pytest.mark.filterwarnings("error")
     def test_closed_form_injected_draws(self):
         # winning latent mean 1 with unit variance: half the mass above tau = 1
         tail = gaussian_tail(np.array([1.0]), np.array([1.0]), 1.0)
         assert tail[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_sampling_injected_draws(self):
-        # winning mean 1.25 with residuals +-0.75: scores 2.0 and 0.5, one above 1
-        tail = score_set_tail(np.array([1.25]), np.array([[0.75, -0.75]]), 1.0)
-        assert tail[0] == 0.5
+        # a single score per set leaves no residual: the score is its mean,
+        # strictly above tau or not
+        tail = gaussian_tail(np.array([1.5, 0.5, 1.0]), 0.0, 1.0)
+        assert tail.tolist() == [1.0, 0.0, 0.0]
 
     def test_sampling_injection_requires_scores(self):
         cfg = EstimatorConfig(seed=1, n_impostors=2, t_outer=1)
         with pytest.raises(ValueError, match="scores_per_pair"):
             predict_pfa_sampling(BASE, 1.0, cfg, scores_per_pair=0)
 
-    def test_closed_form_pointwise_monotone_in_n(self):
+    @staticmethod
+    def monotone_in_n(predict) -> bool:
         values = []
         for n in (1, 2, 4, 8, 16, 64, 10**6, 10**9):
             cfg = EstimatorConfig(seed=13, n_impostors=n, t_outer=500)
-            values.append(predict_pfa_closed_form(BASE, 1.5, cfg).value)
+            values.append(predict(BASE, 1.5, cfg).value)
         # every N reuses the same uniforms, and Phi^-1(U^(1/N)) rises with N
-        assert all(a <= b for a, b in zip(values, values[1:]))
+        return all(a <= b for a, b in zip(values, values[1:]))
+
+    @staticmethod
+    def non_increasing_in_tau(predict) -> bool:
+        cfg = EstimatorConfig(seed=14, n_impostors=5, t_outer=400)
+        values = [predict(BASE, tau, cfg).value for tau in (-2.0, 0.0, 1.0, 2.5)]
+        return all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_closed_form_pointwise_monotone_in_n(self):
+        assert self.monotone_in_n(predict_pfa_closed_form)
+
+    @pytest.mark.parametrize("l", [1, 2, 324])
+    def test_sampling_pointwise_monotone_in_n(self, l):
+        assert self.monotone_in_n(sampling(l))
 
     def test_closed_form_non_increasing_in_tau(self):
-        cfg = EstimatorConfig(seed=14, n_impostors=5, t_outer=400)
-        values = [predict_pfa_closed_form(BASE, tau, cfg).value for tau in (-2.0, 0.0, 1.0, 2.5)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert self.non_increasing_in_tau(predict_pfa_closed_form)
+
+    @pytest.mark.parametrize("l", [1, 2, 324])
+    def test_sampling_non_increasing_in_tau(self, l):
+        assert self.non_increasing_in_tau(sampling(l))
 
     def test_predictors_agree_small_scale(self):
+        # both predictors share every draw, so their gap is the finite-L
+        # selection gap, whose expectation the quadrature gives
         for n in (1, 10):
             cfg = EstimatorConfig(seed=15, n_impostors=n, t_outer=3000)
             sampled = predict_pfa_sampling(BASE, 1.0, cfg, scores_per_pair=324)
             closed = predict_pfa_closed_form(BASE, 1.0, cfg)
-            assert abs(sampled.value - closed.value) <= joint_halfwidth(sampled, closed)
+            q = closest_of_n_quadrature
+            gap = q(BASE, 1.0, n, scores_per_pair=324) - q(BASE, 1.0, n)
+            assert abs(sampled.value - closed.value - gap) <= 1e-4
 
     def test_closed_form_n1_matches_marginal_rate(self):
         cfg = EstimatorConfig(seed=16, n_impostors=1, t_outer=20_000)
@@ -229,15 +256,48 @@ class TestPredictorOracles:
         loop = loop_predict_pfa_sampling(BASE, 1.5, cfg, scores_per_pair=2)
         assert abs(fast.value - loop.value) <= joint_halfwidth(fast, loop)
 
-    def test_closed_form_memory_independent_of_n(self):
+    @staticmethod
+    def peak_bytes(predict) -> int:
         cfg = EstimatorConfig(seed=33, n_impostors=10**9, t_outer=10_000)
         tracemalloc.start()
         try:
-            predict_pfa_closed_form(BASE, 1.5, cfg)
+            predict(BASE, 1.5, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        return peak
+
+    def test_closed_form_memory_independent_of_n(self):
+        assert self.peak_bytes(predict_pfa_closed_form) < 16 * 2**20
+
+    def test_sampling_memory_independent_of_n_and_l(self):
+        # no candidate and no score is materialised
+        assert self.peak_bytes(sampling(10**9)) < 16 * 2**20
+
+
+# priors with shapes >= 0.5, whose gamma draws never underflow
+SHAPES, SCALES = st.floats(0.5, 20.0), st.floats(0.1, 10.0)
+PRIORS = st.builds(Hyperparameters, st.floats(-3.0, 3.0), SCALES, SHAPES, SCALES, SHAPES, SCALES)
+
+
+class TestPredictorProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        h=PRIORS,
+        taus=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=4),
+        ns=st.lists(st.integers(1, 10**9), min_size=2, max_size=4),
+        seed=st.integers(0, 2**64 - 1),
+        l=st.integers(1, 1000),
+    )
+    def test_non_decreasing_in_n_non_increasing_in_tau(self, h, taus, ns, seed, l):
+        # the winner's mean rises with N on shared draws, and each tail falls with tau
+        for predict in (predict_pfa_closed_form, sampling(l)):
+            grid = [
+                [predict(h, tau, EstimatorConfig(seed=seed, n_impostors=n, t_outer=50)).value for n in sorted(ns)]
+                for tau in sorted(taus)
+            ]
+            assert all(a <= b for row in grid for a, b in zip(row, row[1:]))
+            assert all(a >= b for low, high in zip(grid, grid[1:]) for a, b in zip(low, high))
 
 
 class TestMarginalSamples:
