@@ -316,11 +316,10 @@ def cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-def _add_common_io(sub, corpus=True):
-    if corpus:
-        sub.add_argument("--corpus", required=True, help="trial corpus file")
-        sub.add_argument("--format", choices=["csv", "jsonl"], default=None,
-                         help="corpus format (default: inferred from suffix)")
+def _add_common_io(sub):
+    sub.add_argument("--corpus", required=True, help="trial corpus file")
+    sub.add_argument("--format", choices=["csv", "jsonl"], default=None,
+                     help="corpus format (default: inferred from suffix)")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -329,6 +328,14 @@ def _add_tau_options(sub):
     group.add_argument("--tau", type=float, default=None, help="operating threshold")
     group.add_argument("--threshold", default=None,
                        help="JSON file with a 'tau' key, as written by `threshold`")
+
+
+def _add_model_options(sub):
+    sub.add_argument("--t-outer", type=int, default=1000)
+    sub.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"))
+    sub.add_argument("--scores-per-pair", type=int, default=DEFAULT_SCORES_PER_PAIR,
+                     help="scores per candidate set for the sampling method")
+    sub.add_argument("--method", choices=["closed", "sampling"], default="closed")
 
 
 def _add_unused_mc_options(sub):
@@ -378,11 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True, help="hyper-parameter JSON")
     _add_tau_options(p)
     p.add_argument("--n", required=True, help="comma-separated population sizes")
-    p.add_argument("--t-outer", type=int, default=1000)
-    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"))
-    p.add_argument("--scores-per-pair", type=int, default=DEFAULT_SCORES_PER_PAIR,
-                   help="scores per candidate set for the sampling method")
-    p.add_argument("--method", choices=["closed", "sampling"], default="closed")
+    _add_model_options(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)
 
@@ -401,10 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", action="append", required=True, metavar="LABEL=VALUE",
                    help="labelled threshold (repeatable)")
     p.add_argument("--n", required=True, help="ascending comma-separated population sizes")
-    p.add_argument("--t-outer", type=int, default=1000)
-    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"))
-    p.add_argument("--scores-per-pair", type=int, default=DEFAULT_SCORES_PER_PAIR)
-    p.add_argument("--method", choices=["closed", "sampling"], default="closed")
+    _add_model_options(p)
     p.set_defaults(func=cmd_curve)
 
     p = subs.add_parser("diagnose", help="model-assumption mismatch report",

@@ -98,7 +98,6 @@ class SufficientStats:
     lam_mean: np.ndarray  # E[lam_i]
     log_lam: np.ndarray  # E[log lam_i]
     pair_mean: np.ndarray  # E[mu_ij]
-    pair_second: np.ndarray  # E[mu_ij^2]
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,6 @@ def sufficient_stats(q: PosteriorFactors) -> SufficientStats:
         lam_mean=q.lam_shape / q.lam_rate,
         log_lam=digamma(q.lam_shape) - np.log(q.lam_rate),
         pair_mean=q.pair_mean,
-        pair_second=q.pair_mean**2 + q.pair_var,
     )
 
 

@@ -5,7 +5,9 @@ false alarm rate is the fraction of non-target scores above tau and the
 miss rate is the fraction of target scores at or below tau.  Candidate
 thresholds are the midpoints of adjacent distinct pooled scores plus one
 sentinel below and above everything; the detection cost is piecewise
-constant between scores, so this scan attains its global minimum.
+constant between scores, so this scan attains its global minimum.  When the
+pool holds a single distinct score, that score is the only candidate and
+the threshold is flagged degenerate.
 """
 
 from __future__ import annotations
@@ -49,17 +51,17 @@ class ThresholdSpec:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
-def _candidate_thresholds(pooled: np.ndarray) -> np.ndarray:
-    distinct = np.unique(pooled)
+def _scan(s: LabeledScoreSet):
+    """Candidate thresholds, (P_miss, P_fa) at each, and whether the pool holds one distinct score."""
+    tar = np.sort(np.asarray(s.target_scores, dtype=float))
+    non = np.sort(np.asarray(s.nontarget_scores, dtype=float))
+    distinct = np.unique(np.concatenate((tar, non)))
+    degenerate = distinct.size == 1
     mids = 0.5 * (distinct[:-1] + distinct[1:])
-    return np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
-
-
-def _rates(sorted_targets, sorted_nontargets, taus):
-    """(P_miss, P_fa) at each tau; accept iff score > tau."""
-    p_miss = np.searchsorted(sorted_targets, taus, side="right") / len(sorted_targets)
-    p_fa = 1.0 - np.searchsorted(sorted_nontargets, taus, side="right") / len(sorted_nontargets)
-    return p_miss, p_fa
+    taus = distinct if degenerate else np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
+    p_miss = np.searchsorted(tar, taus, side="right") / len(tar)
+    p_fa = 1.0 - np.searchsorted(non, taus, side="right") / len(non)
+    return taus, p_miss, p_fa, degenerate
 
 
 def eer_threshold(s: LabeledScoreSet) -> tuple[ThresholdSpec, float]:
@@ -69,21 +71,10 @@ def eer_threshold(s: LabeledScoreSet) -> tuple[ThresholdSpec, float]:
     smaller threshold.  If every pooled score is identical the threshold
     degenerates to that value and is flagged.
     """
-    tar = np.sort(np.asarray(s.target_scores, dtype=float))
-    non = np.sort(np.asarray(s.nontarget_scores, dtype=float))
-    pooled = np.concatenate((tar, non))
-    if np.all(pooled == pooled[0]):
-        tau = float(pooled[0])
-        p_miss, p_fa = _rates(tar, non, np.array([tau]))
-        return (
-            ThresholdSpec(tau=tau, provenance="eer", degenerate=True),
-            float(0.5 * (p_miss[0] + p_fa[0])),
-        )
-    taus = _candidate_thresholds(pooled)
-    p_miss, p_fa = _rates(tar, non, taus)
+    taus, p_miss, p_fa, degenerate = _scan(s)
     k = int(np.argmin(np.abs(p_fa - p_miss)))
     return (
-        ThresholdSpec(tau=float(taus[k]), provenance="eer"),
+        ThresholdSpec(tau=float(taus[k]), provenance="eer", degenerate=degenerate),
         float(0.5 * (p_fa[k] + p_miss[k])),
     )
 
@@ -94,17 +85,9 @@ def min_dcf_threshold(s: LabeledScoreSet, p: DcfParams) -> tuple[ThresholdSpec, 
     The cost p_target*c_miss*P_miss + (1-p_target)*c_fa*P_fa is normalised
     by the better of the two trivial all-accept/all-reject systems.
     """
-    tar = np.sort(np.asarray(s.target_scores, dtype=float))
-    non = np.sort(np.asarray(s.nontarget_scores, dtype=float))
-    pooled = np.concatenate((tar, non))
+    taus, p_miss, p_fa, degenerate = _scan(s)
     norm = min(p.p_target * p.c_miss, (1.0 - p.p_target) * p.c_fa)
-    if np.all(pooled == pooled[0]):
-        tau = float(pooled[0])
-        p_miss, p_fa = _rates(tar, non, np.array([tau]))
-        dcf = (p.p_target * p.c_miss * p_miss[0] + (1 - p.p_target) * p.c_fa * p_fa[0]) / norm
-        return ThresholdSpec(tau=tau, provenance="min_dcf", dcf_params=p, degenerate=True), float(dcf)
-    taus = _candidate_thresholds(pooled)
-    p_miss, p_fa = _rates(tar, non, taus)
     dcf = (p.p_target * p.c_miss * p_miss + (1.0 - p.p_target) * p.c_fa * p_fa) / norm
     k = int(np.argmin(dcf))
-    return ThresholdSpec(tau=float(taus[k]), provenance="min_dcf", dcf_params=p), float(dcf[k])
+    spec = ThresholdSpec(tau=float(taus[k]), provenance="min_dcf", dcf_params=p, degenerate=degenerate)
+    return spec, float(dcf[k])

@@ -118,10 +118,8 @@ def _outer_draws(h: Hyperparameters, cfg: EstimatorConfig):
 
 
 def gaussian_tail(mu, sigma_sq, tau: float) -> np.ndarray:
-    """P(score > tau) for Normal(mu, sigma_sq) scores, elementwise; exact at
-    tau = +-inf, and the indicator mu > tau when every variance is 0."""
-    if math.isinf(tau):
-        return np.full(np.shape(mu), 0.0 if tau > 0 else 1.0)
+    """P(score > tau) for Normal(mu, sigma_sq) scores, elementwise, and the indicator
+    mu > tau when every variance is 0; exact at tau = +-inf, where `ndtr` is 0 or 1."""
     if not np.any(sigma_sq):
         return np.greater(mu, tau).astype(float)
     return ndtr((mu - tau) / np.sqrt(sigma_sq))

@@ -9,10 +9,11 @@ The two fitters solve the concave problems
                        - (a + 1)*E[log x] - b*E[1/x]               (inverse gamma)
 
 by profiling out the rate (beta = alpha / mean), which reduces each problem
-to the scalar equation psi(alpha) - log(alpha) = c.  The left side is
+to the scalar equation psi(alpha) - log(alpha) = c.  The left side f is
 strictly increasing from -inf to 0 on alpha > 0, so any feasible c < 0 has
-a unique root and bracketing is trivial; a safeguarded Newton iteration
-with bisection fallback is guaranteed to converge.
+a unique root.  f is also strictly concave, so each Newton iterate lands at
+or left of the root, and f(alpha) < -1/(2 alpha), so the start -1/(2c) is
+left of it already: the iterates climb to the root without passing it.
 """
 
 from __future__ import annotations
@@ -248,41 +249,22 @@ def _trigamma_minus_inv(x: float) -> float:
 
 
 def _solve_shape(c: float) -> float:
-    """Unique root of psi(alpha) - log(alpha) = c for c < 0."""
-    # asymptotic inverse: psi(a) - log(a) ~ -1/(2a)
-    alpha = max(-0.5 / c, 1e-12)
-    lo, hi = alpha, alpha
-    while _psi_minus_log(lo) > c:
-        lo /= 8.0
-        if lo < 1e-300:
-            raise NumericError(f"failed to bracket shape solve from below (c={c})")
-    while _psi_minus_log(hi) < c:
-        hi *= 8.0
-        if hi > 1e300:
-            raise NumericError(f"failed to bracket shape solve from above (c={c})")
-    alpha = min(max(alpha, lo), hi)
-    trace = []
+    """Unique root of psi(alpha) - log(alpha) = c for c < 0, by Newton's method from -1/(2c)."""
+    alpha = -0.5 / c
     for _ in range(_NEWTON_MAX_ITER):
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise NumericError(f"shape solve reached the iterate {alpha} (c={c})")
         resid = _psi_minus_log(alpha) - c
-        trace.append((alpha, resid))
         if abs(resid) <= _NEWTON_TOL:
             return alpha
-        if resid > 0:
-            hi = alpha
-        else:
-            lo = alpha
-        step = resid / _trigamma_minus_inv(alpha)
-        candidate = alpha - step
-        if not (lo < candidate < hi) or not math.isfinite(candidate):
-            candidate = 0.5 * (lo + hi)
+        candidate = alpha - resid / _trigamma_minus_inv(alpha)
         if candidate == alpha:
-            # bracket collapsed to machine precision: relative residual may
-            # stall just above the target for extreme shapes
+            # the step fell below one ulp of alpha: the residual may stall
+            # just above the tolerance for extreme shapes
             return alpha
         alpha = candidate
     raise NumericError(
-        f"shape solve did not converge in {_NEWTON_MAX_ITER} iterations; "
-        f"last iterates: {trace[-5:]}"
+        f"shape solve did not converge in {_NEWTON_MAX_ITER} iterations; last iterate {alpha} (c={c})"
     )
 
 

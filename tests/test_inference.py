@@ -245,7 +245,6 @@ class TestMStep:
             lam_mean=np.full(t, 2.0),
             log_lam=np.full(t, float(digamma(2.0)) - math.log(1.0)),
             pair_mean=np.array([]),
-            pair_second=np.array([]),
         )
         h = m_step(stats)
         assert h.mu0 == pytest.approx(0.7)
@@ -264,7 +263,6 @@ class TestMStep:
                 t, float(digamma(theta.alpha_lambda)) - math.log(theta.beta_lambda)
             ),
             pair_mean=np.array([]),
-            pair_second=np.array([]),
         )
         recovered = m_step(stats)
         assert rel_delta(theta, recovered) < 1e-6

@@ -10,8 +10,8 @@ from wcfar.score_data import LabeledScoreSet, PackedCorpus
 from wcfar.streams import RngStream
 
 
-def dcf_at(tau, labeled, p):
-    """Reference detection cost at thresholds `tau` (accept iff score > tau).
+def rates_at(tau, labeled):
+    """Reference (P_miss, P_fa) at thresholds `tau` (accept iff score > tau).
 
     Counts by sorted insertion position, which is exact for the piecewise
     constant rates; `tau` may be a scalar or an array.
@@ -20,6 +20,12 @@ def dcf_at(tau, labeled, p):
     non = np.sort(np.asarray(labeled.nontarget_scores, dtype=float))
     p_miss = np.searchsorted(tar, tau, side="right") / tar.size
     p_fa = 1.0 - np.searchsorted(non, tau, side="right") / non.size
+    return p_miss, p_fa
+
+
+def dcf_at(tau, labeled, p):
+    """Reference detection cost at thresholds `tau`, from `rates_at`."""
+    p_miss, p_fa = rates_at(tau, labeled)
     norm = min(p.p_target * p.c_miss, (1 - p.p_target) * p.c_fa)
     return (p.p_target * p.c_miss * p_miss + (1 - p.p_target) * p.c_fa * p_fa) / norm
 
@@ -94,9 +100,27 @@ class TestEer:
 
     def test_degenerate_flag(self):
         labeled = LabeledScoreSet(target_scores=[2.0, 2.0], nontarget_scores=[2.0])
-        spec, _ = eer_threshold(labeled)
+        spec, eer = eer_threshold(labeled)
         assert spec.degenerate
         assert spec.tau == 2.0
+        assert eer == 0.5
+
+    def test_matches_exhaustive_scan(self):
+        # coprime class sizes: P_fa and P_miss never tie inside (0, 1), so the
+        # EER is a true average of two different rates
+        g = RngStream(6).generator()
+        labeled = LabeledScoreSet(
+            target_scores=g.normal(1.0, 1.0, size=20_000),
+            nontarget_scores=g.normal(-1.0, 1.0, size=30_001),
+        )
+        spec, eer = eer_threshold(labeled)
+        pooled = np.concatenate([labeled.target_scores, labeled.nontarget_scores])
+        eps = 1e-9
+        candidates = np.concatenate([pooled - eps, pooled, pooled + eps])
+        p_miss, p_fa = rates_at(candidates, labeled)
+        miss, fa = rates_at(spec.tau, labeled)
+        assert abs(fa - miss) <= np.abs(p_fa - p_miss).min() + 1e-12
+        assert eer == pytest.approx(0.5 * (fa + miss), abs=1e-12)
 
 
 class TestMinDcf:
@@ -153,8 +177,10 @@ class TestMinDcf:
 
     def test_degenerate_flag(self):
         labeled = LabeledScoreSet(target_scores=[1.0], nontarget_scores=[1.0])
-        spec, _ = min_dcf_threshold(labeled, DcfParams(0.5, 1.0, 1.0))
+        spec, dcf = min_dcf_threshold(labeled, DcfParams(0.5, 1.0, 1.0))
         assert spec.degenerate
+        assert spec.tau == 1.0
+        assert dcf == 1.0
 
 
 class TestParamValidation:

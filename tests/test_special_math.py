@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from wcfar.errors import InfeasibleMomentsError
+from wcfar import special_math
+from wcfar.errors import InfeasibleMomentsError, NumericError
 from wcfar.estimators import EstimatorConfig
 from wcfar.model import Hyperparameters, _sample_targets, gaussian_tail, predict_pfa_closed_form
 from wcfar.special_math import (
@@ -216,6 +217,24 @@ class TestSamplers:
         b, d = prior_draws(RngStream(99, (4,)), gamma=(2.5, 0.7), inv_gamma=(3.0, 2.0), size=1000)
         assert np.array_equal(a, b)
         assert np.array_equal(c, d)
+
+
+class TestSolveShape:
+    def test_monotone_newton_on_log_grid(self, monkeypatch):
+        """Newton from -1/(2c) climbs to the root of psi - log = c without passing it."""
+        iterates = []
+        psi_minus_log = special_math._psi_minus_log
+        monkeypatch.setattr(special_math, "_psi_minus_log", lambda x: iterates.append(x) or psi_minus_log(x))
+        for alpha in np.logspace(-3, 8, 221):
+            iterates.clear()
+            c = float(special.digamma(alpha) - np.log(alpha))
+            assert special_math._solve_shape(c) == pytest.approx(alpha, rel=1e-6)
+            assert np.all(np.diff(iterates) >= 0.0), (alpha, iterates)
+
+    def test_non_finite_start_raises(self):
+        # -1/(2c) overflows to inf for a subnormal gap
+        with pytest.raises(NumericError):
+            special_math._solve_shape(-1e-320)
 
 
 class TestGammaFit:
