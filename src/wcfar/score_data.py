@@ -9,6 +9,10 @@ scores.  The loader accepts two row-oriented wire formats:
 Scores are kept at full double precision; no calibration or normalisation
 is applied.  Loading is deterministic: targets and impostors are sorted by
 identifier (code point order), scores keep input order within a pair.
+
+A plain CSV (see `_plain_csv`) is parsed column by column with numpy.  Any
+other CSV, a CSV with a fault, and JSONL go through the row reader, which
+is the only source of ParseError for rows.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError
 
@@ -107,15 +113,11 @@ def _read_csv_rows(fh, add) -> None:
         missing = [name for name in required if name not in header]
         raise ParseError(f"missing column(s) {missing} in header {header}", 1) from exc
     for line, row in enumerate(reader, start=2):
-        try:
-            target_id, impostor_id, raw_score = row[t_col].strip(), row[i_col].strip(), row[s_col]
-        except IndexError:
-            if _blank(row):
-                continue
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line) from None
-        if (not target_id or not impostor_id) and _blank(row):
+        if _blank(row):
             continue
-        add(line, target_id, impostor_id, raw_score)
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
+        add(line, row[t_col].strip(), row[i_col].strip(), row[s_col])
 
 
 def _read_jsonl_rows(fh, add) -> None:
@@ -141,14 +143,137 @@ def _read_jsonl_rows(fh, add) -> None:
         raise ParseError("empty file", 1)
 
 
+# Bytes a plain CSV may hold: its line ends and the printable ASCII other than
+# the space, which the row reader strips from ids, and the quote, which starts
+# CSV quoting.  NUL is not among them, so NUL padding in an `S` array is never
+# part of a field.
+_PLAIN_BYTES = np.zeros(256, dtype=bool)
+_PLAIN_BYTES[0x21:0x7F] = True
+_PLAIN_BYTES[ord('"')] = False
+_PLAIN_BYTES[ord("\n")] = True
+_BLOCK_BYTES = 1 << 18
+_GATHER_BYTES = 4 * _BLOCK_BYTES  # most bytes one row group pads its gathered fields to
+
+
+def _line_blocks(fh):
+    """Bytes of `fh` in blocks of whole lines; a missing final newline is supplied."""
+    pending = []
+    while chunk := fh.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield np.frombuffer(b"".join((*pending, memoryview(chunk)[:cut])), dtype=np.uint8)
+            pending.clear()
+        pending.append(memoryview(chunk)[cut:])
+    if tail := b"".join(pending):
+        yield np.frombuffer(tail + b"\n", dtype=np.uint8)
+
+
+def _row_groups(starts: np.ndarray, widths: np.ndarray):
+    """Halve a block's rows until padding each field to its widest value fits `_GATHER_BYTES`."""
+    if len(widths) > 1 and len(widths) * int(widths.max(axis=0).sum()) > _GATHER_BYTES:
+        half = len(widths) // 2
+        yield from _row_groups(starts[:half], widths[:half])
+        yield from _row_groups(starts[half:], widths[half:])
+    else:
+        yield starts, widths
+
+
+def _gather(padded: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Fields of `padded` starting at `starts` as one NUL-padded `S` array."""
+    width = int(widths.max())
+    field = sliding_window_view(padded, width)[starts]
+    field[np.arange(width) >= widths[:, None]] = 0
+    return field.view(f"S{width}").reshape(-1)
+
+
+def _intern(field: np.ndarray, index: dict[str, int]) -> np.ndarray:
+    """Codes of `field`'s ids in `index`, which gains the new ones; runs of one id are looked up once."""
+    head = np.flatnonzero(np.concatenate(([True], field[1:] != field[:-1])))
+    unique, inverse = np.unique(field[head], return_inverse=True)
+    code = np.array([index.setdefault(name.decode(), len(index)) for name in unique.tolist()], dtype=np.int64)
+    return np.repeat(code[inverse], np.diff(np.append(head, field.size)))
+
+
+def _plain_csv(path, id_columns: tuple[str, ...]):
+    """Parse a plain CSV column by column: ``(names, codes, scores)`` or None.
+
+    For each of `id_columns`, ``names`` holds its distinct ids and
+    ``codes`` each row's index into them; ``scores`` is the ``score``
+    column.  A plain file holds only `_PLAIN_BYTES`, so it has LF line ends
+    (the last one may be missing), and every line after the header has the
+    header's field count with no field empty.  The ids of a row differ and
+    every score is finite; numpy casts text to float as `float` does.
+    Anything else returns None, so that the row reader loads the file or
+    reports its first fault: this never raises ParseError.  The file is
+    read and parsed in blocks of whole lines, and `_row_groups` bounds the
+    padding of each block's fields, so memory beyond the returned arrays
+    stays bounded.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not header.endswith(b"\n") or not _PLAIN_BYTES[np.frombuffer(header, dtype=np.uint8)].all():
+            return None
+        fields = header[:-1].split(b",")
+        try:
+            columns = [fields.index(name.encode()) for name in (*id_columns, "score")]
+        except ValueError:
+            return None
+        n_fields = len(fields)
+        index = [{} for _ in id_columns]
+        codes, scores = [array("q") for _ in id_columns], array("d")
+        for buf in _line_blocks(fh):
+            if not _PLAIN_BYTES[buf].all():
+                return None
+            ends = np.flatnonzero(buf == ord("\n"))
+            commas = np.flatnonzero(buf == ord(","))
+            n = ends.size
+            if commas.size != n * (n_fields - 1):
+                return None
+            bounds = np.empty((n, n_fields + 1), dtype=np.int64)
+            bounds[0, 0] = -1
+            bounds[1:, 0] = ends[:-1]
+            bounds[:, 1:-1] = commas.reshape(n, n_fields - 1)
+            bounds[:, -1] = ends
+            # with every field non-empty the bounds of a row increase, so each
+            # line holds exactly its own n_fields - 1 commas
+            widths = np.diff(bounds, axis=1) - 1
+            if widths.min() < 1:
+                return None
+            padded = np.concatenate((buf, np.zeros(int(widths.max()), dtype=np.uint8)))
+            for starts, group_widths in _row_groups(bounds[:, columns] + 1, widths[:, columns]):
+                gathered = [_gather(padded, starts[:, j], group_widths[:, j]) for j in range(len(columns))]
+                ids, score_text = gathered[:-1], gathered[-1]
+                if any(np.any(a == b) for a, b in combinations(ids, 2)):
+                    return None
+                try:
+                    with np.errstate(over="ignore"):  # text beyond the double range reads as inf, as in float()
+                        values = score_text.astype(float)
+                except ValueError:
+                    return None
+                if not np.isfinite(values).all():
+                    return None
+                for field, seen, out in zip(ids, index, codes):
+                    out.frombytes(_intern(field, seen).view(np.uint8))
+                scores.frombytes(values.view(np.uint8))
+    if not scores:
+        return None
+    return (
+        [list(seen) for seen in index],
+        [np.frombuffer(c, dtype=np.int64) for c in codes],
+        np.frombuffer(scores, dtype=float),
+    )
+
+
 FORMAT_BY_SUFFIX = {".csv": "csv", ".jsonl": "jsonl"}
 
 
 def load_corpus(path, format: str | None = None) -> PackedCorpus:
-    """Load and validate a non-target trial corpus from `path` in one pass.
+    """Load and validate a non-target trial corpus from `path`.
 
     `format` is "csv" or "jsonl"; when omitted it is inferred from the file
-    suffix.  Any malformed row raises ParseError naming the line number.
+    suffix.  A plain CSV is parsed column by column; any other file is read
+    row by row, and any malformed row raises ParseError naming the line
+    number.
     """
     path = Path(path)
     if format is None:
@@ -157,6 +282,9 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
             raise ParseError(f"cannot infer format from suffix {path.suffix!r}; pass format=")
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}, expected 'csv' or 'jsonl'")
+    if format == "csv" and (plain := _plain_csv(path, ("target_id", "impostor_id"))) is not None:
+        (targets, impostors), (target_codes, impostor_codes), scores = plain
+        return PackedCorpus.from_codes(targets, impostors, target_codes, impostor_codes, scores)
     read = _read_csv_rows if format == "csv" else _read_jsonl_rows
     rows = _CorpusRows()
     with open(path, newline="" if format == "csv" else None) as fh:
@@ -166,9 +294,21 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
     return rows.pack()
 
 
-def load_labeled_scores(path) -> LabeledScoreSet:
-    """Load a ``label,score`` CSV with label in {target, nontarget}."""
-    buckets = {"target": array("d"), "nontarget": array("d")}
+_LABELS = ("target", "nontarget")
+
+
+def _plain_labels(path) -> dict[str, np.ndarray] | None:
+    plain = _plain_csv(path, ("label",))
+    if plain is None:
+        return None
+    [labels], [codes], scores = plain
+    if not set(labels) <= set(_LABELS):
+        return None
+    return {label: scores[codes == code] for code, label in enumerate(labels)}
+
+
+def _read_labeled_rows(path) -> dict[str, np.ndarray]:
+    buckets = {label: array("d") for label in _LABELS}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -182,19 +322,28 @@ def load_labeled_scores(path) -> LabeledScoreSet:
         for line, row in enumerate(reader, start=2):
             if _blank(row):
                 continue
-            try:
-                label, raw_score = row[label_col].strip(), row[score_col]
-            except IndexError:
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line) from None
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
+            label = row[label_col].strip()
             if label not in buckets:
                 raise ParseError(f"label {label!r} is not 'target' or 'nontarget'", line)
-            buckets[label].append(_parse_score(raw_score, line))
-    if not buckets["target"] or not buckets["nontarget"]:
+            buckets[label].append(_parse_score(row[score_col], line))
+    return {label: np.frombuffer(values, dtype=float) for label, values in buckets.items()}
+
+
+def load_labeled_scores(path) -> LabeledScoreSet:
+    """Load a ``label,score`` CSV with label in {target, nontarget}.
+
+    A plain CSV is parsed column by column; any other file is read row by
+    row, and any malformed row raises ParseError naming the line number.
+    """
+    buckets = _plain_labels(path)
+    if buckets is None:
+        buckets = _read_labeled_rows(path)
+    target, nontarget = (buckets.get(label, np.empty(0)) for label in _LABELS)
+    if not target.size or not nontarget.size:
         raise ParseError("file must contain at least one target and one nontarget score")
-    return LabeledScoreSet(
-        target_scores=np.frombuffer(buckets["target"], dtype=float),
-        nontarget_scores=np.frombuffer(buckets["nontarget"], dtype=float),
-    )
+    return LabeledScoreSet(target_scores=target, nontarget_scores=nontarget)
 
 
 def _rank(names: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
@@ -395,6 +395,21 @@ class TestExactProperties:
         cfg = EstimatorConfig(seed=0, n_impostors=min(n, int(corpus.pairs_per_target.min())))
         values = [estimate_pfa_worst_case(corpus, tau, cfg).value for tau in sorted(taus)]
         assert all(b <= a for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(groups=half_grid_corpora(), tau=TAUS)
+    def test_non_decreasing_in_n_where_exceedance_falls_with_rank(self, groups, tau):
+        # a larger N moves selection weight towards lower ranks, so it can
+        # only raise the rate where lower ranks exceed tau no less often
+        corpus = PackedCorpus.from_groups(groups)
+        order = np.lexsort((corpus.pair_rank, corpus.pair_target))
+        fraction, target = corpus.pair_exceed_fraction(tau)[order], corpus.pair_target[order]
+        assume(not np.any((fraction[1:] > fraction[:-1]) & (target[1:] == target[:-1])))
+        values = [
+            estimate_pfa_worst_case(corpus, tau, EstimatorConfig(seed=0, n_impostors=n)).value
+            for n in range(1, int(corpus.pairs_per_target.min()) + 1)
+        ]
+        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     @settings(max_examples=100, deadline=None)
     @given(groups=half_grid_corpora(), tau=TAUS)

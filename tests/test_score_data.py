@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import random
+import string
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wcfar import score_data
 from wcfar.errors import ParseError
 from wcfar.estimators import EstimatorConfig, diagnose
 from wcfar.model import Hyperparameters
@@ -78,6 +81,9 @@ class TestLoadCorpus:
         rows[5] = "a,c"
         with pytest.raises(ParseError, match="line 6: expected 3 fields, got 2"):
             load_corpus(write(tmp_path, "c.csv", rows))
+        rows[5] = "a,c,0.5,junk"
+        with pytest.raises(ParseError, match="line 6: expected 3 fields, got 4"):
+            load_corpus(write(tmp_path, "e.csv", rows))
         rows[5] = " , ,"
         with pytest.raises(ParseError, match="line 7: score 'inf' is not finite"):
             load_corpus(write(tmp_path, "d.csv", rows))
@@ -141,6 +147,100 @@ class TestLoadCorpus:
         assert load_corpus(path, format="csv").n_targets == 1
 
 
+def _row_reader_used(*args):
+    raise AssertionError("the row reader parsed a plain file")
+
+
+@pytest.fixture
+def column_path_only(monkeypatch):
+    monkeypatch.setattr(score_data, "_read_csv_rows", _row_reader_used)
+
+
+def _assert_matches_oracle(loaded, rows):
+    want, grouped = grouped_corpus(rows)
+    assert (loaded.target_ids, loaded.impostor_ids) == want[:2]
+    arrays = (loaded.target_offsets, loaded.pair_target, loaded.pair_offsets, loaded.scores)
+    for got, expected in zip(arrays, want[2:]):
+        assert np.array_equal(got, expected)
+    assert PackedCorpus.from_groups(grouped) == loaded
+
+
+class TestColumnPath:
+    """Plain CSVs are parsed column-wise; anything else reaches the row reader."""
+
+    def test_hash_in_id(self, tmp_path, column_path_only):
+        rows = [("a#1", "b", 0.5), ("a#1", "#c", 1.5), ("x", "b", 2.0)]
+        path = write(tmp_path, "c.csv", [CSV_ROWS[0], *(f"{t},{i},{v!r}" for t, i, v in rows)])
+        _assert_matches_oracle(load_corpus(path), rows)
+
+    def test_nul_keeps_ids_distinct(self, tmp_path):
+        path = write(tmp_path, "c.csv", [CSV_ROWS[0], "a\x00,b,0.5", "a,b,1.5"])
+        corpus = load_corpus(path)
+        assert corpus.target_ids == ("a", "a\x00")
+        assert corpus.scores.tolist() == [1.5, 0.5]
+
+    @pytest.mark.parametrize("header", [CSV_ROWS[0], "score,target_id,impostor_id"])
+    def test_comma_total_does_not_hide_ragged_rows(self, tmp_path, header):
+        # two rows hold 4 commas between them, as two rows of 3 fields would
+        with pytest.raises(ParseError, match="line 2: expected 3 fields, got 2"):
+            load_corpus(write(tmp_path, "c.csv", [header, "1,2", "3,4,5,6"]))
+
+    def test_padded_and_empty_ids_reach_the_row_reader(self, tmp_path):
+        corpus = load_corpus(write(tmp_path, "a.csv", [CSV_ROWS[0], "a ,b,0.5", "a,b,1.5"]))
+        assert corpus.target_ids == ("a",)
+        assert corpus.scores.tolist() == [0.5, 1.5]
+        with pytest.raises(ParseError, match="line 3: empty speaker identifier"):
+            load_corpus(write(tmp_path, "b.csv", [CSV_ROWS[0], "a,b,0.5", ",c,1.5"]))
+
+    def test_late_fault_reports_its_line(self, tmp_path):
+        lines = [CSV_ROWS[0], *(f"t{k % 7},i{k % 11},{k / 8!r}" for k in range(1, 100_011))]
+        lines[100_000] = "t0,i0,nan"
+        with pytest.raises(ParseError, match="line 100001: score 'nan' is not finite"):
+            load_corpus(write(tmp_path, "c.csv", lines))
+
+    def test_long_id_pads_in_bounded_groups(self, tmp_path, column_path_only):
+        # padding all 2000 rows of the block to the long id would take ~100 MB
+        rows = [(f"t{k % 5}", f"i{k}", k / 4) for k in range(2000)]
+        rows[1000] = ("t" * 50_000, "i1000", 250.0)
+        path = write(tmp_path, "c.csv", [CSV_ROWS[0], *(f"{t},{i},{v!r}" for t, i, v in rows)])
+        tracemalloc.start()
+        try:
+            loaded = load_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        _assert_matches_oracle(loaded, rows)
+
+    def test_line_longer_than_a_block(self, tmp_path, column_path_only):
+        rows = [("a", "b", 0.5), ("i" * (score_data._BLOCK_BYTES + 10), "b", 1.5), ("a", "c", 2.5)]
+        path = write(tmp_path, "c.csv", [CSV_ROWS[0], *(f"{t},{i},{v!r}" for t, i, v in rows)])
+        _assert_matches_oracle(load_corpus(path), rows)
+
+    def test_memory_stays_within_three_file_sizes(self, tmp_path, column_path_only):
+        g = np.random.default_rng(9)
+        scores = g.normal(size=(128, 250, 4)).tolist()
+        path = tmp_path / "c.csv"
+        path.write_text(
+            CSV_ROWS[0]
+            + "\n"
+            + "".join(
+                f"t{t:05d},i{t:05d}_{j:04d},{v!r}\n"
+                for t, pairs in enumerate(scores)
+                for j, values in enumerate(pairs)
+                for v in values
+            )
+        )
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.n_scores == 128 * 250 * 4
+        assert peak <= 3 * path.stat().st_size
+
+
 class TestLabeledScores:
     def test_round_trip(self, tmp_path):
         path = write(
@@ -165,10 +265,24 @@ class TestLabeledScores:
         rows[4] = "target"
         with pytest.raises(ParseError, match="line 5: expected 2 fields, got 1"):
             load_labeled_scores(write(tmp_path, "c.csv", rows))
+        rows[4] = "target,1,zz"
+        with pytest.raises(ParseError, match="line 5: expected 2 fields, got 3"):
+            load_labeled_scores(write(tmp_path, "e.csv", rows))
         rows[4] = ""
         labeled = load_labeled_scores(write(tmp_path, "d.csv", rows))
         assert labeled.target_scores.tolist() == [1.0, 2.0]
         assert labeled.nontarget_scores.tolist() == [0.0]
+
+    def test_plain_file_matches_row_reader(self, tmp_path, monkeypatch):
+        g = np.random.default_rng(4)
+        labels = g.choice(["target", "nontarget"], 5000).tolist()
+        lines = ["score,label", *(f"{v!r},{label}" for v, label in zip(g.normal(size=5000).tolist(), labels))]
+        path = write(tmp_path, "l.csv", lines)
+        want = score_data._read_labeled_rows(path)
+        monkeypatch.setattr(score_data, "_read_labeled_rows", _row_reader_used)
+        got = load_labeled_scores(path)
+        assert np.array_equal(got.target_scores, want["target"])
+        assert np.array_equal(got.nontarget_scores, want["nontarget"])
 
     def test_requires_both_classes(self, tmp_path):
         path = write(tmp_path, "l.csv", ["label,score", "target,0.5"])
@@ -303,9 +417,13 @@ _IDS = st.text(alphabet='ab,"\u00e9 Z', min_size=1, max_size=3).map(str.strip).f
 _SCORES = st.floats(allow_nan=False, allow_infinity=False)
 
 
+# ids the column path takes: plain ASCII without spaces, quotes or commas
+_PLAIN_IDS = st.text(alphabet=string.ascii_letters + string.digits + "_#.-", min_size=1, max_size=3)
+
+
 @st.composite
-def _corpus_rows(draw):
-    ids = draw(st.lists(_IDS, min_size=2, max_size=6, unique=True))
+def _corpus_rows(draw, id_strategy=_IDS):
+    ids = draw(st.lists(id_strategy, min_size=2, max_size=6, unique=True))
     pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
     return [(*draw(pair), draw(_SCORES)) for _ in range(draw(st.integers(1, 25)))]
 
@@ -346,12 +464,7 @@ class TestLoaderProperties:
         loaded = load_corpus(path)
         path.write_text(_corpus_text(rng.sample(rows, len(rows)), fmt, blanks, rng))
         shuffled = load_corpus(path)
-        want, grouped = grouped_corpus(rows)
-        assert (loaded.target_ids, loaded.impostor_ids) == want[:2]
-        arrays = (loaded.target_offsets, loaded.pair_target, loaded.pair_offsets, loaded.scores)
-        for got, expected in zip(arrays, want[2:]):
-            assert np.array_equal(got, expected)
-        assert PackedCorpus.from_groups(grouped) == loaded
+        _assert_matches_oracle(loaded, rows)
         # a shuffle keeps the layout and each pair's multiset of scores
         assert shuffled.target_ids == loaded.target_ids
         assert shuffled.impostor_ids == loaded.impostor_ids
@@ -362,3 +475,13 @@ class TestLoaderProperties:
             shuffled.scores[np.lexsort((shuffled.scores, pair_of_score))],
             loaded.scores[np.lexsort((loaded.scores, pair_of_score))],
         )
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=_corpus_rows(_PLAIN_IDS), order=st.permutations(range(3)), final_newline=st.booleans())
+    def test_plain_csv_takes_the_column_path(self, tmp_path, column_path_only, rows, order, final_newline):
+        header = ("target_id", "impostor_id", "score")
+        lines = [",".join(header[k] for k in order)]
+        lines += [",".join((t, i, repr(score))[k] for k in order) for t, i, score in rows]
+        path = tmp_path / "c.csv"
+        path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+        _assert_matches_oracle(load_corpus(path), rows)
