@@ -10,21 +10,25 @@ Scores are kept at full double precision; no calibration or normalisation
 is applied.  Loading is deterministic: targets and impostors are sorted by
 identifier (code point order), scores keep input order within a pair.
 
-A plain CSV (see `_plain_csv`) is parsed column by column with numpy.  Any
-other CSV, a CSV with a fault, and JSONL go through the row reader, which
-is the only source of ParseError for rows.
+Every loader and `PackedCorpus.from_groups` hand blocks of columns to
+`_validated`, the only place where row rules run.  The readers before it
+only tokenise: `_plain_csv` cuts plain CSV lines into columns with numpy,
+`_csv_rows` reads any other CSV lines and `_jsonl_rows` JSONL lines.  A
+reader's own fault is raised after the rows before it are checked, so the
+first fault in a file wins.  Files are decoded as UTF-8.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -58,89 +62,154 @@ class LabeledScoreSet:
         )
 
 
-def _parse_score(text_or_value, line: int) -> float:
+_LABELS = ("target", "nontarget")
+_BLOCK_ROWS = 1 << 13  # rows per block from the row readers
+
+
+def _text(value):
+    """`value`, decoded if it is a cell of an `S` array."""
+    return value.decode() if isinstance(value, bytes) else value
+
+
+def _intern(field: np.ndarray, index: dict[str, int]) -> np.ndarray:
+    """Codes of `field`'s ids in `index`, which gains the new ones; runs of one id are looked up once."""
+    head = np.flatnonzero(np.concatenate(([True], field[1:] != field[:-1])))
+    code = np.array([index.setdefault(_text(name), len(index)) for name in field[head].tolist()], dtype=np.int64)
+    return np.repeat(code, np.diff(np.append(head, field.size)))
+
+
+def _cast(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`cells` read as `float` reads them, and which of them are not a number (they read 0)."""
     try:
-        value = float(text_or_value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"score {text_or_value!r} is not a number", line) from None
-    if not math.isfinite(value):
-        raise ParseError(f"score {text_or_value!r} is not finite", line)
-    return value
-
-
-class _CorpusRows:
-    """Validated rows as interned id codes and parsed scores, in compact arrays."""
-
-    def __init__(self):
-        self.targets: dict[str, int] = {}
-        self.impostors: dict[str, int] = {}
-        self.target_codes, self.impostor_codes, self.scores = array("q"), array("q"), array("d")
-
-    def add(self, line: int | None, target_id: str, impostor_id: str, raw_score) -> None:
-        if not target_id or not impostor_id:
-            raise ParseError("empty speaker identifier", line)
-        if target_id == impostor_id:
-            raise ParseError(f"target and impostor are the same speaker {target_id!r}", line)
-        self.target_codes.append(self.targets.setdefault(target_id, len(self.targets)))
-        self.impostor_codes.append(self.impostors.setdefault(impostor_id, len(self.impostors)))
-        self.scores.append(_parse_score(raw_score, line))
-
-    def pack(self) -> PackedCorpus:
-        return PackedCorpus.from_codes(
-            list(self.targets),
-            list(self.impostors),
-            np.frombuffer(self.target_codes, dtype=np.int64),
-            np.frombuffer(self.impostor_codes, dtype=np.int64),
-            np.frombuffer(self.scores, dtype=float),
-        )
-
-
-def _blank(row: list[str]) -> bool:
-    return not "".join(row).strip()
-
-
-def _read_csv_rows(fh, add) -> None:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file", 1) from None
-    header = [h.strip() for h in header]
-    required = ("target_id", "impostor_id", "score")
-    try:
-        t_col, i_col, s_col = [header.index(name) for name in required]
-    except ValueError as exc:
-        missing = [name for name in required if name not in header]
-        raise ParseError(f"missing column(s) {missing} in header {header}", 1) from exc
-    for line, row in enumerate(reader, start=2):
-        if _blank(row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
-        add(line, row[t_col].strip(), row[i_col].strip(), row[s_col])
-
-
-def _read_jsonl_rows(fh, add) -> None:
-    any_row = False
-    for line, raw in enumerate(fh, start=1):
-        if not raw.strip():
-            continue
-        any_row = True
+        with np.errstate(over="ignore"):  # text beyond the double range reads as inf, as in float()
+            return cells.astype(float), np.zeros(cells.size, dtype=bool)
+    except (ValueError, OverflowError):
+        values, not_number = np.zeros(cells.size), np.zeros(cells.size, dtype=bool)
+    for k, cell in enumerate(cells.tolist()):
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("row is not an object", line)
-        missing = [k for k in ("target", "impostor", "score") if k not in obj]
-        if missing:
-            raise ParseError(f"missing key(s) {missing}", line)
-        score = obj["score"]
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise ParseError(f"score {score!r} is not a number", line)
-        add(line, str(obj["target"]), str(obj["impostor"]), score)
-    if not any_row:
-        raise ParseError("empty file", 1)
+            values[k] = float(cell)
+        except (ValueError, OverflowError):
+            not_number[k] = True
+    return values, not_number
+
+
+def _validated(blocks, labels: bool = False):
+    """Intern, cast and check column blocks: ``(names, codes, scores)``.
+
+    A block holds an id array per id column (the label, in a label file),
+    the score cells and each row's line.  The first row with an empty id,
+    the same target and impostor, a label not in `_LABELS`, a score that is
+    not a number or one that is not finite raises ParseError for the first
+    of these rules, in this order, that it breaks.
+    """
+    index = [{label: code for code, label in enumerate(_LABELS)}] if labels else [{}, {}]
+    codes, scores = [array("q") for _ in index], array("d")
+    for fields, cells, lines in blocks:
+        block_codes = [_intern(field, seen) for field, seen in zip(fields, index)]
+        values, not_number = _cast(cells)
+        if labels:  # a label other than those in `_LABELS` has a higher code
+            rules = [(block_codes[0] >= len(_LABELS), "label {id!r} is not 'target' or 'nontarget'")]
+        else:
+            empty = np.logical_or(*(code == seen.get("", -1) for code, seen in zip(block_codes, index)))
+            same = fields[0] == fields[1]
+            rules = [(empty, "empty speaker identifier"), (same, "target and impostor are the same speaker {id!r}")]
+        rules += [(not_number, "score {cell!r} is not a number"), (~np.isfinite(values), "score {cell!r} is not finite")]
+        bad = np.logical_or.reduce([broken for broken, _ in rules])
+        if bad.any():
+            row = int(bad.argmax())
+            id_, cell = (_text(column[row : row + 1].tolist()[0]) for column in (fields[0], cells))
+            message = next(message for broken, message in rules if broken[row])
+            raise ParseError(message.format(id=id_, cell=cell), lines[row])
+        for out, code in zip(codes, block_codes):
+            out.frombytes(code.view(np.uint8))
+        scores.frombytes(values.view(np.uint8))
+    return (
+        [list(seen) for seen in index],
+        [np.frombuffer(c, dtype=np.int64) for c in codes],
+        np.frombuffer(scores, dtype=float),
+    )
+
+
+def _block(rows: list[tuple], lines: list, clean) -> tuple:
+    """A row reader's ``(*ids, cell)`` rows as a column block, each id passed through `clean`."""
+    *ids, cells = (list(map(itemgetter(k), rows)) for k in range(len(rows[0])))
+    return [np.array(list(map(clean, field)), dtype=object) for field in ids], np.array(cells, dtype=object), lines
+
+
+def _csv_rows(fh, names: tuple[str, ...], header_fault: str, header: list[str] | None, line: int):
+    """Column blocks of the fields `names` of the CSV rows of text file `fh`, the first at `line`.
+
+    Without `header` the first row is the header, whose fields are stripped
+    and must include `names` (else `header_fault`).  Blank rows are skipped.
+    A row with another field count, or that `csv.reader` cannot read,
+    raises ParseError after the rows before it are yielded.
+    """
+    reader = csv.reader(fh)
+    line -= 1  # the line of the last row read
+    rows, lines, fault = [], [], None
+    try:
+        if header is None:
+            if (header := next(reader, None)) is None:
+                raise ParseError("empty file", 1)
+            header, line = [field.strip() for field in header], line + 1
+            if missing := [name for name in names if name not in header]:
+                raise ParseError(header_fault.format(missing=missing, header=header), 1)
+        get = itemgetter(*(header.index(name) for name in names))
+        for row in reader:
+            line += 1
+            if not "".join(row).strip():
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
+            rows.append(get(row))
+            lines.append(line)
+            if len(rows) == _BLOCK_ROWS:
+                yield _block(rows, lines, str.strip)
+                rows, lines = [], []
+    except csv.Error as exc:  # a field beyond csv's size limit, say
+        fault = ParseError(str(exc), line + 1)
+    except ParseError as exc:
+        fault = exc
+    if rows:
+        yield _block(rows, lines, str.strip)
+    if fault is not None:
+        raise fault
+
+
+def _jsonl_rows(fh):
+    """Column blocks of JSONL text file `fh`; a line's fault is raised after the rows before it are yielded."""
+    rows, lines, fault = [], [], None
+    try:
+        for line, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", line) from exc
+            if not isinstance(obj, dict):
+                raise ParseError("row is not an object", line)
+            try:
+                row = obj["target"], obj["impostor"], obj["score"]
+            except KeyError:
+                missing = [k for k in ("target", "impostor", "score") if k not in obj]
+                raise ParseError(f"missing key(s) {missing}", line) from None
+            if type(row[2]) not in (int, float):  # JSON values are of exact types, so a bool fails
+                raise ParseError(f"score {row[2]!r} is not a number", line)
+            if type(row[0]) not in (str, int) or type(row[1]) not in (str, int):
+                speaker = row[1] if type(row[0]) in (str, int) else row[0]
+                raise ParseError(f"speaker identifier {speaker!r} is not a string or an integer", line)
+            rows.append(row)
+            lines.append(line)
+            if len(rows) == _BLOCK_ROWS:
+                yield _block(rows, lines, str)
+                rows, lines = [], []
+    except ParseError as exc:
+        fault = exc
+    if rows:
+        yield _block(rows, lines, str)
+    if fault is not None:
+        raise fault
 
 
 # Bytes a plain CSV may hold: its line ends and the printable ASCII other than
@@ -168,14 +237,14 @@ def _line_blocks(fh):
         yield np.frombuffer(tail + b"\n", dtype=np.uint8)
 
 
-def _row_groups(starts: np.ndarray, widths: np.ndarray):
-    """Halve a block's rows until padding each field to its widest value fits `_GATHER_BYTES`."""
+def _row_groups(widths: np.ndarray, start: int = 0):
+    """Slices of a block's rows, halved until padding each field to its widest value fits `_GATHER_BYTES`."""
     if len(widths) > 1 and len(widths) * int(widths.max(axis=0).sum()) > _GATHER_BYTES:
         half = len(widths) // 2
-        yield from _row_groups(starts[:half], widths[:half])
-        yield from _row_groups(starts[half:], widths[half:])
+        yield from _row_groups(widths[:half], start)
+        yield from _row_groups(widths[half:], start + half)
     else:
-        yield starts, widths
+        yield slice(start, start + len(widths))
 
 
 def _gather(padded: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
@@ -186,49 +255,28 @@ def _gather(padded: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.nd
     return field.view(f"S{width}").reshape(-1)
 
 
-def _intern(field: np.ndarray, index: dict[str, int]) -> np.ndarray:
-    """Codes of `field`'s ids in `index`, which gains the new ones; runs of one id are looked up once."""
-    head = np.flatnonzero(np.concatenate(([True], field[1:] != field[:-1])))
-    unique, inverse = np.unique(field[head], return_inverse=True)
-    code = np.array([index.setdefault(name.decode(), len(index)) for name in unique.tolist()], dtype=np.int64)
-    return np.repeat(code[inverse], np.diff(np.append(head, field.size)))
+def _plain_csv(fh, names: tuple[str, ...], header_fault: str):
+    """Column blocks of the CSV in binary file `fh` for the columns `names`, the score last.
 
-
-def _plain_csv(path, id_columns: tuple[str, ...]):
-    """Parse a plain CSV column by column: ``(names, codes, scores)`` or None.
-
-    For each of `id_columns`, ``names`` holds its distinct ids and
-    ``codes`` each row's index into them; ``scores`` is the ``score``
-    column.  A plain file holds only `_PLAIN_BYTES`, so it has LF line ends
-    (the last one may be missing), and every line after the header has the
-    header's field count with no field empty.  The ids of a row differ and
-    every score is finite; numpy casts text to float as `float` does.
-    Anything else returns None, so that the row reader loads the file or
-    reports its first fault: this never raises ParseError.  The file is
-    read and parsed in blocks of whole lines, and `_row_groups` bounds the
-    padding of each block's fields, so memory beyond the returned arrays
-    stays bounded.
+    Blocks of plain lines from the top are cut up with numpy: they hold
+    only `_PLAIN_BYTES`, so LF line ends (the file's last may be missing),
+    and the header's field count with no field empty.  `_row_groups` bounds
+    the padding of their fields.  From the first block that is not plain,
+    or from the top if the header is not, `_csv_rows` reads the file.
     """
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        if not header.endswith(b"\n") or not _PLAIN_BYTES[np.frombuffer(header, dtype=np.uint8)].all():
-            return None
-        fields = header[:-1].split(b",")
-        try:
-            columns = [fields.index(name.encode()) for name in (*id_columns, "score")]
-        except ValueError:
-            return None
-        n_fields = len(fields)
-        index = [{} for _ in id_columns]
-        codes, scores = [array("q") for _ in id_columns], array("d")
+    first = fh.readline()
+    fields = first[:-1].split(b",")
+    header, offset, line = None, 0, 1
+    plain = first.endswith(b"\n") and _PLAIN_BYTES[np.frombuffer(first, dtype=np.uint8)].all()
+    if plain and {name.encode() for name in names} <= set(fields):
+        columns, n_fields = [fields.index(name.encode()) for name in names], len(fields)
+        header, offset, line = [field.decode() for field in fields], len(first), 2
         for buf in _line_blocks(fh):
-            if not _PLAIN_BYTES[buf].all():
-                return None
             ends = np.flatnonzero(buf == ord("\n"))
             commas = np.flatnonzero(buf == ord(","))
             n = ends.size
-            if commas.size != n * (n_fields - 1):
-                return None
+            if not _PLAIN_BYTES[buf].all() or commas.size != n * (n_fields - 1):
+                break
             bounds = np.empty((n, n_fields + 1), dtype=np.int64)
             bounds[0, 0] = -1
             bounds[1:, 0] = ends[:-1]
@@ -238,30 +286,18 @@ def _plain_csv(path, id_columns: tuple[str, ...]):
             # line holds exactly its own n_fields - 1 commas
             widths = np.diff(bounds, axis=1) - 1
             if widths.min() < 1:
-                return None
+                break
             padded = np.concatenate((buf, np.zeros(int(widths.max()), dtype=np.uint8)))
-            for starts, group_widths in _row_groups(bounds[:, columns] + 1, widths[:, columns]):
-                gathered = [_gather(padded, starts[:, j], group_widths[:, j]) for j in range(len(columns))]
-                ids, score_text = gathered[:-1], gathered[-1]
-                if any(np.any(a == b) for a, b in combinations(ids, 2)):
-                    return None
-                try:
-                    with np.errstate(over="ignore"):  # text beyond the double range reads as inf, as in float()
-                        values = score_text.astype(float)
-                except ValueError:
-                    return None
-                if not np.isfinite(values).all():
-                    return None
-                for field, seen, out in zip(ids, index, codes):
-                    out.frombytes(_intern(field, seen).view(np.uint8))
-                scores.frombytes(values.view(np.uint8))
-    if not scores:
-        return None
-    return (
-        [list(seen) for seen in index],
-        [np.frombuffer(c, dtype=np.int64) for c in codes],
-        np.frombuffer(scores, dtype=float),
-    )
+            starts, widths = bounds[:, columns] + 1, widths[:, columns]
+            for rows in _row_groups(widths):
+                *ids, cells = (_gather(padded, starts[rows, j], widths[rows, j]) for j in range(len(columns)))
+                yield ids, cells, range(line + rows.start, line + rows.stop)
+            offset, line = offset + buf.size, line + n
+        else:
+            return
+    fh.seek(offset)
+    with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        yield from _csv_rows(text, names, header_fault, header, line)
 
 
 FORMAT_BY_SUFFIX = {".csv": "csv", ".jsonl": "jsonl"}
@@ -271,9 +307,8 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
     """Load and validate a non-target trial corpus from `path`.
 
     `format` is "csv" or "jsonl"; when omitted it is inferred from the file
-    suffix.  A plain CSV is parsed column by column; any other file is read
-    row by row, and any malformed row raises ParseError naming the line
-    number.
+    suffix.  A plain CSV is parsed column by column, any other file row by
+    row, and the first malformed row raises ParseError naming its line.
     """
     path = Path(path)
     if format is None:
@@ -282,65 +317,28 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
             raise ParseError(f"cannot infer format from suffix {path.suffix!r}; pass format=")
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}, expected 'csv' or 'jsonl'")
-    if format == "csv" and (plain := _plain_csv(path, ("target_id", "impostor_id"))) is not None:
-        (targets, impostors), (target_codes, impostor_codes), scores = plain
-        return PackedCorpus.from_codes(targets, impostors, target_codes, impostor_codes, scores)
-    read = _read_csv_rows if format == "csv" else _read_jsonl_rows
-    rows = _CorpusRows()
-    with open(path, newline="" if format == "csv" else None) as fh:
-        read(fh, rows.add)
-    if not rows.scores:
-        raise ParseError("file contains no data rows", 1)
-    return rows.pack()
-
-
-_LABELS = ("target", "nontarget")
-
-
-def _plain_labels(path) -> dict[str, np.ndarray] | None:
-    plain = _plain_csv(path, ("label",))
-    if plain is None:
-        return None
-    [labels], [codes], scores = plain
-    if not set(labels) <= set(_LABELS):
-        return None
-    return {label: scores[codes == code] for code, label in enumerate(labels)}
-
-
-def _read_labeled_rows(path) -> dict[str, np.ndarray]:
-    buckets = {label: array("d") for label in _LABELS}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError("empty file", 1) from None
-        try:
-            label_col, score_col = header.index("label"), header.index("score")
-        except ValueError:
-            raise ParseError(f"expected header with 'label' and 'score', got {header}", 1) from None
-        for line, row in enumerate(reader, start=2):
-            if _blank(row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
-            label = row[label_col].strip()
-            if label not in buckets:
-                raise ParseError(f"label {label!r} is not 'target' or 'nontarget'", line)
-            buckets[label].append(_parse_score(row[score_col], line))
-    return {label: np.frombuffer(values, dtype=float) for label, values in buckets.items()}
+    with (open(path, "rb") if format == "csv" else open(path, encoding="utf-8")) as fh:
+        if format == "csv":
+            names, missing = ("target_id", "impostor_id", "score"), "missing column(s) {missing} in header {header}"
+            blocks = _plain_csv(fh, names, missing)
+        else:
+            blocks = _jsonl_rows(fh)
+        (targets, impostors), (target_codes, impostor_codes), scores = _validated(blocks)
+    if not scores.size:  # a JSONL file without rows has only blank lines
+        raise ParseError("empty file" if format == "jsonl" else "file contains no data rows", 1)
+    return PackedCorpus.from_codes(targets, impostors, target_codes, impostor_codes, scores)
 
 
 def load_labeled_scores(path) -> LabeledScoreSet:
     """Load a ``label,score`` CSV with label in {target, nontarget}.
 
-    A plain CSV is parsed column by column; any other file is read row by
-    row, and any malformed row raises ParseError naming the line number.
+    A plain CSV is parsed column by column, any other file row by row, and
+    the first malformed row raises ParseError naming its line.
     """
-    buckets = _plain_labels(path)
-    if buckets is None:
-        buckets = _read_labeled_rows(path)
-    target, nontarget = (buckets.get(label, np.empty(0)) for label in _LABELS)
+    with open(path, "rb") as fh:
+        header_fault = "expected header with 'label' and 'score', got {header}"
+        _, [codes], scores = _validated(_plain_csv(fh, ("label", "score"), header_fault), labels=True)
+    target, nontarget = (scores[codes == code] for code in range(len(_LABELS)))
     if not target.size or not nontarget.size:
         raise ParseError("file must contain at least one target and one nontarget score")
     return LabeledScoreSet(target_scores=target, nontarget_scores=nontarget)
@@ -461,13 +459,14 @@ class PackedCorpus:
 
         A target may have no impostors; a pair without scores is left out.
         """
-        rows = _CorpusRows()
-        for target_id, pairs in groups.items():
-            rows.targets.setdefault(target_id, len(rows.targets))
-            for impostor_id, values in pairs.items():
-                for value in np.asarray(values, dtype=float).reshape(-1).tolist():
-                    rows.add(None, target_id, impostor_id, value)
-        return rows.pack()
+        pairs = [(t, i, np.asarray(v, dtype=float).reshape(-1)) for t, by_i in groups.items() for i, v in by_i.items()]
+        counts = [values.size for *_, values in pairs]
+        fields = [np.repeat(np.array([pair[k] for pair in pairs], dtype=object), counts) for k in (0, 1)]
+        cells = np.concatenate([np.empty(0), *(values for *_, values in pairs)])
+        blocks = [(fields, cells, [None] * cells.size)] if cells.size else []
+        (targets, impostors), (target_codes, impostor_codes), scores = _validated(blocks)
+        targets += groups.keys() - set(targets)
+        return cls.from_codes(targets, impostors, target_codes, impostor_codes, scores)
 
     @property
     def n_targets(self) -> int:

@@ -1,11 +1,17 @@
+import codecs
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import wcfar
 from wcfar.cli import main
 from wcfar.errors import NumericError
 from wcfar.model import Hyperparameters
@@ -484,6 +490,41 @@ class TestDiagnoseCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_impostors"] == 4
         assert payload["closest_impostor_stdev"] > 0
+
+
+class TestScoreFiles:
+    @pytest.mark.parametrize("command", ["empirical", "threshold"])
+    def test_field_beyond_csv_limit_is_one_error_line(self, tmp_path, capsys, command):
+        # the space after the id keeps the file off the column path, so csv.reader meets the field
+        path = tmp_path / "scores.csv"
+        if command == "empirical":
+            path.write_text("target_id,impostor_id,score\n" + "a" * 140_000 + " ,b,1.0\n")
+            args = ["empirical", "--corpus", path, "--tau", "1.0", "--n", "1"]
+        else:
+            path.write_text("label,score\n" + "t" * 140_000 + " ,1.0\n")
+            args = ["threshold", "--labels", path, "--eer"]
+        assert run(args) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: line 2: field larger than field limit (131072)"]
+
+    def test_utf8_files_load_under_an_ascii_locale(self, tmp_path, capsys):
+        path = tmp_path / "corpus.csv"
+        rows = ["Zoé,Camille,0.5", "Zoé,Léa,1.5", "Camille,Zoé,1.0", "Camille,Léa,0.2"]
+        path.write_text("target_id,impostor_id,score\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        args = ["empirical", "--corpus", str(path), "--tau", "0.4", "--n", "1,2"]
+        assert run(args) == 0
+        want = capsys.readouterr().out
+        # without locale coercion and UTF-8 mode the C locale decodes as ASCII by default
+        child = (
+            "import locale, sys; from wcfar.cli import main; code = main(sys.argv[1:]); "
+            "print(locale.getpreferredencoding(False), file=sys.stderr); sys.exit(code)"
+        )
+        src = str(Path(wcfar.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", child, *args], capture_output=True, text=True, env=env
+        )
+        assert codecs.lookup(proc.stderr.strip()).name == "ascii"
+        assert (proc.returncode, proc.stdout) == (0, want)
 
 
 class TestCliContract:

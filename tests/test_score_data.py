@@ -147,13 +147,147 @@ class TestLoadCorpus:
         assert load_corpus(path, format="csv").n_targets == 1
 
 
+HEADER = b"target_id,impostor_id,score\n"
+
+
+def _jsonl(*objects) -> bytes:
+    return b"".join(json.dumps(obj).encode() + b"\n" for obj in objects)
+
+
+# Each odd or faulty file maps to what loading it gives: a corpus as
+# (target_ids, impostor_ids, pair_offsets, scores), label scores as
+# (target_scores, nontarget_scores), or the exact ParseError text.
+ODD_FILES = [
+    pytest.param("c.csv", HEADER + b'"a","b",0.5\n"a,x",b,1.5\n',
+                 (("a", "a,x"), ("b", "b"), [0, 1, 2], [0.5, 1.5]), id="quotes"),
+    pytest.param("c.csv", HEADER.replace(b"\n", b"\r\n") + b"a,b,0.5\r\na,c,1.5\r\n",
+                 (("a",), ("b", "c"), [0, 1, 2], [0.5, 1.5]), id="crlf"),
+    pytest.param("c.csv", HEADER + "é,b,0.5\nz,é,1.5\n".encode(),
+                 (("z", "é"), ("é", "b"), [0, 1, 2], [1.5, 0.5]), id="utf8"),
+    pytest.param("c.csv", HEADER + b"a,b,0.5\n\na,b,1.5\n",
+                 (("a",), ("b",), [0, 2], [0.5, 1.5]), id="blank-line"),
+    pytest.param("c.csv", HEADER + b"a,b,0.5\na,c,1.5",
+                 (("a",), ("b", "c"), [0, 1, 2], [0.5, 1.5]), id="no-final-newline"),
+    pytest.param("c.csv", HEADER + b" a ,b ,0.5\na,b,1.5\n",
+                 (("a",), ("b",), [0, 2], [0.5, 1.5]), id="padded-ids"),
+    pytest.param("c.csv", b"score,impostor_id,target_id\n0.5,b,a\n",
+                 (("a",), ("b",), [0, 1], [0.5]), id="permuted-header"),
+    pytest.param("c.csv", b"target_id, impostor_id , score\na,b,0.5\n",
+                 (("a",), ("b",), [0, 1], [0.5]), id="spaced-header"),
+    pytest.param("c.csv", HEADER + b"a#1,#b,0.5\n", (("a#1",), ("#b",), [0, 1], [0.5]), id="hash-in-id"),
+    pytest.param("c.csv", HEADER + b"a\x00,b,0.5\na,b,1.5\n",
+                 (("a", "a\x00"), ("b", "b"), [0, 1, 2], [1.5, 0.5]), id="nul-in-id"),
+    pytest.param("c.csv", HEADER + b"a,b,1_0\n", (("a",), ("b",), [0, 1], [10.0]), id="score-underscore"),
+    pytest.param("c.csv", HEADER + b"a,b, 1.5 \n", (("a",), ("b",), [0, 1], [1.5]), id="score-padded"),
+    pytest.param("c.csv", HEADER + "a,b,١٢\n".encode(),
+                 (("a",), ("b",), [0, 1], [12.0]), id="score-arabic-digits"),
+    pytest.param("c.csv", HEADER + b"a,b,nan\n", "line 2: score 'nan' is not finite", id="score-nan"),
+    pytest.param("c.csv", HEADER + b"a,b,1e999\n",
+                 "line 2: score '1e999' is not finite", id="score-overflow"),
+    pytest.param("c.csv", HEADER + b"a,b,zz\n", "line 2: score 'zz' is not a number", id="score-text"),
+    pytest.param("c.csv", HEADER + b"a,b,1.5\x00\n",
+                 "line 2: score '1.5\\x00' is not a number", id="score-nul"),
+    pytest.param("c.csv", HEADER + b"a,a,1\n",
+                 "line 2: target and impostor are the same speaker 'a'", id="same-speaker"),
+    pytest.param("c.csv", HEADER + b",b,1\n", "line 2: empty speaker identifier", id="empty-id"),
+    pytest.param("c.csv", HEADER + b"a,b\n", "line 2: expected 3 fields, got 2", id="short-row"),
+    pytest.param("c.csv", HEADER + b"a,b,1,2\n", "line 2: expected 3 fields, got 4", id="long-row"),
+    pytest.param("c.csv", HEADER, "line 1: file contains no data rows", id="header-only"),
+    pytest.param("c.csv", b"", "line 1: empty file", id="empty-file"),
+    pytest.param("c.csv", b"target_id,score\na,1\n",
+                 "line 1: missing column(s) ['impostor_id'] in header ['target_id', 'score']", id="missing-column"),
+    pytest.param("c.csv", HEADER + b"a,b,zz\na,a,1\n",
+                 "line 2: score 'zz' is not a number", id="order-text-before-same"),
+    pytest.param("c.csv", HEADER + b'a,a,1\n"b",c,2\n',
+                 "line 2: target and impostor are the same speaker 'a'", id="order-plain-before-quoted"),
+    pytest.param("c.csv", HEADER + b"a,a,zz\n",
+                 "line 2: target and impostor are the same speaker 'a'", id="order-in-row-same-before-text"),
+    pytest.param("c.csv", HEADER + b",,1\n",
+                 "line 2: empty speaker identifier", id="order-in-row-empty-before-same"),
+    pytest.param("c.jsonl",
+                 _jsonl({"target": "a", "impostor": "b", "score": "x"}, {"target": "a", "impostor": "a", "score": 1}),
+                 "line 1: score 'x' is not a number", id="order-jsonl-type-before-same"),
+    pytest.param("c.jsonl", _jsonl({"target": "a", "impostor": "a", "score": 1}) + b"{not json\n",
+                 "line 1: target and impostor are the same speaker 'a'", id="order-jsonl-same-before-json"),
+    pytest.param("c.jsonl", b'{"target": "a", "impostor": "b", "score": NaN}\n',
+                 "line 1: score nan is not finite", id="jsonl-nan"),
+    pytest.param("c.jsonl", _jsonl({"target": "a", "impostor": "b", "score": 10**400}),
+                 f"line 1: score {10**400} is not a number", id="jsonl-huge-int"),
+    pytest.param("c.jsonl", _jsonl({"target": "a", "impostor": "b", "score": True}),
+                 "line 1: score True is not a number", id="jsonl-bool"),
+    pytest.param("c.jsonl", _jsonl({"target": 1, "impostor": 2, "score": 0.5}),
+                 (("1",), ("2",), [0, 1], [0.5]), id="jsonl-integer-ids"),
+    pytest.param("l.csv", b"label,score\nimpostor,0.5\n",
+                 "line 2: label 'impostor' is not 'target' or 'nontarget'", id="labels-bad-label"),
+    pytest.param("l.csv", b"label,score\ntarget,zz\n",
+                 "line 2: score 'zz' is not a number", id="labels-bad-score"),
+    pytest.param("l.csv", b"label,score\nimpostor,zz\n",
+                 "line 2: label 'impostor' is not 'target' or 'nontarget'", id="labels-order-in-row"),
+    pytest.param("l.csv", b"label,score\ntarget,nan\n", "line 2: score 'nan' is not finite", id="labels-nan"),
+    pytest.param("l.csv", b'label,score\n"target",1.5\n"nontarget",-0.5\n',
+                 ([1.5], [-0.5]), id="labels-quotes"),
+    pytest.param("l.csv", b"lab,score\ntarget,1.5\n",
+                 "line 1: expected header with 'label' and 'score', got ['lab', 'score']", id="labels-wrong-header"),
+    pytest.param("l.csv", b"label,score\ntarget,1.5\n",
+                 "file must contain at least one target and one nontarget score", id="labels-one-class"),
+    # bug fixes: a field beyond csv's size limit, and a JSON id of another type, loaded as "None" before
+    pytest.param("c.csv", HEADER + b"a" * 140_000 + b" ,b,1\n",
+                 "line 2: field larger than field limit (131072)", id="field-limit"),
+    pytest.param("c.csv", HEADER + b"a,a,1\n" + b"a" * 140_000 + b" ,b,1\n",
+                 "line 2: target and impostor are the same speaker 'a'", id="order-same-before-field-limit"),
+    pytest.param("l.csv", b"label,score\n" + b"t" * 140_000 + b" ,1\n",
+                 "line 2: field larger than field limit (131072)", id="labels-field-limit"),
+    pytest.param("c.jsonl", _jsonl({"target": None, "impostor": "b", "score": 0.5}),
+                 "line 1: speaker identifier None is not a string or an integer", id="jsonl-null-id"),
+]
+
+
+@pytest.mark.parametrize("name,content,want", ODD_FILES)
+def test_odd_file(tmp_path, name, content, want):
+    path = tmp_path / name
+    path.write_bytes(content)
+    load = load_labeled_scores if name.startswith("l") else load_corpus
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == want
+    elif load is load_corpus:
+        corpus = load(path)
+        assert (corpus.target_ids, corpus.impostor_ids) == want[:2]
+        assert corpus.pair_offsets.tolist() == want[2]
+        assert corpus.scores.tolist() == want[3]
+    else:
+        labeled = load(path)
+        assert (labeled.target_scores.tolist(), labeled.nontarget_scores.tolist()) == want
+
+
+@pytest.mark.parametrize("speaker", [None, True, False, 1.5, "", {"x": 1}, [1]])
+def test_jsonl_ids_are_strings_or_integers(tmp_path, speaker):
+    path = tmp_path / "c.jsonl"
+    rows = [{"target": speaker, "impostor": "b", "score": 0.5}, {"target": "a", "impostor": speaker, "score": 0.5}]
+    for row in rows:
+        path.write_bytes(_jsonl(row))
+        with pytest.raises(ParseError) as info:
+            load_corpus(path)
+        if speaker == "":
+            assert str(info.value) == "line 1: empty speaker identifier"
+        else:
+            assert str(info.value) == f"line 1: speaker identifier {speaker!r} is not a string or an integer"
+    path.write_bytes(_jsonl({"target": speaker, "impostor": "b", "score": "x"}))
+    with pytest.raises(ParseError, match="^line 1: score 'x' is not a number$"):
+        load_corpus(path)
+    # an integer id is the speaker named by its digits
+    path.write_bytes(_jsonl({"target": 7, "impostor": "b", "score": 0.5}, {"target": "7", "impostor": "b", "score": 1}))
+    assert load_corpus(path) == PackedCorpus.from_groups({"7": {"b": [0.5, 1.0]}})
+
+
 def _row_reader_used(*args):
     raise AssertionError("the row reader parsed a plain file")
 
 
 @pytest.fixture
 def column_path_only(monkeypatch):
-    monkeypatch.setattr(score_data, "_read_csv_rows", _row_reader_used)
+    monkeypatch.setattr(score_data, "_csv_rows", _row_reader_used)
 
 
 def _assert_matches_oracle(loaded, rows):
@@ -218,27 +352,62 @@ class TestColumnPath:
         _assert_matches_oracle(load_corpus(path), rows)
 
     def test_memory_stays_within_three_file_sizes(self, tmp_path, column_path_only):
-        g = np.random.default_rng(9)
-        scores = g.normal(size=(128, 250, 4)).tolist()
         path = tmp_path / "c.csv"
-        path.write_text(
-            CSV_ROWS[0]
-            + "\n"
-            + "".join(
-                f"t{t:05d},i{t:05d}_{j:04d},{v!r}\n"
-                for t, pairs in enumerate(scores)
-                for j, values in enumerate(pairs)
-                for v in values
-            )
-        )
-        tracemalloc.start()
-        try:
-            corpus = load_corpus(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert corpus.n_scores == 128 * 250 * 4
-        assert peak <= 3 * path.stat().st_size
+        path.write_text(CSV_ROWS[0] + "\n" + "".join(f"{t},{i},{v!r}\n" for t, i, v in _large_corpus_rows()))
+        assert _load_peak(path) <= 3 * path.stat().st_size
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("a,b,zz", "score 'zz' is not a number"),
+            ("a,b,nan", "score 'nan' is not finite"),
+            ("a,a,1.5", "target and impostor are the same speaker 'a'"),
+        ],
+    )
+    def test_value_faults_are_found_without_the_row_reader(self, tmp_path, column_path_only, row, message):
+        with pytest.raises(ParseError) as info:
+            load_corpus(write(tmp_path, "c.csv", [CSV_ROWS[0], "a,b,0.5", row, "a,a,2.5"]))
+        assert str(info.value) == f"line 3: {message}"
+        with pytest.raises(ParseError) as info:
+            load_labeled_scores(write(tmp_path, "l.csv", ["label,score", "target,0.5", "impostor,1.5"]))
+        assert str(info.value) == "line 3: label 'impostor' is not 'target' or 'nontarget'"
+
+
+def _large_corpus_rows() -> list[tuple[str, str, float]]:
+    """128 targets x 250 impostors x 4 scores, as in `corpus_wide`."""
+    scores = np.random.default_rng(9).normal(size=(128, 250, 4)).tolist()
+    return [
+        (f"t{t:05d}", f"i{t:05d}_{j:04d}", v)
+        for t, pairs in enumerate(scores)
+        for j, values in enumerate(pairs)
+        for v in values
+    ]
+
+
+def _load_peak(path) -> int:
+    """Peak traced memory of loading `path`, which must hold `_large_corpus_rows`."""
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corpus.n_scores == 128 * 250 * 4
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_row_readers_stay_within_three_file_sizes(tmp_path, fmt):
+    path = tmp_path / f"c.{fmt}"
+    if fmt == "csv":  # quoted, so the row reader takes it
+        path.write_text(_csv_line(["target_id", "impostor_id", "score"]) + "".join(
+            f'"{t}","{i}",{v!r}\n' for t, i, v in _large_corpus_rows()
+        ))
+    else:
+        path.write_text("".join(
+            json.dumps({"target": t, "impostor": i, "score": v}) + "\n" for t, i, v in _large_corpus_rows()
+        ))
+    assert _load_peak(path) <= 3 * path.stat().st_size
 
 
 class TestLabeledScores:
@@ -273,16 +442,14 @@ class TestLabeledScores:
         assert labeled.target_scores.tolist() == [1.0, 2.0]
         assert labeled.nontarget_scores.tolist() == [0.0]
 
-    def test_plain_file_matches_row_reader(self, tmp_path, monkeypatch):
+    def test_plain_file_matches_row_reader(self, tmp_path, column_path_only):
         g = np.random.default_rng(4)
         labels = g.choice(["target", "nontarget"], 5000).tolist()
-        lines = ["score,label", *(f"{v!r},{label}" for v, label in zip(g.normal(size=5000).tolist(), labels))]
-        path = write(tmp_path, "l.csv", lines)
-        want = score_data._read_labeled_rows(path)
-        monkeypatch.setattr(score_data, "_read_labeled_rows", _row_reader_used)
-        got = load_labeled_scores(path)
-        assert np.array_equal(got.target_scores, want["target"])
-        assert np.array_equal(got.nontarget_scores, want["nontarget"])
+        scores = g.normal(size=5000).tolist()
+        lines = ["score,label", *(f"{v!r},{label}" for v, label in zip(scores, labels))]
+        got = load_labeled_scores(write(tmp_path, "l.csv", lines))
+        for label, loaded in (("target", got.target_scores), ("nontarget", got.nontarget_scores)):
+            assert loaded.tolist() == [v for v, k in zip(scores, labels) if k == label]
 
     def test_requires_both_classes(self, tmp_path):
         path = write(tmp_path, "l.csv", ["label,score", "target,0.5"])
