@@ -15,15 +15,29 @@ Every loader and `PackedCorpus.from_groups` hand blocks of columns to
 only tokenise: `_plain_csv` cuts plain CSV lines into columns with numpy,
 `_csv_rows` reads any other CSV lines and `_jsonl_rows` JSONL lines.  A
 reader's own fault is raised after the rows before it are checked, so the
-first fault in a file wins.  Files are decoded as UTF-8.
+first fault in a file wins.  Files are decoded as UTF-8, and `_decoded`
+names the line of a byte that is not.
+
+`_cached` saves the arrays of each successful load in
+``$XDG_CACHE_HOME/wcfar`` (else ``$HOME/.cache/wcfar``), one ``.npz`` entry
+per SHA-256 of the loader kind, this module's source, numpy's version and
+the file's bytes, so a later load of the same bytes reads them back instead
+of parsing.  The directory keeps the `_CACHE_ENTRIES` most recently used
+entries.  A failed parse is never saved, and any fault of the cache falls
+back to the parse.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import stat
+import tempfile
+import zipfile
 from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -176,17 +190,17 @@ def _csv_rows(fh, names: tuple[str, ...], header_fault: str, header: list[str] |
         raise fault
 
 
-def _jsonl_rows(fh):
-    """Column blocks of JSONL text file `fh`; a line's fault is raised after the rows before it are yielded."""
+def _jsonl_rows(fh, line: int):
+    """Column blocks of JSONL text file `fh` from line `line`; a line's fault is raised after the rows before it."""
     rows, lines, fault = [], [], None
     try:
-        for line, raw in enumerate(fh, start=1):
+        for line, raw in enumerate(fh, start=line):
             if not raw.strip():
                 continue
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line) from exc
+            except ValueError as exc:  # an integer beyond int's digit limit is no JSONDecodeError
+                raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line) from exc
             if not isinstance(obj, dict):
                 raise ParseError("row is not an object", line)
             try:
@@ -210,6 +224,37 @@ def _jsonl_rows(fh):
         yield _block(rows, lines, str)
     if fault is not None:
         raise fault
+
+
+def _decoded(fh, line: int, newline: str | None, rows):
+    """Blocks of `rows(text, line)` on the UTF-8 text of binary file `fh` from its position, the line `line`.
+
+    `TextIOWrapper` decodes ahead of the rows it hands on, so a byte that is
+    not valid UTF-8 stops the reading before the lines ahead of it are read.
+    In a seekable file those lines are read again from the raw bytes, and
+    ParseError names the bad byte's line after their rows.
+    """
+    start = fh.tell() if fh.seekable() else None
+    text = io.TextIOWrapper(fh, encoding="utf-8", newline=newline)
+    try:
+        yield from rows(text, line)
+        return
+    except UnicodeDecodeError:
+        if start is None:
+            raise
+    finally:
+        if not fh.closed:  # else dropping `text` would close `fh`
+            text.detach()
+    fh.seek(start)
+    data = fh.read()
+    try:
+        data.decode()
+        cut = len(data)  # the file changed since
+    except UnicodeDecodeError as exc:
+        cut = data.rfind(b"\n", 0, exc.start) + 1
+    if cut:
+        yield from rows(io.StringIO(data[:cut].decode(), newline=newline), line)
+    raise ParseError("not valid UTF-8", line + data.count(b"\n", 0, cut))
 
 
 # Bytes a plain CSV may hold: its line ends and the printable ASCII other than
@@ -296,8 +341,140 @@ def _plain_csv(fh, names: tuple[str, ...], header_fault: str):
         else:
             return
     fh.seek(offset)
-    with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-        yield from _csv_rows(text, names, header_fault, header, line)
+    yield from _decoded(fh, line, "", lambda text, line: _csv_rows(text, names, header_fault, header, line))
+
+
+_CACHE_ENTRIES = 16
+# what np.load raises on a truncated or foreign entry (TypeError: an .npy array is no context
+# manager), and what the checks below raise on one whose arrays disagree
+_CACHE_FAULTS = (OSError, ValueError, EOFError, KeyError, TypeError, zipfile.BadZipFile)
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/wcfar``, else ``$HOME/.cache/wcfar``; None when neither is an absolute path."""
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    base = Path(xdg) if os.path.isabs(xdg) else Path(os.environ.get("HOME", ""), ".cache")
+    return base / "wcfar" if base.is_absolute() else None
+
+
+def _cache_key(fh, kind: str) -> str:
+    """SHA-256 of `kind`, this module's source, numpy's version and the rest of binary file `fh`."""
+    import hashlib  # loads OpenSSL (~5 ms), which only loaders need
+
+    digest = hashlib.sha256()
+    for part in (kind.encode(), Path(__file__).read_bytes(), np.__version__.encode()):
+        digest.update(len(part).to_bytes(8, "little") + part)
+    while chunk := fh.read(1 << 20):
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _read_entry(entry: Path, from_arrays):
+    """`from_arrays` of cache entry `entry`, whose mtime is refreshed; None if it is missing or bad."""
+    try:
+        with np.load(entry, allow_pickle=False) as npz:
+            loaded = from_arrays(npz)
+    except _CACHE_FAULTS:
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return loaded
+
+
+def _write_entry(entry: Path, arrays: dict[str, np.ndarray]) -> None:
+    """Save `arrays` as `entry` through a temporary file, then delete all but the newest `_CACHE_ENTRIES` files."""
+    with contextlib.suppress(OSError):  # a file another process deleted meanwhile skips the deletions
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, temp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+        try:
+            with open(fd, "wb") as out:
+                np.savez(out, **arrays)
+            os.replace(temp, entry)
+        finally:
+            Path(temp).unlink(missing_ok=True)
+        files = sorted(entry.parent.iterdir(), key=lambda path: path.stat().st_mtime_ns, reverse=True)
+        for old in files[_CACHE_ENTRIES:]:
+            old.unlink(missing_ok=True)
+
+
+def _cached(path, kind: str, parse, to_arrays, from_arrays):
+    """`parse(fh)` on binary file `path`, or `from_arrays` of what `to_arrays` saved of it for the same content.
+
+    Only a regular file is cached, and only when its size and mtime did not
+    change from before hashing to the end of a successful parse.
+    """
+    entry = None
+    with open(path, "rb") as fh:
+        before = os.fstat(fh.fileno())
+        if stat.S_ISREG(before.st_mode) and (where := _cache_dir()) is not None:
+            with contextlib.suppress(OSError):
+                entry = where / f"{_cache_key(fh, kind)}.npz"
+            fh.seek(0)
+            if entry is not None and (loaded := _read_entry(entry, from_arrays)) is not None:
+                return loaded
+        result = parse(fh)
+        after = os.fstat(fh.fileno())
+    if entry is not None and (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
+        _write_entry(entry, to_arrays(result))
+    return result
+
+
+def _entry_arrays(npz, **dtypes) -> list[np.ndarray]:
+    """The arrays of a cache entry named by `dtypes`, each 1-D and of its dtype, or ValueError."""
+    arrays = [npz[name] for name in dtypes]
+    if any(a.ndim != 1 or a.dtype != dtype for a, dtype in zip(arrays, dtypes.values())):
+        raise ValueError("foreign cache entry")
+    return arrays
+
+
+def _is_offsets(offsets: np.ndarray, total: int) -> bool:
+    return offsets.size > 0 and offsets[0] == 0 and offsets[-1] == total and bool((np.diff(offsets) >= 0).all())
+
+
+def _corpus_arrays(corpus: PackedCorpus) -> dict[str, np.ndarray]:
+    """`corpus` as a cache entry; its target ids, then its pairs' impostor ids, are one UTF-8 text with offsets."""
+    names = (*corpus.target_ids, *corpus.impostor_ids)
+    lengths = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
+    return {
+        # a JSON id may be a lone surrogate such as "\ud800"
+        "names": np.frombuffer("".join(names).encode("utf-8", "surrogatepass"), dtype=np.uint8),
+        "name_offsets": np.append(0, np.cumsum(lengths)),
+        "target_offsets": corpus.target_offsets,
+        "pair_offsets": corpus.pair_offsets,
+        "scores": corpus.scores,
+    }
+
+
+def _corpus_from(npz) -> PackedCorpus:
+    names, name_offsets, target_offsets, pair_offsets, scores = _entry_arrays(
+        npz, names=np.uint8, name_offsets=np.int64, target_offsets=np.int64, pair_offsets=np.int64, scores=float
+    )
+    text = names.tobytes().decode("utf-8", "surrogatepass")
+    n_targets, n_pairs = target_offsets.size - 1, pair_offsets.size - 1
+    if not (
+        _is_offsets(name_offsets, len(text))
+        and name_offsets.size == n_targets + n_pairs + 1
+        and _is_offsets(target_offsets, n_pairs)
+        and _is_offsets(pair_offsets, scores.size)
+    ):
+        raise ValueError("inconsistent cache entry")
+    bounds = name_offsets.tolist()
+    ids = [text[start:end] for start, end in zip(bounds, bounds[1:])]
+    return PackedCorpus(
+        target_ids=tuple(ids[:n_targets]),
+        impostor_ids=tuple(ids[n_targets:]),
+        target_offsets=target_offsets,
+        pair_target=np.repeat(np.arange(n_targets), np.diff(target_offsets)),
+        pair_offsets=pair_offsets,
+        scores=scores,
+    )
+
+
+def _labels_from(npz) -> LabeledScoreSet:
+    target, nontarget = _entry_arrays(npz, target_scores=float, nontarget_scores=float)
+    if not target.size or not nontarget.size:
+        raise ValueError("inconsistent cache entry")
+    return LabeledScoreSet(target_scores=target, nontarget_scores=nontarget)
 
 
 FORMAT_BY_SUFFIX = {".csv": "csv", ".jsonl": "jsonl"}
@@ -309,6 +486,7 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
     `format` is "csv" or "jsonl"; when omitted it is inferred from the file
     suffix.  A plain CSV is parsed column by column, any other file row by
     row, and the first malformed row raises ParseError naming its line.
+    A file loaded before is read back from the cache (see `_cached`).
     """
     path = Path(path)
     if format is None:
@@ -317,13 +495,16 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
             raise ParseError(f"cannot infer format from suffix {path.suffix!r}; pass format=")
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}, expected 'csv' or 'jsonl'")
-    with (open(path, "rb") if format == "csv" else open(path, encoding="utf-8")) as fh:
-        if format == "csv":
-            names, missing = ("target_id", "impostor_id", "score"), "missing column(s) {missing} in header {header}"
-            blocks = _plain_csv(fh, names, missing)
-        else:
-            blocks = _jsonl_rows(fh)
-        (targets, impostors), (target_codes, impostor_codes), scores = _validated(blocks)
+    return _cached(path, format, lambda fh: _parse_corpus(fh, format), _corpus_arrays, _corpus_from)
+
+
+def _parse_corpus(fh, format: str) -> PackedCorpus:
+    if format == "csv":
+        names, missing = ("target_id", "impostor_id", "score"), "missing column(s) {missing} in header {header}"
+        blocks = _plain_csv(fh, names, missing)
+    else:
+        blocks = _decoded(fh, 1, None, _jsonl_rows)
+    (targets, impostors), (target_codes, impostor_codes), scores = _validated(blocks)
     if not scores.size:  # a JSONL file without rows has only blank lines
         raise ParseError("empty file" if format == "jsonl" else "file contains no data rows", 1)
     return PackedCorpus.from_codes(targets, impostors, target_codes, impostor_codes, scores)
@@ -333,11 +514,15 @@ def load_labeled_scores(path) -> LabeledScoreSet:
     """Load a ``label,score`` CSV with label in {target, nontarget}.
 
     A plain CSV is parsed column by column, any other file row by row, and
-    the first malformed row raises ParseError naming its line.
+    the first malformed row raises ParseError naming its line.  A file
+    loaded before is read back from the cache (see `_cached`).
     """
-    with open(path, "rb") as fh:
-        header_fault = "expected header with 'label' and 'score', got {header}"
-        _, [codes], scores = _validated(_plain_csv(fh, ("label", "score"), header_fault), labels=True)
+    return _cached(path, "labels", _parse_labels, vars, _labels_from)
+
+
+def _parse_labels(fh) -> LabeledScoreSet:
+    header_fault = "expected header with 'label' and 'score', got {header}"
+    _, [codes], scores = _validated(_plain_csv(fh, ("label", "score"), header_fault), labels=True)
     target, nontarget = (scores[codes == code] for code in range(len(_LABELS)))
     if not target.size or not nontarget.size:
         raise ParseError("file must contain at least one target and one nontarget score")

@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
 import random
 import string
+import tempfile
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +243,16 @@ ODD_FILES = [
                  "line 2: field larger than field limit (131072)", id="labels-field-limit"),
     pytest.param("c.jsonl", _jsonl({"target": None, "impostor": "b", "score": 0.5}),
                  "line 1: speaker identifier None is not a string or an integer", id="jsonl-null-id"),
+    # bug fixes: a byte that is not UTF-8 hid the faults before it and named no line
+    pytest.param("c.csv", HEADER + b'"a",a,1\nb,c,2\nd,\xff,3\n',
+                 "line 2: target and impostor are the same speaker 'a'", id="order-same-before-utf8"),
+    pytest.param("c.csv", HEADER + b"a,b,1\nd,\xff,3\n", "line 3: not valid UTF-8", id="utf8-invalid"),
+    pytest.param("c.csv", b"target_id,impostor_id,\xffscore\na,b,1\n", "line 1: not valid UTF-8",
+                 id="utf8-invalid-header"),
+    pytest.param("c.jsonl", _jsonl({"target": "a", "impostor": "b", "score": 1}) + b'{"target": "\xff"}\n',
+                 "line 2: not valid UTF-8", id="jsonl-utf8-invalid"),
+    pytest.param("l.csv", b"label,score\ntarget,1\nnontarget,\xff\n", "line 3: not valid UTF-8",
+                 id="labels-utf8-invalid"),
 ]
 
 
@@ -279,6 +293,34 @@ def test_jsonl_ids_are_strings_or_integers(tmp_path, speaker):
     # an integer id is the speaker named by its digits
     path.write_bytes(_jsonl({"target": 7, "impostor": "b", "score": 0.5}, {"target": "7", "impostor": "b", "score": 1}))
     assert load_corpus(path) == PackedCorpus.from_groups({"7": {"b": [0.5, 1.0]}})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("n_rows", [3, 3_000, 30_000])
+def test_invalid_utf8_names_its_line_after_the_rows_before_it(tmp_path, fmt, n_rows):
+    """The bad byte lies beyond the decoder's read-ahead, and beyond the first plain block, or within them."""
+    path = tmp_path / f"c.{fmt}"
+    rows = [("a", f"i{k}", k) for k in range(n_rows)]
+    if fmt == "csv":
+        lines = [b"target_id,impostor_id,score\n", *(f"{t},{i},{x}\n".encode() for t, i, x in rows)]
+    else:
+        lines = [_jsonl({"target": t, "impostor": i, "score": x}) for t, i, x in rows]
+    path.write_bytes(b"".join(lines) + b"z,\xe9,1\n")
+    with pytest.raises(ParseError, match=f"^line {len(lines) + 1}: not valid UTF-8$"):
+        load_corpus(path)
+    same = b"a,a,1\n" if fmt == "csv" else _jsonl({"target": "a", "impostor": "a", "score": 1})
+    lines.insert(len(lines) - 1, same)
+    path.write_bytes(b"".join(lines) + b"z,\xe9,1\n")
+    with pytest.raises(ParseError, match=f"^line {len(lines) - 1}: target and impostor are the same speaker 'a'$"):
+        load_corpus(path)
+
+
+def test_jsonl_integer_beyond_the_digit_limit_names_its_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(_jsonl({"target": "a", "impostor": "b", "score": 1}) + b'{"target": "a", "impostor": "b", '
+                     b'"score": ' + b"9" * 5000 + b"}\n")
+    with pytest.raises(ParseError, match="^line 2: "):
+        load_corpus(path)
 
 
 def _row_reader_used(*args):
@@ -652,3 +694,240 @@ class TestLoaderProperties:
         path = tmp_path / "c.csv"
         path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
         _assert_matches_oracle(load_corpus(path), rows)
+
+
+def _label_text(rows) -> str:
+    return "label,score\n" + "".join(_csv_line([label, repr(score)]) for label, score in rows)
+
+
+_LABEL_ROWS = st.lists(st.tuples(st.sampled_from(["target", "nontarget"]), _SCORES), min_size=2, max_size=25).filter(
+    lambda rows: len({label for label, _ in rows}) == 2
+)
+
+
+def _assert_same_bits(got, want):
+    """`got` holds exactly the values, dtypes and bits of `want`, read-only."""
+    assert type(got) is type(want)
+    if isinstance(want, PackedCorpus):
+        assert (got.target_ids, got.impostor_ids) == (want.target_ids, want.impostor_ids)
+        fields = score_data._ARRAY_FIELDS
+    else:
+        fields = ("target_scores", "nontarget_scores")
+    for field in fields:
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert not a.flags.writeable
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The number of parses so far: each one passes its rows through `_validated` once."""
+    count = [0]
+    validated = score_data._validated
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return validated(*args, **kwargs)
+
+    monkeypatch.setattr(score_data, "_validated", counted)
+    return count
+
+
+def _entries() -> list:
+    where = score_data._cache_dir()
+    return sorted(where.iterdir()) if where.is_dir() else []
+
+
+def _small_corpus(tmp_path, name="c.csv", score=0.5):
+    path = tmp_path / name
+    path.write_text(f"target_id,impostor_id,score\na,b,{score}\na,c,1.5\n")
+    return path
+
+
+class TestCache:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=_corpus_rows(), labels=_LABEL_ROWS, kind=st.sampled_from(["csv", "jsonl", "labels"]),
+           blanks=st.lists(st.integers(0, 25), max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_hit_equals_the_parse_bit_for_bit(self, tmp_path, monkeypatch, parses, rows, labels, kind, blanks, seed):
+        if kind == "labels":
+            path, load = tmp_path / "l.csv", load_labeled_scores
+            path.write_text(_label_text(labels))
+        else:
+            path, load = tmp_path / f"c.{kind}", load_corpus
+            path.write_text(_corpus_text(rows, kind, blanks, random.Random(seed)))
+        with tempfile.TemporaryDirectory(dir=tmp_path) as cache, monkeypatch.context() as env:
+            env.setenv("XDG_CACHE_HOME", cache)
+            parsed = load(path)
+            assert parses[0] == 1 and len(_entries()) == 1
+            _assert_same_bits(load(path), parsed)
+            assert parses[0] == 1
+        parses[0] = 0
+
+    def test_jsonl_ids_with_lone_surrogates(self, tmp_path, parses):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(_jsonl({"target": "\ud800", "impostor": "\udfff", "score": 1},
+                                {"target": "\ud83d", "impostor": "\ude00bé", "score": 2}))
+        parsed = load_corpus(path)
+        assert parsed.target_ids == ("\ud800", "\ud83d")
+        _assert_same_bits(load_corpus(path), parsed)
+        assert parses[0] == 1
+
+    def test_an_edited_file_is_parsed_again(self, tmp_path, parses):
+        path = _small_corpus(tmp_path)
+        assert load_corpus(path).scores.tolist() == [0.5, 1.5]
+        _small_corpus(tmp_path, score=2.5)
+        assert load_corpus(path).scores.tolist() == [2.5, 1.5]
+        assert parses[0] == 2 and len(_entries()) == 2
+        assert load_corpus(path).scores.tolist() == [2.5, 1.5]
+        assert parses[0] == 2
+
+    def test_the_key_covers_kind_parser_numpy_and_bytes(self, tmp_path, monkeypatch):
+        path = _small_corpus(tmp_path)
+
+        def key(kind="csv"):
+            with open(path, "rb") as fh:
+                return score_data._cache_key(fh, kind)
+
+        keys = [key(), key("jsonl"), key("labels")]
+        _small_corpus(tmp_path, score=0.25)
+        keys.append(key())
+        source = tmp_path / "score_data.py"
+        source.write_bytes(Path(score_data.__file__).read_bytes() + b"\n")
+        monkeypatch.setattr(score_data, "__file__", str(source))
+        keys.append(key())
+        monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+        keys.append(key())
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("name,content", [
+        ("c.csv", HEADER + b"a,b,1\na,a,1\n"),
+        ("c.jsonl", _jsonl({"target": "a", "impostor": "b", "score": 1}) + b"{\n"),
+        ("l.csv", b"label,score\ntarget,1\n"),
+        ("c.csv", HEADER + b"a,b,1\nd,\xff,3\n"),
+    ])
+    def test_a_failed_parse_saves_nothing(self, tmp_path, parses, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        load = load_labeled_scores if name.startswith("l") else load_corpus
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                load(path)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and parses[0] == 2
+        assert _entries() == []
+
+    def test_a_file_changed_during_the_parse_is_not_saved(self, tmp_path, monkeypatch, parses):
+        path = _small_corpus(tmp_path)
+        validated = score_data._validated
+
+        def touched(*args, **kwargs):
+            os.utime(path, ns=(1, 1))
+            return validated(*args, **kwargs)
+
+        monkeypatch.setattr(score_data, "_validated", touched)
+        assert load_corpus(path).scores.tolist() == [0.5, 1.5]
+        assert _entries() == []
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy", "missing", "dtype", "offsets",
+                                        "names", "labels-empty"])
+    def test_a_bad_entry_is_a_miss_and_is_replaced(self, tmp_path, parses, damage):
+        labels = damage.startswith("labels")
+        path = tmp_path / ("l.csv" if labels else "c.csv")
+        if labels:
+            path.write_text("label,score\ntarget,1\nnontarget,0\n")
+        else:
+            _small_corpus(tmp_path)
+        load = load_labeled_scores if labels else load_corpus
+        parsed = load(path)
+        [entry] = _entries()
+        with np.load(entry) as npz:
+            arrays = dict(npz)
+        if damage == "truncated":
+            entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+        elif damage == "garbage":
+            entry.write_bytes(b"garbage")
+        elif damage == "empty":
+            entry.write_bytes(b"")
+        elif damage == "npy":
+            np.save(entry.open("wb"), arrays["scores"])
+        else:
+            if damage == "missing":
+                del arrays["scores"]
+            elif damage == "dtype":
+                arrays["scores"] = arrays["scores"].astype(np.float32)
+            elif damage == "offsets":
+                arrays["pair_offsets"][-1] += 1
+            elif damage == "names":
+                arrays["name_offsets"][1] = arrays["name_offsets"][2] + 1
+            else:
+                arrays["target_scores"] = arrays["target_scores"][:0]
+            with entry.open("wb") as out:
+                np.savez(out, **arrays)
+        _assert_same_bits(load(path), parsed)
+        assert parses[0] == 2 and _entries() == [entry]
+        _assert_same_bits(load(path), parsed)
+        assert parses[0] == 2
+
+    @pytest.mark.parametrize("where", ["read-only", "file", "no-home"])
+    def test_an_unusable_cache_still_loads(self, tmp_path, monkeypatch, capfd, parses, where):
+        path = _small_corpus(tmp_path)
+        if where == "read-only":
+            cache = tmp_path / "cache"
+            (cache / "wcfar").mkdir(parents=True)
+            (cache / "wcfar").chmod(0o555)
+            monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        elif where == "file":
+            (tmp_path / "cache").write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        else:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+            monkeypatch.delenv("HOME", raising=False)
+        want = PackedCorpus.from_groups({"a": {"b": [0.5], "c": [1.5]}})
+        assert load_corpus(path) == want and load_corpus(path) == want
+        assert capfd.readouterr() == ("", "")
+        if where == "read-only" and os.geteuid() == 0:  # permissions do not bind root
+            return
+        assert parses[0] == 3  # from_groups, then both loads
+        assert where == "no-home" or _entries() == []
+
+    def test_a_relative_xdg_cache_home_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert score_data._cache_dir() == tmp_path / ".cache" / "wcfar"
+        monkeypatch.setenv("HOME", "")
+        assert score_data._cache_dir() is None
+
+    @pytest.mark.parametrize("name,content", [
+        ("c.csv", HEADER + b"a,b,0.5\na,c,1.5\n"),
+        ("c.jsonl", _jsonl({"target": "a", "impostor": "b", "score": 0.5},
+                           {"target": "a", "impostor": "c", "score": 1.5})),
+    ])
+    def test_a_fifo_is_parsed_and_not_saved(self, tmp_path, parses, name, content):
+        path = tmp_path / name
+        os.mkfifo(path)
+        for _ in range(2):
+            writer = threading.Thread(target=path.write_bytes, args=(content,), daemon=True)
+            writer.start()
+            assert load_corpus(path) == PackedCorpus.from_groups({"a": {"b": [0.5], "c": [1.5]}})
+            writer.join(timeout=10)
+        assert parses[0] == 4 and _entries() == []
+
+    def test_the_least_recently_used_entry_beyond_16_is_deleted(self, tmp_path, parses):
+        paths = [_small_corpus(tmp_path, f"c{k}.csv", score=k) for k in range(score_data._CACHE_ENTRIES + 1)]
+        entries = []
+        for k, path in enumerate(paths[:-1]):
+            load_corpus(path)
+            [new] = set(_entries()) - set(entries)
+            entries.append(new)
+            os.utime(new, ns=(10**9 * k, 10**9 * k))
+        load_corpus(paths[0])  # a hit makes the oldest entry the newest
+        assert parses[0] == score_data._CACHE_ENTRIES
+        assert entries[0].stat().st_mtime_ns > 10**18
+        load_corpus(paths[-1])
+        assert len(_entries()) == score_data._CACHE_ENTRIES
+        assert not entries[1].exists() and set(entries) - {entries[1]} <= set(_entries())
+        load_corpus(paths[0])
+        assert parses[0] == score_data._CACHE_ENTRIES + 1
+        load_corpus(paths[1])
+        assert parses[0] == score_data._CACHE_ENTRIES + 2
