@@ -10,54 +10,29 @@ that probability to impostor populations far larger than the corpus.
 
 __version__ = "0.1.0"
 
-from .errors import NumericError
-from .estimators import (
-    EstimateWithCI,
-    EstimatorConfig,
-    diagnose,
-    estimate_pfa_worst_case,
-    estimate_pfa_zero_effort,
-)
-from .inference import PosteriorFactors, e_step, fit, sufficient_stats
-from .metrics import DcfParams, eer_threshold, min_dcf_threshold
-from .model import (
-    Hyperparameters,
-    marginal_score_samples,
-    predict_pfa_closed_form,
-    predict_pfa_sampling,
-)
-from .score_data import PackedCorpus, load_corpus, load_labeled_scores
-from .special_math import fit_gamma_from_expectations, fit_inv_gamma_from_expectations
-from .streams import RngStream
-from .synthetic import SyntheticSpec, ToyAsvSpec, generate_model_corpus, generate_toy_asv_corpus
+_EXPORTS = {
+    "errors": ["NumericError"],
+    "estimators": [
+        "EstimateWithCI", "EstimatorConfig", "diagnose", "estimate_pfa_worst_case", "estimate_pfa_zero_effort",
+    ],
+    "inference": ["PosteriorFactors", "e_step", "fit", "sufficient_stats"],
+    "metrics": ["DcfParams", "eer_threshold", "min_dcf_threshold"],
+    "model": ["Hyperparameters", "marginal_score_samples", "predict_pfa_closed_form", "predict_pfa_sampling"],
+    "score_data": ["PackedCorpus", "load_corpus", "load_labeled_scores"],
+    "special_math": ["fit_gamma_from_expectations", "fit_inv_gamma_from_expectations"],
+    "streams": ["RngStream"],
+    "synthetic": ["SyntheticSpec", "ToyAsvSpec", "generate_model_corpus", "generate_toy_asv_corpus"],
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 # the names the command line and the acceptance suite use
-__all__ = [
-    "DcfParams",
-    "EstimateWithCI",
-    "EstimatorConfig",
-    "Hyperparameters",
-    "NumericError",
-    "PackedCorpus",
-    "PosteriorFactors",
-    "RngStream",
-    "SyntheticSpec",
-    "ToyAsvSpec",
-    "diagnose",
-    "e_step",
-    "eer_threshold",
-    "estimate_pfa_worst_case",
-    "estimate_pfa_zero_effort",
-    "fit",
-    "fit_gamma_from_expectations",
-    "fit_inv_gamma_from_expectations",
-    "generate_model_corpus",
-    "generate_toy_asv_corpus",
-    "load_corpus",
-    "load_labeled_scores",
-    "marginal_score_samples",
-    "min_dcf_threshold",
-    "predict_pfa_closed_form",
-    "predict_pfa_sampling",
-    "sufficient_stats",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import `name` of `__all__` from its module on first use (PEP 562), so `import wcfar` loads no submodule."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return globals().setdefault(name, getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name))

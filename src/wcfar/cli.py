@@ -15,30 +15,17 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
 from itertools import chain, islice, repeat
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import NumericError
-from .estimators import (
-    EstimateWithCI,
-    EstimatorConfig,
-    diagnose,
-    estimate_pfa_worst_case,
-)
-from .inference import fit
-from .metrics import DcfParams, eer_threshold, min_dcf_threshold
-from .model import (
-    DEFAULT_SCORES_PER_PAIR,
-    Hyperparameters,
-    predict_pfa_closed_form,
-    predict_pfa_sampling,
-)
-from .score_data import FORMAT_BY_SUFFIX, load_corpus, load_labeled_scores
-from .synthetic import SyntheticSpec, ToyAsvSpec, generate_model_corpus, generate_toy_asv_corpus
+
+if TYPE_CHECKING:  # each command imports the library modules it runs, so --version and --help load no numpy
+    from .estimators import EstimateWithCI
+    from .metrics import DcfParams
+    from .model import Hyperparameters
 
 SEED_ENV_VAR = "WCFAR_SEED"
 
@@ -106,6 +93,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_dcf(text: str) -> DcfParams:
+    from .metrics import DcfParams
+
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected p_target,c_miss,c_fa, got {text!r}")
@@ -121,6 +110,8 @@ def _read_json(path: str):
 
 
 def _load_theta(path: str) -> Hyperparameters:
+    from .model import Hyperparameters
+
     return Hyperparameters.from_json(_read_json(path))
 
 
@@ -134,6 +125,8 @@ def _spec(cls, obj: dict):
 
 def _load_corpus(args):
     """`load_corpus` on --corpus, with a format that cannot be inferred reported in terms of --format."""
+    from .score_data import FORMAT_BY_SUFFIX, load_corpus
+
     fmt = args.format or FORMAT_BY_SUFFIX.get(Path(args.corpus).suffix.lower())
     if fmt is None:
         raise ValueError(
@@ -169,6 +162,11 @@ def _estimate_csv(rows: list[tuple[int, EstimateWithCI]]) -> str:
 
 
 def cmd_threshold(args) -> int:
+    from dataclasses import asdict
+
+    from .metrics import eer_threshold, min_dcf_threshold
+    from .score_data import load_labeled_scores
+
     labeled = load_labeled_scores(args.labels)
     if args.eer:
         spec, metric = eer_threshold(labeled)
@@ -187,6 +185,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .inference import fit
+
     corpus = _load_corpus(args)
     init = _load_theta(args.init) if args.init else None
     report = fit(corpus, init=init, tol=args.tol, max_iter=args.max_iter)
@@ -213,6 +213,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_empirical(args) -> int:
+    from .estimators import EstimatorConfig, estimate_pfa_worst_case
+
     corpus = _load_corpus(args)
     tau = _resolve_tau(args)
     rows = []
@@ -224,9 +226,13 @@ def cmd_empirical(args) -> int:
 
 
 def _predict(args, theta: Hyperparameters, tau: float, n: int) -> EstimateWithCI:
+    from .estimators import EstimatorConfig
+    from .model import DEFAULT_SCORES_PER_PAIR, predict_pfa_closed_form, predict_pfa_sampling
+
     cfg = EstimatorConfig(seed=args.seed, n_impostors=n, t_outer=args.t_outer)
     if args.method == "sampling":
-        return predict_pfa_sampling(theta, tau, cfg, scores_per_pair=args.scores_per_pair)
+        per_pair = DEFAULT_SCORES_PER_PAIR if args.scores_per_pair is None else args.scores_per_pair
+        return predict_pfa_sampling(theta, tau, cfg, scores_per_pair=per_pair)
     return predict_pfa_closed_form(theta, tau, cfg)
 
 
@@ -239,6 +245,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .model import Hyperparameters
+    from .synthetic import SyntheticSpec, ToyAsvSpec, generate_model_corpus, generate_toy_asv_corpus
+
     spec_obj = _read_json(args.spec)
     if not isinstance(spec_obj, dict):
         raise ValueError(f"spec {args.spec} must hold a JSON object")
@@ -272,6 +283,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from .estimators import EstimatorConfig, estimate_pfa_worst_case
+
     packed = _load_corpus(args)
     theta = _load_theta(args.theta)
     taus = []
@@ -305,6 +318,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from .estimators import EstimatorConfig, diagnose
+
     corpus = _load_corpus(args)
     tau = _resolve_tau(args)
     cfg = EstimatorConfig(seed=args.seed, n_impostors=args.n_impostors, t_outer=args.t_outer)
@@ -333,7 +348,7 @@ def _add_tau_options(sub):
 def _add_model_options(sub):
     sub.add_argument("--t-outer", type=int, default=1000)
     sub.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"))
-    sub.add_argument("--scores-per-pair", type=int, default=DEFAULT_SCORES_PER_PAIR,
+    sub.add_argument("--scores-per-pair", type=int, default=None,
                      help="scores per candidate set for the sampling method")
     sub.add_argument("--method", choices=["closed", "sampling"], default="closed")
 

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
-from .score_data import PackedCorpus, sample_skewness
 from .special_math import ndtri
+
+if TYPE_CHECKING:  # the model predictors import this module and read no corpus
+    from .score_data import PackedCorpus
 
 
 @dataclass(frozen=True)
@@ -228,6 +231,8 @@ def diagnose(
     per-pair means, and the average spread of scores when the impostor is
     the closest of `cfg.n_impostors` versus a random one.
     """
+    from .score_data import sample_skewness
+
     packed = _validated(corpus)
     _require_pool(packed, cfg.n_impostors)
     pair_var = packed.pair_variances()

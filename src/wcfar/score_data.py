@@ -231,17 +231,16 @@ def _decoded(fh, line: int, newline: str | None, rows):
 
     `TextIOWrapper` decodes ahead of the rows it hands on, so a byte that is
     not valid UTF-8 stops the reading before the lines ahead of it are read.
-    In a seekable file those lines are read again from the raw bytes, and
-    ParseError names the bad byte's line after their rows.
+    Those lines are read again from the raw bytes, and ParseError names the
+    bad byte's line after their rows.
     """
-    start = fh.tell() if fh.seekable() else None
+    start = fh.tell()
     text = io.TextIOWrapper(fh, encoding="utf-8", newline=newline)
     try:
         yield from rows(text, line)
         return
     except UnicodeDecodeError:
-        if start is None:
-            raise
+        pass
     finally:
         if not fh.closed:  # else dropping `text` would close `fh`
             text.detach()
@@ -401,11 +400,14 @@ def _cached(path, kind: str, parse, to_arrays, from_arrays):
     """`parse(fh)` on binary file `path`, or `from_arrays` of what `to_arrays` saved of it for the same content.
 
     Only a regular file is cached, and only when its size and mtime did not
-    change from before hashing to the end of a successful parse.
+    change from before hashing to the end of a successful parse.  A file
+    that cannot seek, such as a pipe, is read into memory first, since the
+    readers seek back.
     """
     entry = None
-    with open(path, "rb") as fh:
-        before = os.fstat(fh.fileno())
+    with open(path, "rb") as raw:
+        before = os.fstat(raw.fileno())
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
         if stat.S_ISREG(before.st_mode) and (where := _cache_dir()) is not None:
             with contextlib.suppress(OSError):
                 entry = where / f"{_cache_key(fh, kind)}.npz"
@@ -413,7 +415,7 @@ def _cached(path, kind: str, parse, to_arrays, from_arrays):
             if entry is not None and (loaded := _read_entry(entry, from_arrays)) is not None:
                 return loaded
         result = parse(fh)
-        after = os.fstat(fh.fileno())
+        after = os.fstat(raw.fileno())
     if entry is not None and (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
         _write_entry(entry, to_arrays(result))
     return result

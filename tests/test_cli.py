@@ -14,7 +14,7 @@ import pytest
 import wcfar
 from wcfar.cli import main
 from wcfar.errors import NumericError
-from wcfar.model import Hyperparameters
+from wcfar.model import DEFAULT_SCORES_PER_PAIR, Hyperparameters
 from wcfar.score_data import load_corpus
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
@@ -128,7 +128,7 @@ class TestFitCommand:
         assert run(["fit", "--corpus", bad]) == 1
 
     def test_numeric_error_exit_code(self, corpus_csv, capsys):
-        with mock.patch("wcfar.cli.fit", side_effect=NumericError("boom")):
+        with mock.patch("wcfar.inference.fit", side_effect=NumericError("boom")):
             assert run(["fit", "--corpus", corpus_csv]) == 2
         assert "numeric error" in capsys.readouterr().err
 
@@ -224,6 +224,15 @@ class TestPredictCommand:
             )
             == 0
         )
+
+    def test_sampling_default_is_the_model_default(self, theta_json, capsys):
+        common = ["predict", "--theta", theta_json, "--tau", "1.0", "--n", "1,64", "--t-outer", "50",
+                  "--method", "sampling"]
+        outputs = []
+        for extra in ([], ["--scores-per-pair", DEFAULT_SCORES_PER_PAIR], ["--scores-per-pair", "10"]):
+            assert run(common + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert DEFAULT_SCORES_PER_PAIR == 324 and outputs[0] == outputs[1] != outputs[2]
 
     @pytest.mark.parametrize("method", ["closed", "sampling"])
     def test_rows_do_not_depend_on_other_populations(self, theta_json, capsys, method):

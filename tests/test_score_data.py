@@ -315,6 +315,43 @@ def test_invalid_utf8_names_its_line_after_the_rows_before_it(tmp_path, fmt, n_r
         load_corpus(path)
 
 
+def _load_from_pipe(content: bytes, fmt: str):
+    """`load_corpus` of `content` read from the read end of an `os.pipe`, which cannot seek."""
+    read_fd, write_fd = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write_fd, content), os.close(write_fd)), daemon=True)
+    writer.start()
+    try:
+        return load_corpus(f"/dev/fd/{read_fd}", format=fmt)
+    finally:
+        writer.join(timeout=10)
+        os.close(read_fd)
+
+
+def test_quoted_csv_from_a_pipe_loads(tmp_path):
+    content = HEADER + b'"a",b,0.5\na,"c",1.5\n'
+    (tmp_path / "c.csv").write_bytes(content)
+    want = PackedCorpus.from_groups({"a": {"b": [0.5], "c": [1.5]}})
+    assert load_corpus(tmp_path / "c.csv") == want
+    assert _load_from_pipe(content, "csv") == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_invalid_utf8_from_a_pipe_names_its_line(tmp_path, fmt):
+    """As in a regular file, the bad byte's line is named, after the rows before it are checked."""
+    if fmt == "csv":
+        content, line, same = HEADER + b'"a",b,0.5\na,\xff,1.5\n', 3, (b'"a",b', b'"a",a')
+    else:
+        content, line, same = _jsonl({"target": "a", "impostor": "b", "score": 0.5}) + b'{"target": "a\xff"}\n', 2, (
+            b'"impostor": "b"', b'"impostor": "a"')
+    path = tmp_path / f"c.{fmt}"
+    path.write_bytes(content)
+    for load in (lambda: load_corpus(path), lambda: _load_from_pipe(content, fmt)):
+        with pytest.raises(ParseError, match=f"^line {line}: not valid UTF-8$"):
+            load()
+    with pytest.raises(ParseError, match=f"^line {line - 1}: target and impostor are the same speaker 'a'$"):
+        _load_from_pipe(content.replace(*same), fmt)
+
+
 def test_jsonl_integer_beyond_the_digit_limit_names_its_line(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_bytes(_jsonl({"target": "a", "impostor": "b", "score": 1}) + b'{"target": "a", "impostor": "b", '

@@ -1,11 +1,13 @@
-"""Start-up guard: no command imports scipy, which only the tests use as an oracle.
+"""Start-up guard: each command imports only the modules it runs.
 
 Each command runs `wcfar.cli.main` in a fresh interpreter, which then
-reports whether `scipy` is in `sys.modules`.  A static check covers the
-library code that no command runs.
+reports which of numpy, scipy and the `wcfar.*` modules are in
+`sys.modules`.  No command imports scipy, which only the tests use as an
+oracle; a static check covers the library code that no command runs.
 """
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -21,12 +23,15 @@ from wcfar.model import Hyperparameters
 THETA = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
 SRC = str(Path(wcfar.__file__).resolve().parents[1])
 CHILD = (
-    "import sys; from wcfar.cli import main; code = main(sys.argv[1:]); "
-    "print('scipy' in sys.modules); sys.exit(code)"
+    "import json, sys; from wcfar.cli import main; code = main(sys.argv[1:]); "
+    "print(json.dumps([m for m in sys.modules if m in ('numpy', 'scipy') or m.startswith('wcfar.')])); "
+    "sys.exit(code)"
 )
 
 COMMANDS = {
     "version": ["--version"],
+    "help": ["predict", "--help"],
+    "usage-error": ["predict", "--tau", "1.0"],
     "simulate-model": ["simulate", "--spec", "{model}", "--out", "{out}"],
     "simulate-toy": ["simulate", "--spec", "{toy}", "--out", "{out}", "--labeled-out", "{out}.labels"],
     "threshold": ["threshold", "--labels", "{labels}", "--eer", "--out", "{out}"],
@@ -45,6 +50,22 @@ COMMANDS = {
         "--out", "{out}",
     ],
 }
+EXIT_CODES = {"usage-error": 1}
+
+# the modules only some commands need, and which of them each command loads
+SOME = {"wcfar.score_data", "wcfar.inference", "wcfar.metrics", "wcfar.synthetic"}
+NEEDS = {
+    "simulate-model": {"wcfar.synthetic", "wcfar.score_data"},
+    "simulate-toy": {"wcfar.synthetic", "wcfar.score_data"},
+    "threshold": {"wcfar.metrics", "wcfar.score_data"},
+    "empirical": {"wcfar.score_data"},
+    "diagnose": {"wcfar.score_data"},
+    "fit": {"wcfar.inference", "wcfar.score_data"},
+    "predict": set(),
+    "predict-sampling": set(),
+    "curve": {"wcfar.score_data"},
+}
+LEAN = ["version", "help", "usage-error"]
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +88,8 @@ def paths(tmp_path_factory):
     return paths
 
 
-def loads_scipy(template: list[str], paths, preamble: str = "") -> bool:
-    """Run one command in a fresh interpreter, after `preamble`; True if scipy is loaded."""
+def loaded(template: list[str], paths, preamble: str = "", code: int = 0) -> set[str]:
+    """Run one command in a fresh interpreter, after `preamble`; numpy, scipy and `wcfar.*` modules it loaded."""
     args = [arg.format(**paths) for arg in template]
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -77,18 +98,36 @@ def loads_scipy(template: list[str], paths, preamble: str = "") -> bool:
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    assert proc.returncode == code, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def probe(paths):
+    """`loaded` of a command of COMMANDS by name, one child per command."""
+    return functools.cache(lambda name: loaded(COMMANDS[name], paths, code=EXIT_CODES.get(name, 0)))
 
 
 @pytest.mark.parametrize("name", COMMANDS)
-def test_command_skips_scipy(name, paths):
-    assert not loads_scipy(COMMANDS[name], paths)
+def test_command_skips_scipy(name, probe):
+    assert "scipy" not in probe(name)
 
 
 def test_probe_sees_scipy_when_loaded(paths):
     """Positive control: the probe reports scipy once something has imported it."""
-    assert loads_scipy(COMMANDS["version"], paths, preamble="import scipy.special; ")
+    assert "scipy" in loaded(COMMANDS["version"], paths, preamble="import scipy.special; ")
+
+
+@pytest.mark.parametrize("name", LEAN)
+def test_no_library_run_loads_no_numpy(name, probe):
+    assert probe(name) == {"wcfar.cli", "wcfar.errors"}
+
+
+@pytest.mark.parametrize("name", NEEDS)
+def test_command_loads_only_what_it_runs(name, probe):
+    assert "numpy" in probe(name)
+    assert probe(name) & SOME == NEEDS[name]
+
 
 
 def scipy_imports(path: Path) -> list[str]:
