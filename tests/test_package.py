@@ -8,12 +8,6 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def test_star_import_binds_every_name():
-    namespace = {}
-    exec("from wcfar import *", namespace)
-    assert set(wcfar.__all__) <= set(namespace)
-
-
 def test_a_name_resolves_to_its_module_attribute():
     from wcfar import inference
 
