@@ -92,7 +92,7 @@ class SufficientStats:
     """Expectations of the latents under the current variational posterior."""
 
     m_mean: np.ndarray  # E[m_i]
-    m_second: np.ndarray  # E[m_i^2]
+    m_var: np.ndarray  # Var[m_i]
     inv_sigma: np.ndarray  # E[1/sigma_sq_i]
     log_sigma: np.ndarray  # E[log sigma_sq_i]
     lam_mean: np.ndarray  # E[lam_i]
@@ -111,7 +111,7 @@ class FitReport:
 def sufficient_stats(q: PosteriorFactors) -> SufficientStats:
     return SufficientStats(
         m_mean=q.m_mean,
-        m_second=q.m_mean**2 + q.m_var,
+        m_var=q.m_var,
         inv_sigma=q.sigma_shape / q.sigma_scale,
         log_sigma=np.log(q.sigma_scale) - digamma(q.sigma_shape),
         lam_mean=q.lam_shape / q.lam_rate,
@@ -210,7 +210,7 @@ def m_step(stats: SufficientStats) -> Hyperparameters:
     set, so the update still cannot decrease the bound.
     """
     mu0 = float(stats.m_mean.mean())
-    spread = float(np.mean((stats.m_mean - mu0) ** 2 + (stats.m_second - stats.m_mean**2)))
+    spread = float(np.mean((stats.m_mean - mu0) ** 2 + stats.m_var))
     sigma0_sq = max(spread, VARIANCE_FLOOR)
     try:
         lam_fit = fit_gamma_from_expectations(

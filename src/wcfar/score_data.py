@@ -12,11 +12,10 @@ identifier (code point order), scores keep input order within a pair.
 
 Every loader and `PackedCorpus.from_groups` hand blocks of columns to
 `_validated`, the only place where row rules run.  The readers before it
-only tokenise: `_plain_csv` cuts plain CSV lines into columns with numpy,
-`_csv_rows` reads any other CSV lines and `_jsonl_rows` JSONL lines.  A
-reader's own fault is raised after the rows before it are checked, so the
-first fault in a file wins.  Files are decoded as UTF-8, and `_decoded`
-names the line of a byte that is not.
+only tokenise: `_csv_rows` reads every CSV with `csv.reader`, and
+`_jsonl_rows` reads JSONL lines.  A reader's own fault is raised after the
+rows before it are checked, so the first fault in a file wins.  Files are
+decoded as UTF-8, and `_decoded` names the line of a byte that is not.
 
 `_cached` saves the arrays of each successful load in
 ``$XDG_CACHE_HOME/wcfar`` (else ``$HOME/.cache/wcfar``), one ``.npz`` entry
@@ -46,7 +45,6 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError
 
@@ -80,23 +78,17 @@ _LABELS = ("target", "nontarget")
 _BLOCK_ROWS = 1 << 13  # rows per block from the row readers
 
 
-def _text(value):
-    """`value`, decoded if it is a cell of an `S` array."""
-    return value.decode() if isinstance(value, bytes) else value
-
-
 def _intern(field: np.ndarray, index: dict[str, int]) -> np.ndarray:
     """Codes of `field`'s ids in `index`, which gains the new ones; runs of one id are looked up once."""
     head = np.flatnonzero(np.concatenate(([True], field[1:] != field[:-1])))
-    code = np.array([index.setdefault(_text(name), len(index)) for name in field[head].tolist()], dtype=np.int64)
+    code = np.array([index.setdefault(name, len(index)) for name in field[head].tolist()], dtype=np.int64)
     return np.repeat(code, np.diff(np.append(head, field.size)))
 
 
 def _cast(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`cells` read as `float` reads them, and which of them are not a number (they read 0)."""
     try:
-        with np.errstate(over="ignore"):  # text beyond the double range reads as inf, as in float()
-            return cells.astype(float), np.zeros(cells.size, dtype=bool)
+        return cells.astype(float), np.zeros(cells.size, dtype=bool)
     except (ValueError, OverflowError):
         values, not_number = np.zeros(cells.size), np.zeros(cells.size, dtype=bool)
     for k, cell in enumerate(cells.tolist()):
@@ -131,7 +123,7 @@ def _validated(blocks, labels: bool = False):
         bad = np.logical_or.reduce([broken for broken, _ in rules])
         if bad.any():
             row = int(bad.argmax())
-            id_, cell = (_text(column[row : row + 1].tolist()[0]) for column in (fields[0], cells))
+            id_, cell = (column[row : row + 1].tolist()[0] for column in (fields[0], cells))
             message = next(message for broken, message in rules if broken[row])
             raise ParseError(message.format(id=id_, cell=cell), lines[row])
         for out, code in zip(codes, block_codes):
@@ -150,24 +142,23 @@ def _block(rows: list[tuple], lines: list, clean) -> tuple:
     return [np.array(list(map(clean, field)), dtype=object) for field in ids], np.array(cells, dtype=object), lines
 
 
-def _csv_rows(fh, names: tuple[str, ...], header_fault: str, header: list[str] | None, line: int):
-    """Column blocks of the fields `names` of the CSV rows of text file `fh`, the first at `line`.
+def _csv_rows(fh, names: tuple[str, ...], header_fault: str):
+    """Column blocks of the fields `names` of the CSV rows of text file `fh`.
 
-    Without `header` the first row is the header, whose fields are stripped
-    and must include `names` (else `header_fault`).  Blank rows are skipped.
-    A row with another field count, or that `csv.reader` cannot read,
-    raises ParseError after the rows before it are yielded.
+    The first row is the header, whose fields are stripped and must include
+    `names` (else `header_fault`).  Blank rows are skipped.  A row with
+    another field count, or that `csv.reader` cannot read, raises ParseError
+    after the rows before it are yielded.
     """
     reader = csv.reader(fh)
-    line -= 1  # the line of the last row read
+    line = 0  # the line of the last row read
     rows, lines, fault = [], [], None
     try:
-        if header is None:
-            if (header := next(reader, None)) is None:
-                raise ParseError("empty file", 1)
-            header, line = [field.strip() for field in header], line + 1
-            if missing := [name for name in names if name not in header]:
-                raise ParseError(header_fault.format(missing=missing, header=header), 1)
+        if (header := next(reader, None)) is None:
+            raise ParseError("empty file", 1)
+        header, line = [field.strip() for field in header], 1
+        if missing := [name for name in names if name not in header]:
+            raise ParseError(header_fault.format(missing=missing, header=header), 1)
         get = itemgetter(*(header.index(name) for name in names))
         for row in reader:
             line += 1
@@ -190,11 +181,11 @@ def _csv_rows(fh, names: tuple[str, ...], header_fault: str, header: list[str] |
         raise fault
 
 
-def _jsonl_rows(fh, line: int):
-    """Column blocks of JSONL text file `fh` from line `line`; a line's fault is raised after the rows before it."""
+def _jsonl_rows(fh):
+    """Column blocks of JSONL text file `fh`; a line's fault is raised after the rows before it."""
     rows, lines, fault = [], [], None
     try:
-        for line, raw in enumerate(fh, start=line):
+        for line, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
             try:
@@ -226,25 +217,24 @@ def _jsonl_rows(fh, line: int):
         raise fault
 
 
-def _decoded(fh, line: int, newline: str | None, rows):
-    """Blocks of `rows(text, line)` on the UTF-8 text of binary file `fh` from its position, the line `line`.
+def _decoded(fh, newline: str | None, rows):
+    """Blocks of `rows(text)` on the UTF-8 text of binary file `fh`, read from its start.
 
     `TextIOWrapper` decodes ahead of the rows it hands on, so a byte that is
     not valid UTF-8 stops the reading before the lines ahead of it are read.
     Those lines are read again from the raw bytes, and ParseError names the
     bad byte's line after their rows.
     """
-    start = fh.tell()
     text = io.TextIOWrapper(fh, encoding="utf-8", newline=newline)
     try:
-        yield from rows(text, line)
+        yield from rows(text)
         return
     except UnicodeDecodeError:
         pass
     finally:
         if not fh.closed:  # else dropping `text` would close `fh`
             text.detach()
-    fh.seek(start)
+    fh.seek(0)
     data = fh.read()
     try:
         data.decode()
@@ -252,95 +242,8 @@ def _decoded(fh, line: int, newline: str | None, rows):
     except UnicodeDecodeError as exc:
         cut = data.rfind(b"\n", 0, exc.start) + 1
     if cut:
-        yield from rows(io.StringIO(data[:cut].decode(), newline=newline), line)
-    raise ParseError("not valid UTF-8", line + data.count(b"\n", 0, cut))
-
-
-# Bytes a plain CSV may hold: its line ends and the printable ASCII other than
-# the space, which the row reader strips from ids, and the quote, which starts
-# CSV quoting.  NUL is not among them, so NUL padding in an `S` array is never
-# part of a field.
-_PLAIN_BYTES = np.zeros(256, dtype=bool)
-_PLAIN_BYTES[0x21:0x7F] = True
-_PLAIN_BYTES[ord('"')] = False
-_PLAIN_BYTES[ord("\n")] = True
-_BLOCK_BYTES = 1 << 18
-_GATHER_BYTES = 4 * _BLOCK_BYTES  # most bytes one row group pads its gathered fields to
-
-
-def _line_blocks(fh):
-    """Bytes of `fh` in blocks of whole lines; a missing final newline is supplied."""
-    pending = []
-    while chunk := fh.read(_BLOCK_BYTES):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            yield np.frombuffer(b"".join((*pending, memoryview(chunk)[:cut])), dtype=np.uint8)
-            pending.clear()
-        pending.append(memoryview(chunk)[cut:])
-    if tail := b"".join(pending):
-        yield np.frombuffer(tail + b"\n", dtype=np.uint8)
-
-
-def _row_groups(widths: np.ndarray, start: int = 0):
-    """Slices of a block's rows, halved until padding each field to its widest value fits `_GATHER_BYTES`."""
-    if len(widths) > 1 and len(widths) * int(widths.max(axis=0).sum()) > _GATHER_BYTES:
-        half = len(widths) // 2
-        yield from _row_groups(widths[:half], start)
-        yield from _row_groups(widths[half:], start + half)
-    else:
-        yield slice(start, start + len(widths))
-
-
-def _gather(padded: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Fields of `padded` starting at `starts` as one NUL-padded `S` array."""
-    width = int(widths.max())
-    field = sliding_window_view(padded, width)[starts]
-    field[np.arange(width) >= widths[:, None]] = 0
-    return field.view(f"S{width}").reshape(-1)
-
-
-def _plain_csv(fh, names: tuple[str, ...], header_fault: str):
-    """Column blocks of the CSV in binary file `fh` for the columns `names`, the score last.
-
-    Blocks of plain lines from the top are cut up with numpy: they hold
-    only `_PLAIN_BYTES`, so LF line ends (the file's last may be missing),
-    and the header's field count with no field empty.  `_row_groups` bounds
-    the padding of their fields.  From the first block that is not plain,
-    or from the top if the header is not, `_csv_rows` reads the file.
-    """
-    first = fh.readline()
-    fields = first[:-1].split(b",")
-    header, offset, line = None, 0, 1
-    plain = first.endswith(b"\n") and _PLAIN_BYTES[np.frombuffer(first, dtype=np.uint8)].all()
-    if plain and {name.encode() for name in names} <= set(fields):
-        columns, n_fields = [fields.index(name.encode()) for name in names], len(fields)
-        header, offset, line = [field.decode() for field in fields], len(first), 2
-        for buf in _line_blocks(fh):
-            ends = np.flatnonzero(buf == ord("\n"))
-            commas = np.flatnonzero(buf == ord(","))
-            n = ends.size
-            if not _PLAIN_BYTES[buf].all() or commas.size != n * (n_fields - 1):
-                break
-            bounds = np.empty((n, n_fields + 1), dtype=np.int64)
-            bounds[0, 0] = -1
-            bounds[1:, 0] = ends[:-1]
-            bounds[:, 1:-1] = commas.reshape(n, n_fields - 1)
-            bounds[:, -1] = ends
-            # with every field non-empty the bounds of a row increase, so each
-            # line holds exactly its own n_fields - 1 commas
-            widths = np.diff(bounds, axis=1) - 1
-            if widths.min() < 1:
-                break
-            padded = np.concatenate((buf, np.zeros(int(widths.max()), dtype=np.uint8)))
-            starts, widths = bounds[:, columns] + 1, widths[:, columns]
-            for rows in _row_groups(widths):
-                *ids, cells = (_gather(padded, starts[rows, j], widths[rows, j]) for j in range(len(columns)))
-                yield ids, cells, range(line + rows.start, line + rows.stop)
-            offset, line = offset + buf.size, line + n
-        else:
-            return
-    fh.seek(offset)
-    yield from _decoded(fh, line, "", lambda text, line: _csv_rows(text, names, header_fault, header, line))
+        yield from rows(io.StringIO(data[:cut].decode(), newline=newline))
+    raise ParseError("not valid UTF-8", 1 + data.count(b"\n", 0, cut))
 
 
 _CACHE_ENTRIES = 16
@@ -486,9 +389,9 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
     """Load and validate a non-target trial corpus from `path`.
 
     `format` is "csv" or "jsonl"; when omitted it is inferred from the file
-    suffix.  A plain CSV is parsed column by column, any other file row by
-    row, and the first malformed row raises ParseError naming its line.
-    A file loaded before is read back from the cache (see `_cached`).
+    suffix.  The file is read row by row, and the first malformed row
+    raises ParseError naming its line.  A file loaded before is read back
+    from the cache (see `_cached`).
     """
     path = Path(path)
     if format is None:
@@ -503,9 +406,9 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
 def _parse_corpus(fh, format: str) -> PackedCorpus:
     if format == "csv":
         names, missing = ("target_id", "impostor_id", "score"), "missing column(s) {missing} in header {header}"
-        blocks = _plain_csv(fh, names, missing)
+        blocks = _decoded(fh, "", lambda text: _csv_rows(text, names, missing))
     else:
-        blocks = _decoded(fh, 1, None, _jsonl_rows)
+        blocks = _decoded(fh, None, _jsonl_rows)
     (targets, impostors), (target_codes, impostor_codes), scores = _validated(blocks)
     if not scores.size:  # a JSONL file without rows has only blank lines
         raise ParseError("empty file" if format == "jsonl" else "file contains no data rows", 1)
@@ -515,16 +418,17 @@ def _parse_corpus(fh, format: str) -> PackedCorpus:
 def load_labeled_scores(path) -> LabeledScoreSet:
     """Load a ``label,score`` CSV with label in {target, nontarget}.
 
-    A plain CSV is parsed column by column, any other file row by row, and
-    the first malformed row raises ParseError naming its line.  A file
-    loaded before is read back from the cache (see `_cached`).
+    The file is read row by row, and the first malformed row raises
+    ParseError naming its line.  A file loaded before is read back from the
+    cache (see `_cached`).
     """
     return _cached(path, "labels", _parse_labels, vars, _labels_from)
 
 
 def _parse_labels(fh) -> LabeledScoreSet:
     header_fault = "expected header with 'label' and 'score', got {header}"
-    _, [codes], scores = _validated(_plain_csv(fh, ("label", "score"), header_fault), labels=True)
+    blocks = _decoded(fh, "", lambda text: _csv_rows(text, ("label", "score"), header_fault))
+    _, [codes], scores = _validated(blocks, labels=True)
     target, nontarget = (scores[codes == code] for code in range(len(_LABELS)))
     if not target.size or not nontarget.size:
         raise ParseError("file must contain at least one target and one nontarget score")

@@ -502,15 +502,18 @@ class TestDiagnoseCommand:
 
 
 class TestScoreFiles:
-    @pytest.mark.parametrize("command", ["empirical", "threshold"])
-    def test_field_beyond_csv_limit_is_one_error_line(self, tmp_path, capsys, command):
-        # the space after the id keeps the file off the column path, so csv.reader meets the field
+    @pytest.mark.parametrize("command,pad", [
+        pytest.param(command, pad, id=command + suffix)
+        for command in ("empirical", "threshold")
+        for pad, suffix in ((" ", ""), ("", "-unpadded"))
+    ])
+    def test_field_beyond_csv_limit_is_one_error_line(self, tmp_path, capsys, command, pad):
         path = tmp_path / "scores.csv"
         if command == "empirical":
-            path.write_text("target_id,impostor_id,score\n" + "a" * 140_000 + " ,b,1.0\n")
+            path.write_text("target_id,impostor_id,score\n" + "a" * 140_000 + pad + ",b,1.0\n")
             args = ["empirical", "--corpus", path, "--tau", "1.0", "--n", "1"]
         else:
-            path.write_text("label,score\n" + "t" * 140_000 + " ,1.0\n")
+            path.write_text("label,score\n" + "t" * 140_000 + pad + ",1.0\n")
             args = ["threshold", "--labels", path, "--eer"]
         assert run(args) == 1
         assert capsys.readouterr().err.splitlines() == ["error: line 2: field larger than field limit (131072)"]

@@ -239,7 +239,7 @@ class TestMStep:
         t = 5
         stats = SufficientStats(
             m_mean=np.full(t, 0.7),
-            m_second=np.full(t, 0.49),
+            m_var=np.zeros(t),
             inv_sigma=np.full(t, 1.5),
             log_sigma=np.full(t, math.log(2.0) - float(digamma(3.0))),
             lam_mean=np.full(t, 2.0),
@@ -255,7 +255,7 @@ class TestMStep:
         t = 7
         stats = SufficientStats(
             m_mean=np.full(t, theta.mu0),
-            m_second=np.full(t, theta.mu0**2 + theta.sigma0_sq),
+            m_var=np.full(t, theta.sigma0_sq),
             inv_sigma=np.full(t, theta.a_sigma / theta.b_sigma),
             log_sigma=np.full(t, math.log(theta.b_sigma) - float(digamma(theta.a_sigma))),
             lam_mean=np.full(t, theta.alpha_lambda / theta.beta_lambda),
@@ -266,6 +266,20 @@ class TestMStep:
         )
         recovered = m_step(stats)
         assert rel_delta(theta, recovered) < 1e-6
+
+    def test_tiny_posterior_variance_far_from_zero_keeps_its_digits(self):
+        # (E[m]^2 + Var[m]) - E[m]^2 at E[m] = 3 loses ~4 of Var[m]'s digits to cancellation
+        t = 4
+        stats = SufficientStats(
+            m_mean=np.full(t, 3.0),
+            m_var=np.full(t, 2e-12),
+            inv_sigma=np.full(t, 1.5),
+            log_sigma=np.full(t, math.log(2.0) - float(digamma(3.0))),
+            lam_mean=np.full(t, 2.0),
+            log_lam=np.full(t, float(digamma(2.0)) - math.log(1.0)),
+            pair_mean=np.array([]),
+        )
+        assert m_step(stats).sigma0_sq == pytest.approx(2e-12, rel=1e-12)
 
 
 class TestFit:

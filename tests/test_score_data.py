@@ -241,6 +241,11 @@ ODD_FILES = [
                  "line 2: target and impostor are the same speaker 'a'", id="order-same-before-field-limit"),
     pytest.param("l.csv", b"label,score\n" + b"t" * 140_000 + b" ,1\n",
                  "line 2: field larger than field limit (131072)", id="labels-field-limit"),
+    # a field beyond the limit is one error whether or not the id is padded
+    pytest.param("c.csv", HEADER + b"a,b,0.5\n" + b"i" * 140_000 + b",b,1\n",
+                 "line 3: field larger than field limit (131072)", id="field-limit-unpadded"),
+    pytest.param("l.csv", b"label,score\n" + b"t" * 140_000 + b",1\n",
+                 "line 2: field larger than field limit (131072)", id="labels-field-limit-unpadded"),
     pytest.param("c.jsonl", _jsonl({"target": None, "impostor": "b", "score": 0.5}),
                  "line 1: speaker identifier None is not a string or an integer", id="jsonl-null-id"),
     # bug fixes: a byte that is not UTF-8 hid the faults before it and named no line
@@ -298,7 +303,7 @@ def test_jsonl_ids_are_strings_or_integers(tmp_path, speaker):
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("n_rows", [3, 3_000, 30_000])
 def test_invalid_utf8_names_its_line_after_the_rows_before_it(tmp_path, fmt, n_rows):
-    """The bad byte lies beyond the decoder's read-ahead, and beyond the first plain block, or within them."""
+    """The bad byte lies beyond the decoder's read-ahead, or within it."""
     path = tmp_path / f"c.{fmt}"
     rows = [("a", f"i{k}", k) for k in range(n_rows)]
     if fmt == "csv":
@@ -360,15 +365,6 @@ def test_jsonl_integer_beyond_the_digit_limit_names_its_line(tmp_path):
         load_corpus(path)
 
 
-def _row_reader_used(*args):
-    raise AssertionError("the row reader parsed a plain file")
-
-
-@pytest.fixture
-def column_path_only(monkeypatch):
-    monkeypatch.setattr(score_data, "_csv_rows", _row_reader_used)
-
-
 def _assert_matches_oracle(loaded, rows):
     want, grouped = grouped_corpus(rows)
     assert (loaded.target_ids, loaded.impostor_ids) == want[:2]
@@ -379,9 +375,9 @@ def _assert_matches_oracle(loaded, rows):
 
 
 class TestColumnPath:
-    """Plain CSVs are parsed column-wise; anything else reaches the row reader."""
+    """`csv.reader` rows of unquoted CSVs, as column blocks through `_validated`."""
 
-    def test_hash_in_id(self, tmp_path, column_path_only):
+    def test_hash_in_id(self, tmp_path):
         rows = [("a#1", "b", 0.5), ("a#1", "#c", 1.5), ("x", "b", 2.0)]
         path = write(tmp_path, "c.csv", [CSV_ROWS[0], *(f"{t},{i},{v!r}" for t, i, v in rows)])
         _assert_matches_oracle(load_corpus(path), rows)
@@ -411,8 +407,8 @@ class TestColumnPath:
         with pytest.raises(ParseError, match="line 100001: score 'nan' is not finite"):
             load_corpus(write(tmp_path, "c.csv", lines))
 
-    def test_long_id_pads_in_bounded_groups(self, tmp_path, column_path_only):
-        # padding all 2000 rows of the block to the long id would take ~100 MB
+    def test_long_id_keeps_peak_memory_small(self, tmp_path):
+        # a reader that padded all 2000 rows to the long id would take ~100 MB
         rows = [(f"t{k % 5}", f"i{k}", k / 4) for k in range(2000)]
         rows[1000] = ("t" * 50_000, "i1000", 250.0)
         path = write(tmp_path, "c.csv", [CSV_ROWS[0], *(f"{t},{i},{v!r}" for t, i, v in rows)])
@@ -425,12 +421,7 @@ class TestColumnPath:
         assert peak < 8 * 2**20
         _assert_matches_oracle(loaded, rows)
 
-    def test_line_longer_than_a_block(self, tmp_path, column_path_only):
-        rows = [("a", "b", 0.5), ("i" * (score_data._BLOCK_BYTES + 10), "b", 1.5), ("a", "c", 2.5)]
-        path = write(tmp_path, "c.csv", [CSV_ROWS[0], *(f"{t},{i},{v!r}" for t, i, v in rows)])
-        _assert_matches_oracle(load_corpus(path), rows)
-
-    def test_memory_stays_within_three_file_sizes(self, tmp_path, column_path_only):
+    def test_memory_stays_within_three_file_sizes(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(CSV_ROWS[0] + "\n" + "".join(f"{t},{i},{v!r}\n" for t, i, v in _large_corpus_rows()))
         assert _load_peak(path) <= 3 * path.stat().st_size
@@ -443,7 +434,7 @@ class TestColumnPath:
             ("a,a,1.5", "target and impostor are the same speaker 'a'"),
         ],
     )
-    def test_value_faults_are_found_without_the_row_reader(self, tmp_path, column_path_only, row, message):
+    def test_value_faults_are_found_without_the_row_reader(self, tmp_path, row, message):
         with pytest.raises(ParseError) as info:
             load_corpus(write(tmp_path, "c.csv", [CSV_ROWS[0], "a,b,0.5", row, "a,a,2.5"]))
         assert str(info.value) == f"line 3: {message}"
@@ -478,7 +469,7 @@ def _load_peak(path) -> int:
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_row_readers_stay_within_three_file_sizes(tmp_path, fmt):
     path = tmp_path / f"c.{fmt}"
-    if fmt == "csv":  # quoted, so the row reader takes it
+    if fmt == "csv":  # quoted, unlike the file of `test_memory_stays_within_three_file_sizes`
         path.write_text(_csv_line(["target_id", "impostor_id", "score"]) + "".join(
             f'"{t}","{i}",{v!r}\n' for t, i, v in _large_corpus_rows()
         ))
@@ -521,7 +512,7 @@ class TestLabeledScores:
         assert labeled.target_scores.tolist() == [1.0, 2.0]
         assert labeled.nontarget_scores.tolist() == [0.0]
 
-    def test_plain_file_matches_row_reader(self, tmp_path, column_path_only):
+    def test_plain_file_matches_row_reader(self, tmp_path):
         g = np.random.default_rng(4)
         labels = g.choice(["target", "nontarget"], 5000).tolist()
         scores = g.normal(size=5000).tolist()
@@ -663,7 +654,7 @@ _IDS = st.text(alphabet='ab,"\u00e9 Z', min_size=1, max_size=3).map(str.strip).f
 _SCORES = st.floats(allow_nan=False, allow_infinity=False)
 
 
-# ids the column path takes: plain ASCII without spaces, quotes or commas
+# ids that need no CSV quoting: plain ASCII without spaces, quotes or commas
 _PLAIN_IDS = st.text(alphabet=string.ascii_letters + string.digits + "_#.-", min_size=1, max_size=3)
 
 
@@ -724,7 +715,7 @@ class TestLoaderProperties:
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=_corpus_rows(_PLAIN_IDS), order=st.permutations(range(3)), final_newline=st.booleans())
-    def test_plain_csv_takes_the_column_path(self, tmp_path, column_path_only, rows, order, final_newline):
+    def test_any_header_order_and_final_newline(self, tmp_path, rows, order, final_newline):
         header = ("target_id", "impostor_id", "score")
         lines = [",".join(header[k] for k in order)]
         lines += [",".join((t, i, repr(score))[k] for k in order) for t, i, score in rows]
