@@ -10,12 +10,15 @@ Scores are kept at full double precision; no calibration or normalisation
 is applied.  Loading is deterministic: targets and impostors are sorted by
 identifier (code point order), scores keep input order within a pair.
 
-Every loader and `PackedCorpus.from_groups` hand blocks of columns to
-`_validated`, the only place where row rules run.  The readers before it
-only tokenise: `_csv_rows` reads every CSV with `csv.reader`, and
-`_jsonl_rows` reads JSONL lines.  A reader's own fault is raised after the
-rows before it are checked, so the first fault in a file wins.  Files are
-decoded as UTF-8, and `_decoded` names the line of a byte that is not.
+Every file is read once, front to back, as the UTF-8 lines that `_lines`
+decodes from it; a pipe is parsed as it streams.  `_lines` raises ParseError
+at the first line that holds a byte that is not UTF-8.  On these lines
+`_csv_rows` runs `csv.reader` and `_jsonl_rows` reads one object per line;
+both only tokenise.  They and `PackedCorpus.from_groups` hand blocks of
+columns to `_validated`, the only place where row rules run.  A reader's
+own fault, a bad byte's included, is raised after the rows before it are
+checked, so the first fault in a file wins.  Every fault names the
+physical line on which its row starts.
 
 `_cached` saves the arrays of each successful load in
 ``$XDG_CACHE_HOME/wcfar`` (else ``$HOME/.cache/wcfar``), one ``.npz`` entry
@@ -34,6 +37,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 import zipfile
@@ -142,37 +146,53 @@ def _block(rows: list[tuple], lines: list, clean) -> tuple:
     return [np.array(list(map(clean, field)), dtype=object) for field in ids], np.array(cells, dtype=object), lines
 
 
+_ESCAPED = re.compile("[\udc80-\udcff]")  # what "surrogateescape" makes of a byte that is not UTF-8
+
+
+def _lines(fh, newline: str | None):
+    """The lines of binary file `fh` as UTF-8 text; ParseError at the first that holds a byte that is not."""
+    text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=newline)
+    try:
+        for line, raw in enumerate(text, start=1):
+            if not raw.isascii() and _ESCAPED.search(raw):
+                raise ParseError("not valid UTF-8", line)
+            yield raw
+    finally:
+        if not fh.closed:  # else dropping `text` would close `fh`
+            text.detach()
+
+
 def _csv_rows(fh, names: tuple[str, ...], header_fault: str):
-    """Column blocks of the fields `names` of the CSV rows of text file `fh`.
+    """Column blocks of the fields `names` of the CSV rows of binary file `fh`.
 
     The first row is the header, whose fields are stripped and must include
     `names` (else `header_fault`).  Blank rows are skipped.  A row with
     another field count, or that `csv.reader` cannot read, raises ParseError
     after the rows before it are yielded.
     """
-    reader = csv.reader(fh)
-    line = 0  # the line of the last row read
+    reader = csv.reader(_lines(fh, ""))
+    line = 1  # the line on which the next row starts
     rows, lines, fault = [], [], None
     try:
         if (header := next(reader, None)) is None:
             raise ParseError("empty file", 1)
-        header, line = [field.strip() for field in header], 1
+        header, line = [field.strip() for field in header], reader.line_num + 1
         if missing := [name for name in names if name not in header]:
             raise ParseError(header_fault.format(missing=missing, header=header), 1)
         get = itemgetter(*(header.index(name) for name in names))
         for row in reader:
-            line += 1
+            start, line = line, reader.line_num + 1
             if not "".join(row).strip():
                 continue
             if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", start)
             rows.append(get(row))
-            lines.append(line)
+            lines.append(start)
             if len(rows) == _BLOCK_ROWS:
                 yield _block(rows, lines, str.strip)
                 rows, lines = [], []
     except csv.Error as exc:  # a field beyond csv's size limit, say
-        fault = ParseError(str(exc), line + 1)
+        fault = ParseError(str(exc), line)
     except ParseError as exc:
         fault = exc
     if rows:
@@ -182,10 +202,10 @@ def _csv_rows(fh, names: tuple[str, ...], header_fault: str):
 
 
 def _jsonl_rows(fh):
-    """Column blocks of JSONL text file `fh`; a line's fault is raised after the rows before it."""
+    """Column blocks of JSONL binary file `fh`; a line's fault is raised after the rows before it."""
     rows, lines, fault = [], [], None
     try:
-        for line, raw in enumerate(fh, start=1):
+        for line, raw in enumerate(_lines(fh, None), start=1):
             if not raw.strip():
                 continue
             try:
@@ -217,35 +237,6 @@ def _jsonl_rows(fh):
         raise fault
 
 
-def _decoded(fh, newline: str | None, rows):
-    """Blocks of `rows(text)` on the UTF-8 text of binary file `fh`, read from its start.
-
-    `TextIOWrapper` decodes ahead of the rows it hands on, so a byte that is
-    not valid UTF-8 stops the reading before the lines ahead of it are read.
-    Those lines are read again from the raw bytes, and ParseError names the
-    bad byte's line after their rows.
-    """
-    text = io.TextIOWrapper(fh, encoding="utf-8", newline=newline)
-    try:
-        yield from rows(text)
-        return
-    except UnicodeDecodeError:
-        pass
-    finally:
-        if not fh.closed:  # else dropping `text` would close `fh`
-            text.detach()
-    fh.seek(0)
-    data = fh.read()
-    try:
-        data.decode()
-        cut = len(data)  # the file changed since
-    except UnicodeDecodeError as exc:
-        cut = data.rfind(b"\n", 0, exc.start) + 1
-    if cut:
-        yield from rows(io.StringIO(data[:cut].decode(), newline=newline))
-    raise ParseError("not valid UTF-8", 1 + data.count(b"\n", 0, cut))
-
-
 _CACHE_ENTRIES = 16
 # what np.load raises on a truncated or foreign entry (TypeError: an .npy array is no context
 # manager), and what the checks below raise on one whose arrays disagree
@@ -274,7 +265,7 @@ def _cache_key(fh, kind: str) -> str:
 def _read_entry(entry: Path, from_arrays):
     """`from_arrays` of cache entry `entry`, whose mtime is refreshed; None if it is missing or bad."""
     try:
-        with np.load(entry, allow_pickle=False) as npz:
+        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             loaded = from_arrays(npz)
     except _CACHE_FAULTS:
         return None
@@ -303,14 +294,11 @@ def _cached(path, kind: str, parse, to_arrays, from_arrays):
     """`parse(fh)` on binary file `path`, or `from_arrays` of what `to_arrays` saved of it for the same content.
 
     Only a regular file is cached, and only when its size and mtime did not
-    change from before hashing to the end of a successful parse.  A file
-    that cannot seek, such as a pipe, is read into memory first, since the
-    readers seek back.
+    change from before hashing to the end of a successful parse.
     """
     entry = None
-    with open(path, "rb") as raw:
-        before = os.fstat(raw.fileno())
-        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+    with open(path, "rb") as fh:
+        before = os.fstat(fh.fileno())
         if stat.S_ISREG(before.st_mode) and (where := _cache_dir()) is not None:
             with contextlib.suppress(OSError):
                 entry = where / f"{_cache_key(fh, kind)}.npz"
@@ -318,7 +306,7 @@ def _cached(path, kind: str, parse, to_arrays, from_arrays):
             if entry is not None and (loaded := _read_entry(entry, from_arrays)) is not None:
                 return loaded
         result = parse(fh)
-        after = os.fstat(raw.fileno())
+        after = os.fstat(fh.fileno())
     if entry is not None and (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
         _write_entry(entry, to_arrays(result))
     return result
@@ -405,10 +393,9 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
 
 def _parse_corpus(fh, format: str) -> PackedCorpus:
     if format == "csv":
-        names, missing = ("target_id", "impostor_id", "score"), "missing column(s) {missing} in header {header}"
-        blocks = _decoded(fh, "", lambda text: _csv_rows(text, names, missing))
+        blocks = _csv_rows(fh, ("target_id", "impostor_id", "score"), "missing column(s) {missing} in header {header}")
     else:
-        blocks = _decoded(fh, None, _jsonl_rows)
+        blocks = _jsonl_rows(fh)
     (targets, impostors), (target_codes, impostor_codes), scores = _validated(blocks)
     if not scores.size:  # a JSONL file without rows has only blank lines
         raise ParseError("empty file" if format == "jsonl" else "file contains no data rows", 1)
@@ -427,7 +414,7 @@ def load_labeled_scores(path) -> LabeledScoreSet:
 
 def _parse_labels(fh) -> LabeledScoreSet:
     header_fault = "expected header with 'label' and 'score', got {header}"
-    blocks = _decoded(fh, "", lambda text: _csv_rows(text, ("label", "score"), header_fault))
+    blocks = _csv_rows(fh, ("label", "score"), header_fault)
     _, [codes], scores = _validated(blocks, labels=True)
     target, nontarget = (scores[codes == code] for code in range(len(_LABELS)))
     if not target.size or not nontarget.size:

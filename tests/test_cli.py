@@ -96,7 +96,8 @@ class TestFitCommand:
         payload = json.loads(out.read_text())
         fitted = Hyperparameters.from_json({k: payload[k] for k in THETA.to_json()})
         assert abs(fitted.mu0) < 1.0
-        rows = list(csv.DictReader(open(trace)))
+        with open(trace) as fh:
+            rows = list(csv.DictReader(fh))
         elbo = [float(r["elbo"]) for r in rows]
         assert all(b >= a - 1e-8 for a, b in zip(elbo, elbo[1:]))
 
@@ -325,7 +326,8 @@ class TestSimulateCommand:
         spec_path.write_text(json.dumps(spec))
         out, labeled = tmp_path / "sim.csv", tmp_path / "labeled.csv"
         assert run(["simulate", "--spec", spec_path, "--out", out, "--labeled-out", labeled]) == 0
-        rows = list(csv.DictReader(open(labeled)))
+        with open(labeled) as fh:
+            rows = list(csv.DictReader(fh))
         assert {r["label"] for r in rows} == {"target", "nontarget"}
 
     def test_labeled_out_rejected_for_model_kind(self, tmp_path):

@@ -258,6 +258,11 @@ ODD_FILES = [
                  "line 2: not valid UTF-8", id="jsonl-utf8-invalid"),
     pytest.param("l.csv", b"label,score\ntarget,1\nnontarget,\xff\n", "line 3: not valid UTF-8",
                  id="labels-utf8-invalid"),
+    # bug fix: a row after a quoted newline was named by its record, not by the line it starts on
+    pytest.param("c.csv", HEADER + b'"a\nx",b,1\na,a,1\n',
+                 "line 4: target and impostor are the same speaker 'a'", id="line-after-quoted-newline"),
+    pytest.param("c.csv", HEADER + b'"a\nx",b,1\na,b,\xff\n', "line 4: not valid UTF-8",
+                 id="utf8-invalid-after-quoted-newline"),
 ]
 
 
@@ -454,11 +459,11 @@ def _large_corpus_rows() -> list[tuple[str, str, float]]:
     ]
 
 
-def _load_peak(path) -> int:
-    """Peak traced memory of loading `path`, which must hold `_large_corpus_rows`."""
+def _load_peak(path, load=load_corpus) -> int:
+    """Peak traced memory of `load(path)`, which must give the corpus of `_large_corpus_rows`."""
     tracemalloc.start()
     try:
-        corpus = load_corpus(path)
+        corpus = load(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -478,6 +483,8 @@ def test_row_readers_stay_within_three_file_sizes(tmp_path, fmt):
             json.dumps({"target": t, "impostor": i, "score": v}) + "\n" for t, i, v in _large_corpus_rows()
         ))
     assert _load_peak(path) <= 3 * path.stat().st_size
+    content = path.read_bytes()  # the pipe's writer holds the bytes before the load starts
+    assert _load_peak(path, lambda _: _load_from_pipe(content, fmt)) <= 3 * len(content)
 
 
 class TestLabeledScores:
@@ -878,7 +885,8 @@ class TestCache:
         elif damage == "empty":
             entry.write_bytes(b"")
         elif damage == "npy":
-            np.save(entry.open("wb"), arrays["scores"])
+            with entry.open("wb") as out:
+                np.save(out, arrays["scores"])
         else:
             if damage == "missing":
                 del arrays["scores"]
