@@ -10,12 +10,13 @@ deterministic for a fixed --seed (default from $WCFAR_SEED, else 0).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
+import stat
 import sys
-from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -29,7 +30,7 @@ if TYPE_CHECKING:  # each command imports the library modules it runs, so --vers
 
 SEED_ENV_VAR = "WCFAR_SEED"
 
-_CHUNK_ROWS = 1 << 16  # lines per string written by `_score_lines`
+_CHUNK_LINES = 1 << 12  # lines per string written by `_score_lines`, at least
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,28 +55,62 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"--seed or ${SEED_ENV_VAR} is not an integer: {text!r}")
 
 
-def _write_text(text, out_path: str | None):
-    """Write `text`, a string or an iterable of strings, to `out_path` or stdout."""
-    chunks = [text] if isinstance(text, str) else text
-    if out_path is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(out_path, "w") as fh:
-            fh.writelines(chunks)
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """The text file to write `out_path` through, or stdout for None.
 
-
-def _score_lines(header: str, prefixes: list[str], counts: list[int], scores):
-    """`header`, then one ``<prefix><score>`` line per score, `_CHUNK_ROWS` lines per string.
-
-    Each of `prefixes` holds leading cells, comma included, and starts the
-    next `counts` lines.  Scores are formatted as `_fmt` formats them.
+    A regular or new file is written as a temporary file beside it, which
+    replaces it only when the block ends without an exception, so a failed
+    run leaves no output; a device or a pipe is written in place.
     """
-    prefixes = chain.from_iterable(map(repeat, prefixes, counts))
+    if out_path is None:
+        yield sys.stdout
+        return
+    try:
+        mode = os.stat(out_path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(out_path, "w") as fh:
+            yield fh
+        return
+    path = os.path.realpath(out_path)
+    temp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the mode `open` gives a new file
+    try:
+        with open(fd, "w") as fh:
+            if mode is not None:
+                os.chmod(fd, stat.S_IMODE(mode))  # a replaced file keeps its mode
+            yield fh
+        os.replace(temp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+
+
+def _write_text(text: str, out_path: str | None):
+    with _output(out_path) as fh:
+        fh.write(text)
+
+
+def _score_lines(header: str, blocks):
+    """`header`, then one ``<prefix><score>`` line per score of each block ``(prefixes, scores)``.
+
+    `scores` is shaped (len(prefixes), L): row r's scores follow prefix r,
+    which holds leading cells, comma included, and no ``%``.  Scores are
+    formatted as `_fmt` formats them.  Whole blocks are joined into strings
+    of at least `_CHUNK_LINES` lines, the last excepted.
+    """
     yield header
-    for start in range(0, len(scores), _CHUNK_ROWS):
-        chunk = scores[start : start + _CHUNK_ROWS].tolist()
-        cells = chain.from_iterable(zip(islice(prefixes, len(chunk)), chunk))
-        yield ("%s%.17g\n" * len(chunk)) % tuple(cells)
+    formats, values = [], []
+    for prefixes, scores in blocks:
+        formats += [(prefix + "%.17g\n") * scores.shape[1] for prefix in prefixes]
+        values += scores.ravel().tolist()
+        if len(values) >= _CHUNK_LINES:
+            yield "".join(formats) % tuple(values)
+            formats, values = [], []
+    if values:
+        yield "".join(formats) % tuple(values)
 
 
 def _json_dump(obj) -> str:
@@ -245,40 +280,33 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    import numpy as np
-
     from .model import Hyperparameters
-    from .synthetic import SyntheticSpec, ToyAsvSpec, generate_model_corpus, generate_toy_asv_corpus
+    from .synthetic import SyntheticSpec, ToyAsvSpec, model_blocks, toy_asv_blocks
 
     spec_obj = _read_json(args.spec)
     if not isinstance(spec_obj, dict):
         raise ValueError(f"spec {args.spec} must hold a JSON object")
     kind = spec_obj.pop("kind", "model")
     if kind == "model":
+        if args.labeled_out:
+            raise ValueError("--labeled-out is only available for kind 'toy_asv'")
         if "theta" in spec_obj:
             spec_obj["theta"] = Hyperparameters.from_json(spec_obj["theta"])
-        corpus = generate_model_corpus(_spec(SyntheticSpec, spec_obj))
-        labeled = None
+        blocks, labels = model_blocks(_spec(SyntheticSpec, spec_obj)), None
     elif kind == "toy_asv":
-        corpus, labeled = generate_toy_asv_corpus(_spec(ToyAsvSpec, spec_obj))
+        blocks, labels = toy_asv_blocks(_spec(ToyAsvSpec, spec_obj))
     else:
         raise ValueError(f"unknown simulation kind {kind!r}; expected 'model' or 'toy_asv'")
 
-    # generated ids hold only letters, digits and underscores: no cell needs CSV quoting
-    pair_prefix = [
-        f"{corpus.target_ids[t]},{impostor_id},"
-        for t, impostor_id in zip(corpus.pair_target.tolist(), corpus.impostor_ids)
-    ]
-    counts = corpus.pair_count.tolist()
-    _write_text(_score_lines("target_id,impostor_id,score\n", pair_prefix, counts, corpus.scores), args.out)
-
-    if args.labeled_out:
-        if labeled is None:
-            raise ValueError("--labeled-out is only available for kind 'toy_asv'")
-        counts = [labeled.target_scores.size, labeled.nontarget_scores.size]
-        scores = np.concatenate((labeled.target_scores, labeled.nontarget_scores))
-        lines = _score_lines("label,score\n", ["target,", "nontarget,"], counts, scores)
-        _write_text(lines, args.labeled_out)
+    # generated ids hold only letters, digits and underscores: no cell needs CSV quoting or a % escape
+    rows = (([f"{target_id},{i}," for i in impostor_ids], scores) for target_id, impostor_ids, scores in blocks)
+    with contextlib.ExitStack() as outputs:
+        out = outputs.enter_context(_output(args.out))
+        labeled_out = outputs.enter_context(_output(args.labeled_out)) if args.labeled_out else None
+        out.writelines(_score_lines("target_id,impostor_id,score\n", rows))
+        if labeled_out is not None:
+            label_rows = (([f"{label},"], scores[None]) for label, scores in labels)
+            labeled_out.writelines(_score_lines("label,score\n", label_rows))
     return 0
 
 

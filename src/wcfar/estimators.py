@@ -121,7 +121,7 @@ def _closest_weights(packed: PackedCorpus, n_impostors: int) -> np.ndarray:
     pools = packed.pairs_per_target[packed.pair_target]
     rank = packed.pair_rank
     weights = np.empty(packed.n_pairs)
-    for p in np.unique(pools).tolist():
+    for p in set(packed.pairs_per_target.tolist()):
         k = np.arange(p)
         s = np.concatenate(([1.0], np.cumprod(np.maximum(p - k - n_impostors, 0) / (p - k))))
         at = pools == p

@@ -55,7 +55,8 @@ def _scan(s: LabeledScoreSet):
     """Candidate thresholds, (P_miss, P_fa) at each, and whether the pool holds one distinct score."""
     tar = np.sort(np.asarray(s.target_scores, dtype=float))
     non = np.sort(np.asarray(s.nontarget_scores, dtype=float))
-    distinct = np.unique(np.concatenate((tar, non)))
+    pooled = np.sort(np.concatenate((tar, non)))
+    distinct = pooled[np.concatenate(([True], pooled[1:] != pooled[:-1]))]
     degenerate = distinct.size == 1
     mids = 0.5 * (distinct[:-1] + distinct[1:])
     taus = distinct if degenerate else np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))

@@ -79,7 +79,7 @@ class LabeledScoreSet:
 
 
 _LABELS = ("target", "nontarget")
-_BLOCK_ROWS = 1 << 13  # rows per block from the row readers
+_BLOCK_ROWS = 1 << 11  # rows per block from the row readers
 
 
 def _intern(field: np.ndarray, index: dict[str, int]) -> np.ndarray:
@@ -166,9 +166,9 @@ def _csv_rows(fh, names: tuple[str, ...], header_fault: str):
     """Column blocks of the fields `names` of the CSV rows of binary file `fh`.
 
     The first row is the header, whose fields are stripped and must include
-    `names` (else `header_fault`).  Blank rows are skipped.  A row with
-    another field count, or that `csv.reader` cannot read, raises ParseError
-    after the rows before it are yielded.
+    `names` (else `header_fault`).  Empty and whitespace-only lines are
+    skipped.  A row with another field count, or that `csv.reader` cannot
+    read, raises ParseError after the rows before it are yielded.
     """
     reader = csv.reader(_lines(fh, ""))
     line = 1  # the line on which the next row starts
@@ -182,7 +182,7 @@ def _csv_rows(fh, names: tuple[str, ...], header_fault: str):
         get = itemgetter(*(header.index(name) for name in names))
         for row in reader:
             start, line = line, reader.line_num + 1
-            if not "".join(row).strip():
+            if len(row) < 2 and not "".join(row).strip():  # an empty or whitespace-only line
                 continue
             if len(row) != len(header):
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}", start)

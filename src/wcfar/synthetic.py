@@ -18,13 +18,17 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import Hyperparameters, _sample_targets
-from .score_data import LabeledScoreSet, PackedCorpus
 from .streams import RngStream
+
+if TYPE_CHECKING:  # `simulate` writes the blocks and packs no corpus
+    from .score_data import LabeledScoreSet, PackedCorpus
 
 
 def _require(kind: type, spec, names: tuple[str, ...]) -> None:
@@ -73,38 +77,45 @@ class ToyAsvSpec:
             raise ValueError("spread parameters must be positive")
 
 
-def generate_model_corpus(spec: SyntheticSpec) -> PackedCorpus:
-    """Sample a corpus from the hierarchical model, one stream per target.
+Block = tuple[str, list[str], np.ndarray]
 
-    Per target the draw order is (m, lam, sigma_sq), then all pair means,
-    then all scores, so corpora are reproducible and per-target generation
-    is order-independent.  A target whose lam or sigma_sq draw underflows
-    raises ValueError.
+
+def _by_id(count: int) -> list[int]:
+    """0 .. count-1 in the code point order of the ids numbered ``f"{k + 1:04d}"``, not index order past 9999."""
+    return sorted(range(count), key=lambda k: f"{k + 1:04d}")
+
+
+def model_blocks(spec: SyntheticSpec) -> Iterator[Block]:
+    """Per target, in the order `PackedCorpus` keeps: its id, its impostors' ids and their scores, shaped (n, L).
+
+    Target i draws from its own stream, child i of the seed: (m, lam,
+    sigma_sq), then all pair means, then all scores, so corpora are
+    reproducible and no target's draws depend on another's.  A target whose
+    lam or sigma_sq draw underflows raises ValueError when it is reached.
     """
-    t, n, l = spec.t_targets, spec.n_impostors_per_target, spec.l_scores_per_pair
+    n, l = spec.n_impostors_per_target, spec.l_scores_per_pair
     root = RngStream(spec.seed)
-    scores = np.empty((t, n, l))
-    for i in range(t):
+    impostors = np.array(_by_id(n))
+    suffixes = [f"_{j + 1:04d}" for j in impostors.tolist()]
+    for i in _by_id(spec.t_targets):
         g = root.child(i).generator()
         m, lam, sigma_sq = _sample_targets(spec.theta, None, g)
         mus = g.normal(m, math.sqrt(sigma_sq / lam), size=n)
-        scores[i] = g.normal(mus[:, None], math.sqrt(sigma_sq), size=(n, l))
-    return PackedCorpus.from_codes(
-        [f"t{i + 1:04d}" for i in range(t)],
-        [f"i{i + 1:04d}_{j + 1:04d}" for i in range(t) for j in range(n)],
-        np.repeat(np.arange(t), n * l),
-        np.repeat(np.arange(t * n), l),
-        scores.reshape(-1),
-    )
+        scores = g.normal(mus[:, None], math.sqrt(sigma_sq), size=(n, l))
+        prefix = f"i{i + 1:04d}"
+        yield f"t{i + 1:04d}", [prefix + suffix for suffix in suffixes], scores[impostors]
 
 
-def generate_toy_asv_corpus(spec: ToyAsvSpec) -> tuple[PackedCorpus, LabeledScoreSet]:
-    """Generate non-target trials plus labelled scores from the toy pipeline.
+def toy_asv_blocks(spec: ToyAsvSpec) -> tuple[Iterator[Block], Iterator[tuple[str, np.ndarray]]]:
+    """The toy pipeline's corpus blocks, as `model_blocks` yields them, and its labelled score blocks.
 
     Scores are 1 - ||x_e - x_t||^2 / (2 d): a monotone similarity that
     equals the constant 1 at zero distance.  Every speaker serves as a
     target with all other speakers as impostors; target trials take every
-    unordered pair of a speaker's own utterances.
+    unordered pair of a speaker's own utterances.  The similarity of all
+    utterance pairs is computed here, in place; the label blocks are
+    ``("target", scores)`` per speaker, then ``("nontarget", scores)`` per
+    speaker against every later one, in index order.
     """
     if spec.n_utts_per_speaker < 2:
         raise ValueError("need at least 2 utterances per speaker to form target trials")
@@ -120,24 +131,65 @@ def generate_toy_asv_corpus(spec: ToyAsvSpec) -> tuple[PackedCorpus, LabeledScor
 
     flat = embeddings.reshape(k * u, d)
     sq_norm = np.einsum("ij,ij->i", flat, flat)
-    gram = flat @ flat.T
-    dist_sq = np.maximum(sq_norm[:, None] + sq_norm[None, :] - 2.0 * gram, 0.0)
-    sim = 1.0 - dist_sq / (2.0 * d)
-
-    # blocks[i, j] holds the u x u scores of speaker i's utterances against j's
-    blocks = sim.reshape(k, u, k, u).transpose(0, 2, 1, 3).reshape(k, k, u * u)
+    sim = flat @ flat.T
+    for s in range(k):  # sim = 1 - max(|x|^2 + |y|^2 - 2 x.y, 0) / (2 d), one speaker's rows at a time
+        rows = sim[s * u : (s + 1) * u]
+        np.subtract(sq_norm[s * u : (s + 1) * u, None] + sq_norm, 2.0 * rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+        rows /= 2.0 * d
+        np.subtract(1.0, rows, out=rows)
+    # against[s][j, a, b] is the score of speaker s's utterance a against speaker j's utterance b
+    against = sim.reshape(k, u, k, u).transpose(0, 2, 1, 3)
     speaker_ids = [f"s{s + 1:04d}" for s in range(k)]
-    others = ~np.eye(k, dtype=bool)
-    corpus = PackedCorpus.from_codes(
-        speaker_ids,
-        speaker_ids,
-        np.repeat(np.arange(k), (k - 1) * u * u),
-        np.repeat(np.nonzero(others)[1], u * u),
-        blocks[others].reshape(-1),
+    order = _by_id(k)
+
+    def corpus():
+        for s in order:
+            others = [j for j in order if j != s]
+            yield speaker_ids[s], [speaker_ids[j] for j in others], against[s, others].reshape(k - 1, u * u)
+
+    def labels():
+        upper = np.triu_indices(u, k=1)
+        for s in range(k):
+            yield "target", against[s, s][upper]
+        for s in range(k - 1):
+            yield "nontarget", against[s, s + 1 :].reshape(-1)
+
+    return corpus(), labels()
+
+
+def _pack(blocks: Iterator[Block]) -> PackedCorpus:
+    """The corpus of `blocks`, packed as `load_corpus` packs the rows they write."""
+    from .score_data import PackedCorpus
+
+    target_ids, impostors, impostor_codes, scores = [], {}, [], []
+    for target_id, impostor_ids, block in blocks:
+        target_ids.append(target_id)
+        codes = [impostors.setdefault(name, len(impostors)) for name in impostor_ids]
+        impostor_codes.append(np.repeat(codes, block.shape[1]))
+        scores.append(block.reshape(-1))
+    return PackedCorpus.from_codes(
+        target_ids,
+        list(impostors),
+        np.repeat(np.arange(len(target_ids)), [block.size for block in scores]),
+        np.concatenate(impostor_codes),
+        np.concatenate(scores),
     )
-    upper = np.triu_indices(u, k=1)
-    labeled = LabeledScoreSet(
-        target_scores=np.concatenate([blocks[i, i].reshape(u, u)[upper] for i in range(k)]),
-        nontarget_scores=blocks[np.triu_indices(k, k=1)].reshape(-1),
+
+
+def generate_model_corpus(spec: SyntheticSpec) -> PackedCorpus:
+    """Sample a corpus from the hierarchical model: the blocks of `model_blocks`."""
+    return _pack(model_blocks(spec))
+
+
+def generate_toy_asv_corpus(spec: ToyAsvSpec) -> tuple[PackedCorpus, LabeledScoreSet]:
+    """Non-target trials plus labelled scores from the toy pipeline: the blocks of `toy_asv_blocks`."""
+    from .score_data import LabeledScoreSet
+
+    corpus, labels = toy_asv_blocks(spec)
+    packed, scores = _pack(corpus), {"target": [], "nontarget": []}
+    for label, block in labels:
+        scores[label].append(block)
+    return packed, LabeledScoreSet(
+        target_scores=np.concatenate(scores["target"]), nontarget_scores=np.concatenate(scores["nontarget"])
     )
-    return corpus, labeled

@@ -3,8 +3,10 @@ import csv
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,8 +17,8 @@ import wcfar
 from wcfar.cli import main
 from wcfar.errors import NumericError
 from wcfar.model import DEFAULT_SCORES_PER_PAIR, Hyperparameters
-from wcfar.score_data import load_corpus
-from wcfar.synthetic import SyntheticSpec, generate_model_corpus
+from wcfar.score_data import load_corpus, load_labeled_scores
+from wcfar.synthetic import SyntheticSpec, ToyAsvSpec, generate_model_corpus, generate_toy_asv_corpus
 
 THETA = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
 
@@ -329,6 +331,8 @@ class TestSimulateCommand:
         with open(labeled) as fh:
             rows = list(csv.DictReader(fh))
         assert {r["label"] for r in rows} == {"target", "nontarget"}
+        del spec["kind"]
+        assert (load_corpus(out), load_labeled_scores(labeled)) == generate_toy_asv_corpus(ToyAsvSpec(**spec))
 
     def test_labeled_out_rejected_for_model_kind(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -340,7 +344,81 @@ class TestSimulateCommand:
                 }
             )
         )
-        assert run(["simulate", "--spec", spec_path, "--labeled-out", tmp_path / "x.csv"]) == 1
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--spec", spec_path, "--out", out, "--labeled-out", tmp_path / "x.csv"]) == 1
+        assert sorted(tmp_path.iterdir()) == [spec_path]  # rejected before anything is generated
+
+    @pytest.mark.parametrize(
+        "counts", [(2, 10_001), (10_001, 1)], ids=["impostors_past_9999", "targets_past_9999"]
+    )
+    def test_ids_past_9999_keep_id_order(self, tmp_path, counts):
+        # "t10000" sorts between "t1000" and "t1001": rows are written in id order, not index order
+        spec = SyntheticSpec(
+            theta=THETA, t_targets=counts[0], n_impostors_per_target=counts[1], l_scores_per_pair=1, seed=8
+        )
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**vars(spec), "kind": "model", "theta": THETA.to_json()}))
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--spec", spec_path, "--out", out]) == 0
+        assert load_corpus(out) == generate_model_corpus(spec)
+        with open(out) as fh:
+            pairs = [tuple(row[:2]) for row in csv.reader(fh)][1:]
+        assert pairs == sorted(pairs)
+
+    def test_memory_does_not_grow_with_targets(self, tmp_path):
+        # rows are drawn, formatted and written target by target, so the traced
+        # peak (~0.9 MB) does not grow with the corpus; packing the whole corpus
+        # first peaks at 2.6 MB for 16 targets and at 20.2 MB for 256
+        def peak(t_targets):
+            spec = {"kind": "model", "theta": THETA.to_json(), "t_targets": t_targets,
+                    "n_impostors_per_target": 250, "l_scores_per_pair": 4, "seed": 3}
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps(spec))
+            tracemalloc.start()
+            try:
+                assert run(["simulate", "--spec", spec_path, "--out", tmp_path / "sim.csv"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # imports
+        assert abs(peak(256) - peak(16)) < 256 * 1024
+
+    def test_failed_run_leaves_no_file(self, tmp_path, capsys):
+        # the gamma draw of test_gamma_draw_underflow fails at a later target, after the header is written
+        theta = {**THETA.to_json(), "a_sigma": 0.002}
+        spec = {"kind": "model", "theta": theta, "t_targets": 200,
+                "n_impostors_per_target": 2, "l_scores_per_pair": 2, "seed": 1}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--spec", spec_path, "--out", out]) == 1
+        assert sorted(tmp_path.iterdir()) == [spec_path]
+        out.write_bytes(b"kept")
+        out.chmod(0o640)
+        assert run(["simulate", "--spec", spec_path, "--out", out]) == 1
+        assert set(tmp_path.iterdir()) == {spec_path, out}
+        assert out.read_bytes() == b"kept"
+        assert len(error_lines(capsys)) == 2
+        spec["theta"] = THETA.to_json()
+        spec_path.write_text(json.dumps(spec))
+        assert run(["simulate", "--spec", spec_path, "--out", out]) == 0
+        assert out.read_bytes().startswith(b"target_id,impostor_id,score\n")
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640  # a replaced file keeps its mode
+
+    def test_pipe_output_is_written_in_place(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.SPECS["model"]))
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so that the writer's open does not block
+        try:
+            assert run(["simulate", "--spec", spec_path, "--out", fifo]) == 0
+            data = os.read(reader, 1 << 16)  # the whole output fits in the pipe's buffer
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert hashlib.sha256(data).hexdigest() == self.PINNED["model"]["sim.csv"]
 
     def test_spec_not_json(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

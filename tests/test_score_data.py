@@ -89,6 +89,9 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="line 6: expected 3 fields, got 4"):
             load_corpus(write(tmp_path, "e.csv", rows))
         rows[5] = " , ,"
+        with pytest.raises(ParseError, match="line 6: empty speaker identifier"):
+            load_corpus(write(tmp_path, "f.csv", rows))
+        rows[5] = "   "
         with pytest.raises(ParseError, match="line 7: score 'inf' is not finite"):
             load_corpus(write(tmp_path, "d.csv", rows))
 
@@ -170,6 +173,10 @@ ODD_FILES = [
                  (("z", "é"), ("é", "b"), [0, 1, 2], [1.5, 0.5]), id="utf8"),
     pytest.param("c.csv", HEADER + b"a,b,0.5\n\na,b,1.5\n",
                  (("a",), ("b",), [0, 2], [0.5, 1.5]), id="blank-line"),
+    pytest.param("c.csv", HEADER + b"a,b,0.5\n \t \na,b,1.5\n",
+                 (("a",), ("b",), [0, 2], [0.5, 1.5]), id="whitespace-line"),
+    pytest.param("c.csv", HEADER + b"a,b,1\n , ,\n", "line 3: empty speaker identifier", id="blank-ids-row"),
+    pytest.param("c.csv", HEADER + b"a,b,1\n,,,\n", "line 3: expected 3 fields, got 4", id="blank-long-row"),
     pytest.param("c.csv", HEADER + b"a,b,0.5\na,c,1.5",
                  (("a",), ("b", "c"), [0, 1, 2], [0.5, 1.5]), id="no-final-newline"),
     pytest.param("c.csv", HEADER + b" a ,b ,0.5\na,b,1.5\n",
@@ -683,7 +690,7 @@ def _corpus_text(rows, fmt: str, blanks: list[int], rng: random.Random) -> str:
     if fmt == "csv":
         header = _csv_line(["target_id", "impostor_id", "score"])
         lines = [_csv_line([t, i, repr(score)]) for t, i, score in rows]
-        variants = ["\n", "   \n", " , ,\n", "\t\n"]
+        variants = ["\n", "   \n", "\t\n"]
     else:
         header = ""
         lines = [json.dumps({"target": t, "impostor": i, "score": score}) + "\n" for t, i, score in rows]

@@ -1,9 +1,10 @@
 """Start-up guard: each command imports only the modules it runs.
 
 Each command runs `wcfar.cli.main` in a fresh interpreter, which then
-reports which of numpy, scipy and the `wcfar.*` modules are in
+reports which of numpy, numpy.ma, scipy and the `wcfar.*` modules are in
 `sys.modules`.  No command imports scipy, which only the tests use as an
-oracle; a static check covers the library code that no command runs.
+oracle; a static check covers the library code that no command runs.  No
+command imports numpy.ma either.
 """
 
 import ast
@@ -24,7 +25,7 @@ THETA = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
 SRC = str(Path(wcfar.__file__).resolve().parents[1])
 CHILD = (
     "import json, sys; from wcfar.cli import main; code = main(sys.argv[1:]); "
-    "print(json.dumps([m for m in sys.modules if m in ('numpy', 'scipy') or m.startswith('wcfar.')])); "
+    "print(json.dumps([m for m in sys.modules if m in ('numpy', 'numpy.ma', 'scipy') or m.startswith('wcfar.')])); "
     "sys.exit(code)"
 )
 
@@ -55,8 +56,8 @@ EXIT_CODES = {"usage-error": 1}
 # the modules only some commands need, and which of them each command loads
 SOME = {"wcfar.score_data", "wcfar.inference", "wcfar.metrics", "wcfar.synthetic"}
 NEEDS = {
-    "simulate-model": {"wcfar.synthetic", "wcfar.score_data"},
-    "simulate-toy": {"wcfar.synthetic", "wcfar.score_data"},
+    "simulate-model": {"wcfar.synthetic"},
+    "simulate-toy": {"wcfar.synthetic"},
     "threshold": {"wcfar.metrics", "wcfar.score_data"},
     "empirical": {"wcfar.score_data"},
     "diagnose": {"wcfar.score_data"},
@@ -89,7 +90,7 @@ def paths(tmp_path_factory):
 
 
 def loaded(template: list[str], paths, preamble: str = "", code: int = 0) -> set[str]:
-    """Run one command in a fresh interpreter, after `preamble`; numpy, scipy and `wcfar.*` modules it loaded."""
+    """Run one command in a fresh interpreter, after `preamble`; the probed modules it loaded (see CHILD)."""
     args = [arg.format(**paths) for arg in template]
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -116,6 +117,17 @@ def test_command_skips_scipy(name, probe):
 def test_probe_sees_scipy_when_loaded(paths):
     """Positive control: the probe reports scipy once something has imported it."""
     assert "scipy" in loaded(COMMANDS["version"], paths, preamble="import scipy.special; ")
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_skips_numpy_ma(name, probe):
+    """`numpy.ma` costs each child 11-20 ms and ~1.5 MB; numpy 2.4's `np.unique` imports it."""
+    assert "numpy.ma" not in probe(name)
+
+
+def test_probe_sees_numpy_ma_when_loaded(paths):
+    """Positive control: the probe reports numpy.ma once something has imported it."""
+    assert "numpy.ma" in loaded(COMMANDS["version"], paths, preamble="import numpy.ma; ")
 
 
 @pytest.mark.parametrize("name", LEAN)
