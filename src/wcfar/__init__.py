@@ -12,12 +12,13 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ["NumericError"],
-    "estimators": [
-        "EstimateWithCI", "EstimatorConfig", "diagnose", "estimate_pfa_worst_case", "estimate_pfa_zero_effort",
-    ],
+    "estimators": ["EstimateWithCI", "diagnose", "estimate_pfa_worst_case", "estimate_pfa_zero_effort"],
     "inference": ["PosteriorFactors", "e_step", "fit", "sufficient_stats"],
     "metrics": ["DcfParams", "eer_threshold", "min_dcf_threshold"],
-    "model": ["Hyperparameters", "marginal_score_samples", "predict_pfa_closed_form", "predict_pfa_sampling"],
+    "model": [
+        "EstimatorConfig", "Hyperparameters", "marginal_score_samples", "predict_pfa_closed_form",
+        "predict_pfa_sampling",
+    ],
     "score_data": ["PackedCorpus", "load_corpus", "load_labeled_scores"],
     "special_math": ["fit_gamma_from_expectations", "fit_inv_gamma_from_expectations"],
     "streams": ["RngStream"],

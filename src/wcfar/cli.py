@@ -248,21 +248,17 @@ def cmd_fit(args) -> int:
 
 
 def cmd_empirical(args) -> int:
-    from .estimators import EstimatorConfig, estimate_pfa_worst_case
+    from .estimators import estimate_pfa_worst_case
 
     corpus = _load_corpus(args)
     tau = _resolve_tau(args)
-    rows = []
-    for n in _parse_int_list(args.n):
-        cfg = EstimatorConfig(seed=args.seed, n_impostors=n, t_outer=args.t_outer)
-        rows.append((n, estimate_pfa_worst_case(corpus, tau, cfg)))
+    rows = [(n, estimate_pfa_worst_case(corpus, tau, n)) for n in _parse_int_list(args.n)]
     _write_text(_estimate_csv(rows), args.out)
     return 0
 
 
 def _predict(args, theta: Hyperparameters, tau: float, n: int) -> EstimateWithCI:
-    from .estimators import EstimatorConfig
-    from .model import DEFAULT_SCORES_PER_PAIR, predict_pfa_closed_form, predict_pfa_sampling
+    from .model import DEFAULT_SCORES_PER_PAIR, EstimatorConfig, predict_pfa_closed_form, predict_pfa_sampling
 
     cfg = EstimatorConfig(seed=args.seed, n_impostors=n, t_outer=args.t_outer)
     if args.method == "sampling":
@@ -311,7 +307,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    from .estimators import EstimatorConfig, estimate_pfa_worst_case
+    from .estimators import estimate_pfa_worst_case
 
     packed = _load_corpus(args)
     theta = _load_theta(args.theta)
@@ -332,8 +328,7 @@ def cmd_curve(args) -> int:
     for label, tau in taus:
         for n in n_list:
             if n <= capacity:
-                cfg = EstimatorConfig(seed=args.seed, n_impostors=n, t_outer=args.t_outer)
-                est = estimate_pfa_worst_case(packed, tau, cfg)
+                est = estimate_pfa_worst_case(packed, tau, n)
                 writer.writerow(
                     [n, label, _fmt(tau), "empirical", _fmt(est.value), _fmt(est.ci_low), _fmt(est.ci_high)]
                 )
@@ -346,13 +341,11 @@ def cmd_curve(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from .estimators import EstimatorConfig, diagnose
+    from .estimators import diagnose
 
     corpus = _load_corpus(args)
-    tau = _resolve_tau(args)
-    cfg = EstimatorConfig(seed=args.seed, n_impostors=args.n_impostors, t_outer=args.t_outer)
-    report = diagnose(corpus, tau, cfg)
-    _write_text(_json_dump(report.to_json()), args.out)
+    report = diagnose(corpus, _resolve_tau(args), args.n_impostors)
+    _write_text(_json_dump({**report.to_json(), "t_outer": args.t_outer}), args.out)
     return 0
 
 
@@ -381,10 +374,21 @@ def _add_model_options(sub):
     sub.add_argument("--method", choices=["closed", "sampling"], default="closed")
 
 
+def _unused_t_outer(text: str) -> int:
+    """argparse type of the unused --t-outer, refused below 1 as the predictors' is."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"t_outer must be >= 1, got {value}")
+    return value
+
+
 def _add_unused_mc_options(sub):
     """--t-outer and --seed of the exact corpus commands: checked, not used."""
     unused = "unused: the corpus rates are exact; accepted so existing command lines still run"
-    sub.add_argument("--t-outer", type=int, default=1000, help=unused)
+    sub.add_argument("--t-outer", type=_unused_t_outer, default=1000, help=unused)
     sub.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"), help=unused)
 
 

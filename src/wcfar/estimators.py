@@ -15,10 +15,11 @@ simulating them.  Within a target of P pairs ranked by mean, highest first
 with ties to the lower pair index, the rank-k pair is the closest of N
 with probability C(P-1-k, N-1) / C(P, N); each target's value is the
 weighted sum of its pairs' fractions.  The estimate is the mean over
-targets, and the confidence interval is a normal approximation across
+targets, and the confidence interval is a 99% normal approximation across
 targets, the independent units of the corpus.  With one candidate the
 worst-case scheme reduces to zero effort, as does picking a random member
-of the candidate set at any N.  Nothing here draws a random number.
+of the candidate set at any N.  Nothing here draws a random number, so
+the estimators take the threshold and N only.
 """
 
 from __future__ import annotations
@@ -37,33 +38,12 @@ if TYPE_CHECKING:  # the model predictors import this module and read no corpus
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    """Population size N and the Monte-Carlo settings of the model predictors.
-
-    The corpus estimators read only `n_impostors`.
-    """
-
-    seed: int
-    n_impostors: int = 1
-    t_outer: int = 1000
-
-    def __post_init__(self):
-        if self.t_outer < 1:
-            raise ValueError(f"t_outer must be >= 1, got {self.t_outer}")
-        if self.n_impostors < 1:
-            raise ValueError(f"n_impostors must be >= 1, got {self.n_impostors}")
-
-
-@dataclass(frozen=True)
 class EstimateWithCI:
-    """A rate in [0, 1] with its confidence interval and provenance."""
+    """A rate in [0, 1] with its confidence interval."""
 
     value: float
     ci_low: float
     ci_high: float
-    n_outer: int
-    n_impostors: int
-    tau: float
 
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
@@ -74,17 +54,17 @@ class EstimateWithCI:
             )
 
 
-def confidence_interval(values, level: float = 0.99) -> tuple[float, float]:
-    """Normal-approximation interval for the mean of independent values, clamped to [0, 1]."""
+_Z99 = ndtri(0.995)  # the normal quantile of a two-sided 99% interval
+
+
+def confidence_interval(values) -> tuple[float, float]:
+    """99% normal-approximation interval for the mean of independent values, clamped to [0, 1]."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("confidence interval is undefined for fewer than 2 values")
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must be in (0, 1), got {level}")
     mean = float(values.mean())
     stderr = float(values.std(ddof=1)) / math.sqrt(values.size)
-    z = ndtri(0.5 * (1.0 + level))
-    return max(mean - z * stderr, 0.0), min(mean + z * stderr, 1.0)
+    return max(mean - _Z99 * stderr, 0.0), min(mean + _Z99 * stderr, 1.0)
 
 
 def _validated(packed: PackedCorpus) -> PackedCorpus:
@@ -100,6 +80,8 @@ def _validated(packed: PackedCorpus) -> PackedCorpus:
 
 
 def _require_pool(packed: PackedCorpus, n_impostors: int):
+    if n_impostors < 1:
+        raise ValueError(f"n_impostors must be >= 1, got {n_impostors}")
     pools = packed.pairs_per_target
     if np.any(pools < n_impostors):
         bad = packed.target_ids[int(np.argmin(pools))]
@@ -144,45 +126,33 @@ def _target_means(packed: PackedCorpus, weights: np.ndarray, values: np.ndarray)
     return np.bincount(t, weights * values, size) / np.bincount(t, weights, size)
 
 
-def _estimate(values: np.ndarray, n_impostors: int, tau: float, level: float) -> EstimateWithCI:
-    """Mean of the independent `values` with its normal interval."""
+def _estimate(values: np.ndarray) -> EstimateWithCI:
+    """Mean of the independent `values` with its 99% normal interval."""
     value = float(values.mean())
-    low, high = confidence_interval(values, level) if values.size >= 2 else (value, value)
-    return EstimateWithCI(value, low, high, values.size, n_impostors, tau)
+    low, high = confidence_interval(values) if values.size >= 2 else (value, value)
+    return EstimateWithCI(value, low, high)
 
 
-def estimate_pfa_zero_effort(
-    corpus: PackedCorpus,
-    tau: float,
-    cfg: EstimatorConfig,
-    level: float = 0.99,
-) -> EstimateWithCI:
+def estimate_pfa_zero_effort(corpus: PackedCorpus, tau: float) -> EstimateWithCI:
     """Probability of accepting a random impostor of a random target at threshold `tau`.
 
     Each target contributes the mean of its pairs' fractions of scores
-    above `tau`.  `cfg.n_impostors` is ignored.
+    above `tau`.
     """
     packed = _validated(corpus)
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
-    values = _target_means(packed, _uniform_weights(packed), packed.pair_exceed_fraction(tau))
-    return _estimate(values, 1, tau, level)
+    return _estimate(_target_means(packed, _uniform_weights(packed), packed.pair_exceed_fraction(tau)))
 
 
-def estimate_pfa_worst_case(
-    corpus: PackedCorpus,
-    tau: float,
-    cfg: EstimatorConfig,
-    level: float = 0.99,
-) -> EstimateWithCI:
-    """Probability of accepting the closest of `cfg.n_impostors` candidates."""
+def estimate_pfa_worst_case(corpus: PackedCorpus, tau: float, n_impostors: int) -> EstimateWithCI:
+    """Probability of accepting the closest of `n_impostors` candidates."""
     packed = _validated(corpus)
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
-    _require_pool(packed, cfg.n_impostors)
-    weights = _closest_weights(packed, cfg.n_impostors)
-    values = _target_means(packed, weights, packed.pair_exceed_fraction(tau))
-    return _estimate(values, cfg.n_impostors, tau, level)
+    _require_pool(packed, n_impostors)
+    weights = _closest_weights(packed, n_impostors)
+    return _estimate(_target_means(packed, weights, packed.pair_exceed_fraction(tau)))
 
 
 @dataclass(frozen=True)
@@ -192,13 +162,11 @@ class DiagnosticsReport:
     Spread with closest versus random impostors is the square root of the
     per-pair variance averaged with each pair's probability of selection,
     over the pairs with 2 or more scores; `*_excluded_share` is the
-    selection probability that falls on the other pairs.  `t_outer`
-    echoes the config and is not used.
+    selection probability that falls on the other pairs.
     """
 
     tau: float
     n_impostors: int
-    t_outer: int
     avg_pairwise_skewness: float | None
     pair_mean_skewness: float | None
     skewness_excluded_pairs: int
@@ -220,30 +188,25 @@ def _selected_stdev(pair_var: np.ndarray, weights: np.ndarray) -> tuple[float | 
     return float(math.sqrt(weights[kept] @ pair_var[kept] / kept_weight)), excluded_share
 
 
-def diagnose(
-    corpus: PackedCorpus,
-    tau: float,
-    cfg: EstimatorConfig,
-) -> DiagnosticsReport:
+def diagnose(corpus: PackedCorpus, tau: float, n_impostors: int) -> DiagnosticsReport:
     """Quantify how far the corpus is from the generative model's assumptions.
 
     Reports the average skewness of per-pair scores, the skewness of the
     per-pair means, and the average spread of scores when the impostor is
-    the closest of `cfg.n_impostors` versus a random one.
+    the closest of `n_impostors` versus a random one.
     """
     from .score_data import sample_skewness
 
     packed = _validated(corpus)
-    _require_pool(packed, cfg.n_impostors)
+    _require_pool(packed, n_impostors)
     pair_var = packed.pair_variances()
     skews = packed.pair_skewness()
     kept = skews[~np.isnan(skews)]
-    closest_sd, closest_share = _selected_stdev(pair_var, _closest_weights(packed, cfg.n_impostors))
+    closest_sd, closest_share = _selected_stdev(pair_var, _closest_weights(packed, n_impostors))
     random_sd, random_share = _selected_stdev(pair_var, _uniform_weights(packed))
     return DiagnosticsReport(
         tau=tau,
-        n_impostors=cfg.n_impostors,
-        t_outer=cfg.t_outer,
+        n_impostors=n_impostors,
         avg_pairwise_skewness=float(kept.mean()) if kept.size else None,
         pair_mean_skewness=sample_skewness(packed.pair_means()),
         skewness_excluded_pairs=int(skews.size - kept.size),

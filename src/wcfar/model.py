@@ -23,17 +23,23 @@ over the outer iterations at a cost independent of N and L.  All
 iterations draw (m, lam, sigma_sq, U) from one stream of the seed in an
 order free of N, so every N reuses the same U; as Phi^-1(U^(1/N)) rises
 with N, both estimates are non-decreasing in N pointwise for a fixed seed.
+
+`EstimatorConfig` holds N and the Monte-Carlo settings, the seed and the
+number of outer iterations.  Each estimate carries a 99% normal interval
+across the iterations.  1/N and 1/L enter the kernel as floats, so N and
+L past the float range are refused.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimateWithCI, EstimatorConfig, _estimate
+from .estimators import EstimateWithCI, _estimate
 from .special_math import ndtr, ndtri
 from .streams import RngStream, as_generator
 
@@ -41,6 +47,23 @@ _JSON_FIELDS = ("mu0", "sigma0_sq", "a_sigma", "b_sigma", "alpha_lambda", "beta_
 
 # default scores per candidate set, matching an 18x18 utterance-pair grid
 DEFAULT_SCORES_PER_PAIR = 324
+
+
+@dataclass(frozen=True)
+class EstimatorConfig:
+    """Population size N and the predictors' `t_outer` outer iterations, drawn from the stream of `seed`."""
+
+    seed: int
+    n_impostors: int = 1
+    t_outer: int = 1000
+
+    def __post_init__(self):
+        if self.t_outer < 1:
+            raise ValueError(f"t_outer must be >= 1, got {self.t_outer}")
+        if self.n_impostors < 1:
+            raise ValueError(f"n_impostors must be >= 1, got {self.n_impostors}")
+        if self.n_impostors > sys.float_info.max:
+            raise ValueError(f"n_impostors must be at most {sys.float_info.max:g}, the float range")
 
 
 @dataclass(frozen=True)
@@ -125,14 +148,14 @@ def gaussian_tail(mu, sigma_sq, tau: float) -> np.ndarray:
     return ndtr((mu - tau) / np.sqrt(sigma_sq))
 
 
-def _predict_pfa(h: Hyperparameters, tau: float, cfg: EstimatorConfig, inv_l: float, level: float):
+def _predict_pfa(h: Hyperparameters, tau: float, cfg: EstimatorConfig, inv_l: float) -> EstimateWithCI:
     """Both predictors: the winning set's mean Gaussian tail above `tau`, with 1/L = `inv_l`."""
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
     m, lam, sigma_sq, z_max = _outer_draws(h, cfg)
     means = m + np.sqrt(sigma_sq / lam + sigma_sq * inv_l) * z_max
     values = gaussian_tail(means, sigma_sq * (1.0 - inv_l), tau)
-    return _estimate(values, cfg.n_impostors, tau, level)
+    return _estimate(values)
 
 
 def predict_pfa_sampling(
@@ -140,7 +163,6 @@ def predict_pfa_sampling(
     tau: float,
     cfg: EstimatorConfig,
     scores_per_pair: int = DEFAULT_SCORES_PER_PAIR,
-    level: float = 0.99,
 ) -> EstimateWithCI:
     """Closest-of-N false alarm rate with selection by sample mean.
 
@@ -153,22 +175,19 @@ def predict_pfa_sampling(
     """
     if scores_per_pair < 1:
         raise ValueError(f"scores_per_pair must be >= 1, got {scores_per_pair}")
-    return _predict_pfa(h, tau, cfg, 1.0 / scores_per_pair, level)
+    if scores_per_pair > sys.float_info.max:
+        raise ValueError(f"scores_per_pair must be at most {sys.float_info.max:g}, the float range")
+    return _predict_pfa(h, tau, cfg, 1.0 / scores_per_pair)
 
 
-def predict_pfa_closed_form(
-    h: Hyperparameters,
-    tau: float,
-    cfg: EstimatorConfig,
-    level: float = 0.99,
-) -> EstimateWithCI:
+def predict_pfa_closed_form(h: Hyperparameters, tau: float, cfg: EstimatorConfig) -> EstimateWithCI:
     """Closest-of-N false alarm rate without simulating scores.
 
     Selection is by the largest latent pair mean mu* = m + sqrt(sigma_sq /
     lam) * Z_N, and each iteration contributes the exact Gaussian tail mass
     above `tau` for that mean and the target's shared variance.
     """
-    return _predict_pfa(h, tau, cfg, 0.0, level)
+    return _predict_pfa(h, tau, cfg, 0.0)
 
 
 def marginal_score_samples(h: Hyperparameters, count: int, rng) -> np.ndarray:

@@ -167,10 +167,18 @@ def _csv_rows(fh, names: tuple[str, ...], header_fault: str):
 
     The first row is the header, whose fields are stripped and must include
     `names` (else `header_fault`).  Empty and whitespace-only lines are
-    skipped.  A row with another field count, or that `csv.reader` cannot
-    read, raises ParseError after the rows before it are yielded.
+    skipped; a quoted blank field is a row.  A row with another field count,
+    or that `csv.reader` cannot read, raises ParseError after the rows
+    before it are yielded.
     """
-    reader = csv.reader(_lines(fh, ""))
+    raw = ""  # the last physical line read
+
+    def track(lines):
+        nonlocal raw
+        for raw in lines:
+            yield raw
+
+    reader = csv.reader(track(_lines(fh, "")))
     line = 1  # the line on which the next row starts
     rows, lines, fault = [], [], None
     try:
@@ -182,8 +190,8 @@ def _csv_rows(fh, names: tuple[str, ...], header_fault: str):
         get = itemgetter(*(header.index(name) for name in names))
         for row in reader:
             start, line = line, reader.line_num + 1
-            if len(row) < 2 and not "".join(row).strip():  # an empty or whitespace-only line
-                continue
+            if len(row) < 2 and line - start == 1 and not raw.strip():
+                continue  # an empty or whitespace-only line
             if len(row) != len(header):
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}", start)
             rows.append(get(row))

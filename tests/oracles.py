@@ -170,13 +170,13 @@ def _target_draw(h, g):
     return m, lam, sigma_sq
 
 
-def _loop_estimate(values, cfg, tau, level):
+def _loop_estimate(values):
     value = float(values.mean())
-    low, high = confidence_interval(values, level) if values.size >= 2 else (value, value)
-    return EstimateWithCI(value, low, high, cfg.t_outer, cfg.n_impostors, tau)
+    low, high = confidence_interval(values) if values.size >= 2 else (value, value)
+    return EstimateWithCI(value, low, high)
 
 
-def loop_predict_pfa_sampling(h, tau, cfg, scores_per_pair, level=0.99):
+def loop_predict_pfa_sampling(h, tau, cfg, scores_per_pair):
     """Closest-of-N sampling predictor that simulates every candidate set.
 
     Per outer iteration, from its own child stream: one target draw, N pair
@@ -197,10 +197,10 @@ def loop_predict_pfa_sampling(h, tau, cfg, scores_per_pair, level=0.99):
         scores += mus[:, None]
         k = int(np.argmax(scores.mean(axis=1)))
         values[t] = np.mean(scores[k] > tau)
-    return _loop_estimate(values, cfg, tau, level)
+    return _loop_estimate(values)
 
 
-def loop_predict_pfa_closed_form(h, tau, cfg, level=0.99):
+def loop_predict_pfa_closed_form(h, tau, cfg):
     """Closest-of-N closed-form predictor that draws all N latent pair means.
 
     Per outer iteration: one target draw, N pair means, and the exact
@@ -214,7 +214,7 @@ def loop_predict_pfa_closed_form(h, tau, cfg, level=0.99):
         mus = g.normal(m, math.sqrt(sigma_sq / lam), size=cfg.n_impostors)
         mu_star = float(np.max(mus))
         values[t] = ndtr((mu_star - tau) / math.sqrt(sigma_sq))
-    return _loop_estimate(values, cfg, tau, level)
+    return _loop_estimate(values)
 
 
 def loop_draw_pairs(packed, n_impostors, selection, t_outer, stream):
@@ -247,23 +247,24 @@ def loop_draw_pairs(packed, n_impostors, selection, t_outer, stream):
     return selected
 
 
-def loop_estimate_pfa_worst_case(packed, tau, cfg, selection="closest_by_mean", level=0.99):
-    """Closest-of-N false alarm rate averaged over `cfg.t_outer` drawn
-    candidate sets, with its interval over the outer iterations."""
-    selected = loop_draw_pairs(packed, cfg.n_impostors, selection, cfg.t_outer, RngStream(cfg.seed))
-    return _loop_estimate(packed.pair_exceed_fraction(tau)[selected], cfg, tau, level)
+def loop_estimate_pfa_worst_case(packed, tau, n_impostors, *, seed, t_outer, selection="closest_by_mean"):
+    """Closest-of-N false alarm rate averaged over `t_outer` candidate sets
+    drawn from the stream of `seed`, with its interval over the outer
+    iterations."""
+    selected = loop_draw_pairs(packed, n_impostors, selection, t_outer, RngStream(seed))
+    return _loop_estimate(packed.pair_exceed_fraction(tau)[selected])
 
 
-def loop_diagnose_variances(packed, cfg):
+def loop_diagnose_variances(packed, n_impostors, *, seed, t_outer):
     """Per selection scheme, the variances of the pairs drawn at the outer
     iterations that have one, and the share of iterations that drew a pair
     with fewer than 2 scores: ``{"closest": (variances, share), "random": ...}``.
     """
-    root = RngStream(cfg.seed)
+    root = RngStream(seed)
     pair_var = packed.pair_variances()
     out = {}
     for label, selection in ((10, "closest_by_mean"), (11, "random")):
-        drawn = pair_var[loop_draw_pairs(packed, cfg.n_impostors, selection, cfg.t_outer, root.child(label))]
+        drawn = pair_var[loop_draw_pairs(packed, n_impostors, selection, t_outer, root.child(label))]
         kept = drawn[~np.isnan(drawn)]
         out[selection.split("_")[0]] = (kept, 1.0 - kept.size / drawn.size)
     return out

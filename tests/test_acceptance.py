@@ -13,13 +13,10 @@ import time
 import numpy as np
 from scipy.special import ndtri
 
-from wcfar.estimators import (
-    EstimatorConfig,
-    estimate_pfa_worst_case,
-    estimate_pfa_zero_effort,
-)
+from wcfar.estimators import estimate_pfa_worst_case, estimate_pfa_zero_effort
 from wcfar.inference import PosteriorFactors, e_step, fit, sufficient_stats
 from wcfar.model import (
+    EstimatorConfig,
     Hyperparameters,
     marginal_score_samples,
     predict_pfa_closed_form,
@@ -64,8 +61,8 @@ def test_acceptance_1_zero_effort_reduction():
         )
     )
     tau = 1.5
-    worst = estimate_pfa_worst_case(corpus, tau, EstimatorConfig(seed=71, n_impostors=1))
-    zero = estimate_pfa_zero_effort(corpus, tau, EstimatorConfig(seed=72))
+    worst = estimate_pfa_worst_case(corpus, tau, 1)
+    zero = estimate_pfa_zero_effort(corpus, tau)
     elapsed = time.perf_counter() - started
     diff = abs(worst.value - zero.value)
     report(
@@ -88,9 +85,7 @@ def test_acceptance_2_monotone_in_population_size():
     )
     tau = 2.0
     sizes = [2**k for k in range(11)]  # 1 .. 1024
-    empirical = [
-        estimate_pfa_worst_case(corpus, tau, EstimatorConfig(seed=82, n_impostors=n)) for n in sizes
-    ]
+    empirical = [estimate_pfa_worst_case(corpus, tau, n) for n in sizes]
     model = [
         predict_pfa_closed_form(THETA, tau, EstimatorConfig(seed=83, n_impostors=n, t_outer=10_000))
         for n in sizes
@@ -98,10 +93,10 @@ def test_acceptance_2_monotone_in_population_size():
     # the empirical rates are exact, so they get no slack; the model's are Monte-Carlo
     failures = []
     for label, series in (("empirical", empirical), ("model", model)):
-        for prev, curr in zip(series, series[1:]):
+        for n, prev, curr in zip(sizes[1:], series, series[1:]):
             slack = joint_halfwidth(prev, curr) if label == "model" else 0.0
             if curr.value < prev.value - slack:
-                failures.append(f"{label} N={curr.n_impostors}")
+                failures.append(f"{label} N={n}")
     spread = empirical[-1].value - empirical[0].value
     report(
         2,
@@ -225,7 +220,7 @@ def test_acceptance_5_sampling_vs_closed_form():
 
 def test_acceptance_6_exhaustive_micro_oracle():
     corpus = PackedCorpus.from_groups({"t": {"A": [0.0, 0.0], "B": [1.0, 1.0], "C": [2.0, 2.0]}})
-    est = estimate_pfa_worst_case(corpus, 1.5, EstimatorConfig(seed=76, n_impostors=2))
+    est = estimate_pfa_worst_case(corpus, 1.5, 2)
     diff = abs(est.value - 2.0 / 3.0)
     report(
         6,

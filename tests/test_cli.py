@@ -265,6 +265,26 @@ class TestPredictCommand:
             assert len(values) == 3
             assert all(v == round(v * t_outer) / t_outer for v in values)
 
+    @pytest.mark.parametrize("command, extra, name", [
+        ("predict", ["--n", "1" + "0" * 400], "n_impostors"),
+        ("predict", ["--n", "1", "--method", "sampling", "--scores-per-pair", "1" + "0" * 400], "scores_per_pair"),
+        ("curve", ["--n", "1,1" + "0" * 400], "n_impostors"),
+        ("empirical", ["--n", "1" + "0" * 400], "n_impostors"),
+        ("diagnose", ["--n-impostors", "1" + "0" * 400], "n_impostors"),
+    ])
+    def test_size_past_the_float_range(self, corpus_csv, theta_json, capsys, command, extra, name):
+        args = {
+            "predict": ["predict", "--theta", theta_json, "--tau", "1.0"],
+            "curve": ["curve", "--corpus", corpus_csv, "--theta", theta_json, "--tau", "op=1.0"],
+            "empirical": ["empirical", "--corpus", corpus_csv, "--tau", "1.0"],
+            "diagnose": ["diagnose", "--corpus", corpus_csv, "--tau", "1.0"],
+        }[command]
+        assert run(args + extra) == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and errors[0].startswith(f"error: {name}")
+        if command in ("predict", "curve"):  # 1e308 is within the float range
+            assert run(args + [arg.replace("0" * 400, "0" * 308) for arg in extra]) == 0
+
     def test_theta_not_json(self, tmp_path, capsys):
         theta = tmp_path / "theta.json"
         theta.write_text("nope")
@@ -528,6 +548,26 @@ class TestExactCorpusCommands:
                     data = data.replace(b'"t_outer": %s' % t_outer.encode(), b'"t_outer": T')
                 outputs.add(data)
             assert len(outputs) == 1, name
+
+    @pytest.mark.parametrize("t_outer", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["empirical", "diagnose"])
+    def test_t_outer_below_one_is_refused(self, corpus_csv, capsys, command, t_outer):
+        size = ["--n", "1"] if command == "empirical" else ["--n-impostors", "1"]
+        args = [command, "--corpus", corpus_csv, "--tau", "1.0", *size, "--t-outer", t_outer]
+        assert run(args) == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and "t_outer must be >= 1" in errors[0]
+
+    @pytest.mark.parametrize("command", ["empirical", "diagnose", "curve"])
+    def test_population_below_one_is_refused(self, corpus_csv, theta_json, capsys, command):
+        args = {
+            "empirical": ["empirical", "--tau", "1.0", "--n", "0"],
+            "diagnose": ["diagnose", "--tau", "1.0", "--n-impostors", "0"],
+            "curve": ["curve", "--theta", theta_json, "--tau", "op=1.0", "--n", "0"],
+        }[command]
+        assert run(args + ["--corpus", corpus_csv]) == 1
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and "n_impostors must be >= 1" in errors[0]
 
 
 class TestCurveCommand:

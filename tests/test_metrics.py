@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from wcfar.estimators import EstimatorConfig, estimate_pfa_zero_effort
+from wcfar.estimators import estimate_pfa_zero_effort
 from wcfar.metrics import DcfParams, ThresholdSpec, eer_threshold, min_dcf_threshold
 from wcfar.score_data import LabeledScoreSet, PackedCorpus
 from wcfar.streams import RngStream
@@ -58,12 +58,12 @@ class TestEmpiricalPfa:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no targets"):
-            estimate_pfa_zero_effort(PackedCorpus.from_groups({}), 0.0, EstimatorConfig(seed=1))
+            estimate_pfa_zero_effort(PackedCorpus.from_groups({}), 0.0)
 
     def test_nan_tau_rejected(self):
         corpus = PackedCorpus.from_groups({"t": {"i": [1.0]}})
         with pytest.raises(ValueError, match="NaN"):
-            estimate_pfa_zero_effort(corpus, math.nan, EstimatorConfig(seed=1))
+            estimate_pfa_zero_effort(corpus, math.nan)
 
     def test_non_increasing_in_tau(self):
         g = RngStream(4).generator()

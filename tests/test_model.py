@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from wcfar.estimators import EstimatorConfig
 from wcfar.model import (
+    EstimatorConfig,
     Hyperparameters,
     _sample_targets,
     gaussian_tail,

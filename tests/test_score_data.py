@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from wcfar import score_data
 from wcfar.errors import ParseError
-from wcfar.estimators import EstimatorConfig, diagnose
+from wcfar.estimators import diagnose
 from wcfar.model import Hyperparameters
 from wcfar.score_data import PackedCorpus, load_corpus, load_labeled_scores, sample_skewness
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
@@ -177,6 +177,9 @@ ODD_FILES = [
                  (("a",), ("b",), [0, 2], [0.5, 1.5]), id="whitespace-line"),
     pytest.param("c.csv", HEADER + b"a,b,1\n , ,\n", "line 3: empty speaker identifier", id="blank-ids-row"),
     pytest.param("c.csv", HEADER + b"a,b,1\n,,,\n", "line 3: expected 3 fields, got 4", id="blank-long-row"),
+    pytest.param("c.csv", HEADER + b'a,b,1\n"  "\n', "line 3: expected 3 fields, got 1", id="quoted-blank-row"),
+    pytest.param("c.csv", HEADER + b'a,b,1\n""\n', "line 3: expected 3 fields, got 1", id="quoted-empty-row"),
+    pytest.param("c.csv", HEADER + b'a,b,1\n"\n  \n', "line 3: expected 3 fields, got 1", id="open-quote-rows"),
     pytest.param("c.csv", HEADER + b"a,b,0.5\na,c,1.5",
                  (("a",), ("b", "c"), [0, 1, 2], [0.5, 1.5]), id="no-final-newline"),
     pytest.param("c.csv", HEADER + b" a ,b ,0.5\na,b,1.5\n",
@@ -235,6 +238,8 @@ ODD_FILES = [
     pytest.param("l.csv", b"label,score\nimpostor,zz\n",
                  "line 2: label 'impostor' is not 'target' or 'nontarget'", id="labels-order-in-row"),
     pytest.param("l.csv", b"label,score\ntarget,nan\n", "line 2: score 'nan' is not finite", id="labels-nan"),
+    pytest.param("l.csv", b'label,score\ntarget,1\nnontarget,0\n"  "\n', "line 4: expected 2 fields, got 1",
+                 id="labels-quoted-blank-row"),
     pytest.param("l.csv", b'label,score\n"target",1.5\n"nontarget",-0.5\n',
                  ([1.5], [-0.5]), id="labels-quotes"),
     pytest.param("l.csv", b"lab,score\ntarget,1.5\n",
@@ -629,7 +634,7 @@ class TestCorpusStats:
         assert abs(skew) < 4.0 * np.sqrt(6.0 / 3000)
 
     def test_json_serialisable(self):
-        report = diagnose(self.corpus(), 1.0, EstimatorConfig(seed=1, n_impostors=2, t_outer=10))
+        report = diagnose(self.corpus(), 1.0, 2)
         payload = json.loads(json.dumps(report.to_json()))
         assert payload["avg_pairwise_skewness"] == pytest.approx(0.0, abs=1e-12)
         assert payload["skewness_excluded_pairs"] == 1

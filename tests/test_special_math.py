@@ -8,8 +8,7 @@ from scipy import special
 
 from wcfar import special_math
 from wcfar.errors import InfeasibleMomentsError, NumericError
-from wcfar.estimators import EstimatorConfig
-from wcfar.model import Hyperparameters, _sample_targets, gaussian_tail, predict_pfa_closed_form
+from wcfar.model import EstimatorConfig, Hyperparameters, _sample_targets, gaussian_tail, predict_pfa_closed_form
 from wcfar.special_math import (
     GammaParams,
     InvGammaParams,

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from wcfar.estimators import EstimatorConfig, estimate_pfa_worst_case
+from wcfar.estimators import estimate_pfa_worst_case
 from wcfar.inference import fit
 from wcfar.metrics import eer_threshold
-from wcfar.model import Hyperparameters, predict_pfa_sampling
+from wcfar.model import EstimatorConfig, Hyperparameters, predict_pfa_sampling
 from wcfar.synthetic import (
     SyntheticSpec,
     ToyAsvSpec,
@@ -73,7 +73,7 @@ class TestModelCorpus:
         )
         packed = generate_model_corpus(spec)
         for n in (1, 10, 50):
-            emp = estimate_pfa_worst_case(packed, 1.5, EstimatorConfig(seed=54, n_impostors=n))
+            emp = estimate_pfa_worst_case(packed, 1.5, n)
             model = predict_pfa_sampling(
                 THETA, 1.5, EstimatorConfig(seed=55, n_impostors=n, t_outer=5_000),
                 scores_per_pair=20,
@@ -153,7 +153,7 @@ class TestToyAsv:
         spec, eer = eer_threshold(labeled)
         assert 0.05 < eer < 0.35
         estimates = [
-            estimate_pfa_worst_case(corpus, spec.tau, EstimatorConfig(seed=52, n_impostors=n))
+            estimate_pfa_worst_case(corpus, spec.tau, n)
             for n in (1, 10, 100)
         ]
         for smaller, larger in zip(estimates, estimates[1:]):
