@@ -15,10 +15,7 @@ _EXPORTS = {
     "estimators": ["EstimateWithCI", "diagnose", "estimate_pfa_worst_case", "estimate_pfa_zero_effort"],
     "inference": ["PosteriorFactors", "e_step", "fit", "sufficient_stats"],
     "metrics": ["DcfParams", "eer_threshold", "min_dcf_threshold"],
-    "model": [
-        "EstimatorConfig", "Hyperparameters", "marginal_score_samples", "predict_pfa_closed_form",
-        "predict_pfa_sampling",
-    ],
+    "model": ["EstimatorConfig", "Hyperparameters", "predict_pfa_closed_form", "predict_pfa_sampling"],
     "score_data": ["PackedCorpus", "load_corpus", "load_labeled_scores"],
     "special_math": ["fit_gamma_from_expectations", "fit_inv_gamma_from_expectations"],
     "streams": ["RngStream"],

@@ -41,7 +41,7 @@ import numpy as np
 
 from .estimators import EstimateWithCI, _estimate
 from .special_math import ndtr, ndtri
-from .streams import RngStream, as_generator
+from .streams import RngStream
 
 _JSON_FIELDS = ("mu0", "sigma0_sq", "a_sigma", "b_sigma", "alpha_lambda", "beta_lambda")
 
@@ -188,17 +188,3 @@ def predict_pfa_closed_form(h: Hyperparameters, tau: float, cfg: EstimatorConfig
     above `tau` for that mean and the target's shared variance.
     """
     return _predict_pfa(h, tau, cfg, 0.0)
-
-
-def marginal_score_samples(h: Hyperparameters, count: int, rng) -> np.ndarray:
-    """Scores from the full hierarchy, one fresh target and pairing each.
-
-    The marginal law is a symmetric variance mixture of Gaussians centred
-    at mu0: heavier-tailed than a single Gaussian, but with zero skewness.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    g = as_generator(rng)
-    m, lam, sigma_sq = _sample_targets(h, count, g)
-    mu = g.normal(m, np.sqrt(sigma_sq / lam))
-    return g.normal(mu, np.sqrt(sigma_sq))

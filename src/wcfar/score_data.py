@@ -7,8 +7,10 @@ scores.  The loader accepts two row-oriented wire formats:
   JSONL  one object ``{"target": ..., "impostor": ..., "score": ...}`` per line
 
 Scores are kept at full double precision; no calibration or normalisation
-is applied.  Loading is deterministic: targets and impostors are sorted by
-identifier (code point order), scores keep input order within a pair.
+is applied.  Loading is deterministic: the distinct target ids and the
+distinct impostor ids are each kept once, sorted in code point order, and
+every pair refers to its target and impostor by index; scores keep input
+order within a pair.
 
 Every file is read once, front to back, as the UTF-8 lines that `_lines`
 decodes from it; a pipe is parsed as it streams.  `_lines` raises ParseError
@@ -333,30 +335,33 @@ def _is_offsets(offsets: np.ndarray, total: int) -> bool:
 
 
 def _corpus_arrays(corpus: PackedCorpus) -> dict[str, np.ndarray]:
-    """`corpus` as a cache entry; its target ids, then its pairs' impostor ids, are one UTF-8 text with offsets."""
+    """`corpus` as a cache entry: its `_ARRAY_FIELDS`, and its target ids, then its distinct
+    impostor ids, as one UTF-8 text with offsets."""
     names = (*corpus.target_ids, *corpus.impostor_ids)
     lengths = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
     return {
         # a JSON id may be a lone surrogate such as "\ud800"
         "names": np.frombuffer("".join(names).encode("utf-8", "surrogatepass"), dtype=np.uint8),
         "name_offsets": np.append(0, np.cumsum(lengths)),
-        "target_offsets": corpus.target_offsets,
-        "pair_offsets": corpus.pair_offsets,
-        "scores": corpus.scores,
+        **{field: getattr(corpus, field) for field in _ARRAY_FIELDS},
     }
 
 
 def _corpus_from(npz) -> PackedCorpus:
-    names, name_offsets, target_offsets, pair_offsets, scores = _entry_arrays(
-        npz, names=np.uint8, name_offsets=np.int64, target_offsets=np.int64, pair_offsets=np.int64, scores=float
+    names, name_offsets, target_offsets, pair_impostor, pair_offsets, scores = _entry_arrays(
+        npz, names=np.uint8, name_offsets=np.int64, target_offsets=np.int64, pair_impostor=np.int64,
+        pair_offsets=np.int64, scores=float,
     )
     text = names.tobytes().decode("utf-8", "surrogatepass")
     n_targets, n_pairs = target_offsets.size - 1, pair_offsets.size - 1
+    n_impostors = name_offsets.size - 1 - n_targets
     if not (
         _is_offsets(name_offsets, len(text))
-        and name_offsets.size == n_targets + n_pairs + 1
+        and n_impostors >= 0
         and _is_offsets(target_offsets, n_pairs)
         and _is_offsets(pair_offsets, scores.size)
+        and pair_impostor.size == n_pairs
+        and bool(((pair_impostor >= 0) & (pair_impostor < n_impostors)).all())
     ):
         raise ValueError("inconsistent cache entry")
     bounds = name_offsets.tolist()
@@ -365,7 +370,7 @@ def _corpus_from(npz) -> PackedCorpus:
         target_ids=tuple(ids[:n_targets]),
         impostor_ids=tuple(ids[n_targets:]),
         target_offsets=target_offsets,
-        pair_target=np.repeat(np.arange(n_targets), np.diff(target_offsets)),
+        pair_impostor=pair_impostor,
         pair_offsets=pair_offsets,
         scores=scores,
     )
@@ -469,7 +474,7 @@ def sample_skewness(values) -> float | None:
     return None if math.isnan(g1) else float(g1)
 
 
-_ARRAY_FIELDS = ("target_offsets", "pair_target", "pair_offsets", "scores")
+_ARRAY_FIELDS = ("target_offsets", "pair_impostor", "pair_offsets", "scores")
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,15 +484,16 @@ class PackedCorpus:
     Pairs are enumerated target-major, so each target owns the contiguous
     pair range ``target_offsets[i]:target_offsets[i+1]``; pair ``p`` owns the
     contiguous score range ``pair_offsets[p]:pair_offsets[p+1]`` and has
-    impostor ``impostor_ids[p]``.  `from_codes`, which every loader and
-    generator goes through, orders targets and the impostors within a
-    target by id.
+    impostor ``impostor_ids[pair_impostor[p]]``.  Each impostor id is held
+    once, however many targets it is paired with.  `from_codes`, which every
+    loader and generator goes through, orders targets, impostors, and the
+    pairs within a target by id.
     """
 
     target_ids: tuple[str, ...]
-    impostor_ids: tuple[str, ...]  # (P,) impostor of each pair
+    impostor_ids: tuple[str, ...]  # distinct impostors, each with at least one pair
     target_offsets: np.ndarray  # (T+1,) pair ranges
-    pair_target: np.ndarray  # (P,) owning target of each pair
+    pair_impostor: np.ndarray  # (P,) index into impostor_ids of each pair
     pair_offsets: np.ndarray  # (P+1,) score ranges
     scores: np.ndarray  # flat score values
 
@@ -515,9 +521,10 @@ class PackedCorpus:
     ) -> PackedCorpus:
         """Pack rows given as indices into the two name lists.
 
-        Targets, and the impostors within a target, are ordered by id in
-        code point order; rows of one pair keep their order.  Every target
-        name is kept, even one without rows.
+        Targets, impostors, and the pairs within a target are ordered by id
+        in code point order; rows of one pair keep their order.  Every name
+        is kept, even one without rows, so callers pass only impostor names
+        that have rows, as every loader does.
         """
         target_rank, target_ids = _rank(target_names)
         impostor_rank, impostor_sorted = _rank(impostor_names)
@@ -529,12 +536,11 @@ class PackedCorpus:
         first = np.ones(key.size, dtype=bool)
         first[1:] = key[1:] != key[:-1]
         pair_key = key[first]
-        pair_target = pair_key // width
         return cls(
             target_ids=target_ids,
-            impostor_ids=tuple(impostor_sorted[k] for k in (pair_key % width).tolist()),
-            target_offsets=np.searchsorted(pair_target, np.arange(len(target_ids) + 1)),
-            pair_target=pair_target,
+            impostor_ids=impostor_sorted,
+            target_offsets=np.searchsorted(pair_key // width, np.arange(len(target_ids) + 1)),
+            pair_impostor=pair_key % width,
             pair_offsets=np.append(np.flatnonzero(first), key.size),
             scores=scores,
         )
@@ -560,7 +566,7 @@ class PackedCorpus:
 
     @property
     def n_pairs(self) -> int:
-        return len(self.pair_target)
+        return self.pair_impostor.size
 
     @property
     def n_scores(self) -> int:
@@ -573,6 +579,11 @@ class PackedCorpus:
     @cached_property
     def pairs_per_target(self) -> np.ndarray:
         return np.diff(self.target_offsets)
+
+    @cached_property
+    def pair_target(self) -> np.ndarray:
+        """(P,) owning target of each pair."""
+        return _frozen_array(np.repeat(np.arange(self.n_targets), self.pairs_per_target), np.int64)
 
     @cached_property
     def pair_sums(self) -> np.ndarray:

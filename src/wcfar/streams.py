@@ -35,12 +35,3 @@ class RngStream:
         """Instantiate the counter-based generator for this node."""
         ss = np.random.SeedSequence(entropy=self.seed & _MASK64, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(ss))
-
-
-def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    """Accept either a stream or a ready generator and return a generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")

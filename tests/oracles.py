@@ -10,8 +10,8 @@ iteration, the closest-of-N quadrature integrates the predictors'
 expectation deterministically, the loop corpus estimators draw a target
 and a candidate set per outer iteration, the rank-weight oracle sums
 exact rationals with `math.comb`, the grouped corpus is the original
-dict-of-lists loader, and the skewness oracle loops over pairs one at a
-time.
+dict-of-lists loader, the skewness oracle loops over pairs one at a
+time, and the marginal sampler draws the whole hierarchy per score.
 """
 
 import math
@@ -162,12 +162,26 @@ def importance_log_evidence(scores, h, n_draws, seed):
     return float(log_mean), float(rel_se)
 
 
-def _target_draw(h, g):
-    """(m, lam, sigma_sq) from their priors, in the order the predictors draw them."""
-    m = g.normal(h.mu0, math.sqrt(h.sigma0_sq))
-    lam = g.gamma(h.alpha_lambda, scale=1.0 / h.beta_lambda)
-    sigma_sq = 1.0 / g.gamma(h.a_sigma, scale=1.0 / h.b_sigma)
+def _target_draw(h, g, size=None):
+    """(m, lam, sigma_sq) from their priors, in the order the predictors draw them; arrays of `size`."""
+    m = g.normal(h.mu0, math.sqrt(h.sigma0_sq), size=size)
+    lam = g.gamma(h.alpha_lambda, scale=1.0 / h.beta_lambda, size=size)
+    sigma_sq = 1.0 / g.gamma(h.a_sigma, scale=1.0 / h.b_sigma, size=size)
     return m, lam, sigma_sq
+
+
+def marginal_score_samples(h, count, stream):
+    """Scores from the full hierarchy, one fresh target and pairing each, drawn from `stream`.
+
+    The marginal law is a symmetric variance mixture of Gaussians centred
+    at mu0: heavier-tailed than a single Gaussian, but with zero skewness.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    g = stream.generator()
+    m, lam, sigma_sq = _target_draw(h, g, count)
+    mu = g.normal(m, np.sqrt(sigma_sq / lam))
+    return g.normal(mu, np.sqrt(sigma_sq))
 
 
 def _loop_estimate(values):
@@ -321,26 +335,28 @@ def grouped_corpus(rows):
 
     Rows are grouped into a dict of lists, then targets and the impostors of
     each target are sorted by id, and each pair keeps its row order.
-    Returns (target_ids, impostor_ids, target_offsets, pair_target,
-    pair_offsets, scores), plus the grouping itself.
+    Returns (target_ids, impostor_ids, target_offsets, pair_impostor,
+    pair_offsets, scores), where impostor_ids are the distinct impostors
+    and pair_impostor indexes them, plus the grouping itself.
     """
     grouped = {}
     for target_id, impostor_id, score in rows:
         grouped.setdefault(target_id, {}).setdefault(impostor_id, []).append(score)
-    impostor_ids, target_offsets, pair_target, pair_offsets, scores = [], [0], [], [0], []
+    impostor_ids = sorted({impostor_id for pairs in grouped.values() for impostor_id in pairs})
+    code = {impostor_id: k for k, impostor_id in enumerate(impostor_ids)}
+    target_offsets, pair_impostor, pair_offsets, scores = [0], [], [0], []
     target_ids = sorted(grouped)
-    for t, target_id in enumerate(target_ids):
+    for target_id in target_ids:
         for impostor_id, values in sorted(grouped[target_id].items()):
-            impostor_ids.append(impostor_id)
-            pair_target.append(t)
+            pair_impostor.append(code[impostor_id])
             pair_offsets.append(pair_offsets[-1] + len(values))
             scores.extend(values)
-        target_offsets.append(len(pair_target))
+        target_offsets.append(len(pair_impostor))
     packed = (
         tuple(target_ids),
         tuple(impostor_ids),
         np.array(target_offsets),
-        np.array(pair_target, dtype=np.int64),
+        np.array(pair_impostor, dtype=np.int64),
         np.array(pair_offsets),
         np.array(scores, dtype=float),
     )

@@ -18,7 +18,6 @@ from wcfar.inference import PosteriorFactors, e_step, fit, sufficient_stats
 from wcfar.model import (
     EstimatorConfig,
     Hyperparameters,
-    marginal_score_samples,
     predict_pfa_closed_form,
     predict_pfa_sampling,
 )
@@ -35,6 +34,7 @@ from oracles import (
     inv_gamma_fit_objective,
     inv_gamma_moments,
     inv_gamma_objective_grid,
+    marginal_score_samples,
     quadrature_posterior,
 )
 from test_estimators import joint_halfwidth

@@ -33,8 +33,9 @@ def corpus_csv(tmp_path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["target_id", "impostor_id", "score"])
-        for p, impostor_id in enumerate(corpus.impostor_ids):
+        for p in range(corpus.n_pairs):
             target_id = corpus.target_ids[corpus.pair_target[p]]
+            impostor_id = corpus.impostor_ids[corpus.pair_impostor[p]]
             for s in corpus.scores[corpus.pair_offsets[p] : corpus.pair_offsets[p + 1]]:
                 writer.writerow([target_id, impostor_id, repr(float(s))])
     return path

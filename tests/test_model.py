@@ -14,7 +14,6 @@ from wcfar.model import (
     Hyperparameters,
     _sample_targets,
     gaussian_tail,
-    marginal_score_samples,
     predict_pfa_closed_form,
     predict_pfa_sampling,
 )
@@ -25,6 +24,7 @@ from oracles import (
     closest_of_n_quadrature,
     loop_predict_pfa_closed_form,
     loop_predict_pfa_sampling,
+    marginal_score_samples,
 )
 from test_estimators import joint_halfwidth
 

@@ -157,12 +157,17 @@ class TestLoadCorpus:
 HEADER = b"target_id,impostor_id,score\n"
 
 
+def _pair_impostors(corpus) -> tuple[str, ...]:
+    """The impostor id of each pair of `corpus`, in pair order."""
+    return tuple(corpus.impostor_ids[k] for k in corpus.pair_impostor.tolist())
+
+
 def _jsonl(*objects) -> bytes:
     return b"".join(json.dumps(obj).encode() + b"\n" for obj in objects)
 
 
 # Each odd or faulty file maps to what loading it gives: a corpus as
-# (target_ids, impostor_ids, pair_offsets, scores), label scores as
+# (target_ids, each pair's impostor id, pair_offsets, scores), label scores as
 # (target_scores, nontarget_scores), or the exact ParseError text.
 ODD_FILES = [
     pytest.param("c.csv", HEADER + b'"a","b",0.5\n"a,x",b,1.5\n',
@@ -289,7 +294,8 @@ def test_odd_file(tmp_path, name, content, want):
         assert str(info.value) == want
     elif load is load_corpus:
         corpus = load(path)
-        assert (corpus.target_ids, corpus.impostor_ids) == want[:2]
+        assert (corpus.target_ids, _pair_impostors(corpus)) == want[:2]
+        assert corpus.impostor_ids == tuple(sorted(set(want[1])))
         assert corpus.pair_offsets.tolist() == want[2]
         assert corpus.scores.tolist() == want[3]
     else:
@@ -385,7 +391,7 @@ def test_jsonl_integer_beyond_the_digit_limit_names_its_line(tmp_path):
 def _assert_matches_oracle(loaded, rows):
     want, grouped = grouped_corpus(rows)
     assert (loaded.target_ids, loaded.impostor_ids) == want[:2]
-    arrays = (loaded.target_offsets, loaded.pair_target, loaded.pair_offsets, loaded.scores)
+    arrays = (loaded.target_offsets, loaded.pair_impostor, loaded.pair_offsets, loaded.scores)
     for got, expected in zip(arrays, want[2:]):
         assert np.array_equal(got, expected)
     assert PackedCorpus.from_groups(grouped) == loaded
@@ -662,9 +668,26 @@ class TestPackCorpus:
 
     def test_scores_immutable(self):
         corpus = PackedCorpus.from_groups({"a": {"x": [1.0, 2.0]}})
-        for array in (corpus.scores, corpus.pair_offsets, corpus.target_offsets, corpus.pair_target):
+        arrays = (corpus.scores, corpus.pair_offsets, corpus.target_offsets, corpus.pair_impostor, corpus.pair_target)
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 5
+
+    def test_shared_impostors_are_held_once(self, tmp_path, parses):
+        path = write(tmp_path, "c.csv", [CSV_ROWS[0], "b,z,5", "a,y,2", "b,x,3", "a,x,1", "b,y,4"])
+        corpus = load_corpus(path)
+        assert corpus.target_ids == ("a", "b")
+        assert corpus.impostor_ids == ("x", "y", "z")
+        assert corpus.pair_impostor.tolist() == [0, 1, 0, 1, 2]
+        assert corpus.pair_target.tolist() == [0, 0, 1, 1, 1]
+        assert corpus.scores.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        _assert_same_bits(load_corpus(path), corpus)
+        assert parses[0] == 1
+
+    def test_an_impostor_without_scores_gets_no_name(self):
+        corpus = PackedCorpus.from_groups({"a": {"x": [], "y": [1.0]}})
+        assert corpus.impostor_ids == ("y",)
+        assert corpus.pair_impostor.tolist() == [0]
 
 
 # ids mix commas, quotes and non-ASCII so that CSV quoting and code point
@@ -724,6 +747,7 @@ class TestLoaderProperties:
         # a shuffle keeps the layout and each pair's multiset of scores
         assert shuffled.target_ids == loaded.target_ids
         assert shuffled.impostor_ids == loaded.impostor_ids
+        assert np.array_equal(shuffled.pair_impostor, loaded.pair_impostor)
         assert np.array_equal(shuffled.pair_offsets, loaded.pair_offsets)
         assert np.array_equal(shuffled.target_offsets, loaded.target_offsets)
         pair_of_score = np.repeat(np.arange(loaded.n_pairs), loaded.pair_count)
@@ -877,7 +901,8 @@ class TestCache:
         assert _entries() == []
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy", "missing", "dtype", "offsets",
-                                        "names", "labels-empty"])
+                                        "names", "impostor-code-high", "impostor-code-negative",
+                                        "impostor-codes-truncated", "labels-empty"])
     def test_a_bad_entry_is_a_miss_and_is_replaced(self, tmp_path, parses, damage):
         labels = damage.startswith("labels")
         path = tmp_path / ("l.csv" if labels else "c.csv")
@@ -908,6 +933,12 @@ class TestCache:
                 arrays["pair_offsets"][-1] += 1
             elif damage == "names":
                 arrays["name_offsets"][1] = arrays["name_offsets"][2] + 1
+            elif damage == "impostor-code-high":
+                arrays["pair_impostor"][-1] = len(parsed.impostor_ids)
+            elif damage == "impostor-code-negative":
+                arrays["pair_impostor"][0] = -1
+            elif damage == "impostor-codes-truncated":
+                arrays["pair_impostor"] = arrays["pair_impostor"][:-1]
             else:
                 arrays["target_scores"] = arrays["target_scores"][:0]
             with entry.open("wb") as out:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wcfar.streams import RngStream, as_generator
+from wcfar.streams import RngStream
 
 
 def test_same_path_same_draws():
@@ -41,12 +41,3 @@ def test_negative_seed_normalised():
 def test_negative_child_index_rejected():
     with pytest.raises(ValueError):
         RngStream(1).child(-1)
-
-
-def test_as_generator_accepts_both():
-    stream = RngStream(5)
-    assert np.array_equal(as_generator(stream).random(4), stream.generator().random(4))
-    gen = stream.generator()
-    assert as_generator(gen) is gen
-    with pytest.raises(TypeError):
-        as_generator(42)

@@ -27,7 +27,7 @@ class TestModelCorpus:
         corpus = generate_model_corpus(spec)
         assert corpus.n_scores == 2 * 3 * 4
         assert corpus.target_ids == ("t0001", "t0002")
-        assert corpus.impostor_ids[1] == "i0001_0002"
+        assert corpus.impostor_ids[corpus.pair_impostor[1]] == "i0001_0002"
 
     def test_seed_reproducibility(self):
         spec = SyntheticSpec(
