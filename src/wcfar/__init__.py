@@ -15,9 +15,9 @@ _EXPORTS = {
     "estimators": ["EstimateWithCI", "diagnose", "estimate_pfa_worst_case", "estimate_pfa_zero_effort"],
     "inference": ["PosteriorFactors", "e_step", "fit", "sufficient_stats"],
     "metrics": ["DcfParams", "eer_threshold", "min_dcf_threshold"],
-    "model": ["EstimatorConfig", "Hyperparameters", "predict_pfa_closed_form", "predict_pfa_sampling"],
+    "model": ["Hyperparameters", "predict_pfa"],
     "score_data": ["PackedCorpus", "load_corpus", "load_labeled_scores"],
-    "special_math": ["fit_gamma_from_expectations", "fit_inv_gamma_from_expectations"],
+    "special_math": ["gamma_shape"],
     "streams": ["RngStream"],
     "synthetic": ["SyntheticSpec", "ToyAsvSpec", "generate_model_corpus", "generate_toy_asv_corpus"],
 }

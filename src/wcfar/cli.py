@@ -14,6 +14,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import stat
 import sys
@@ -257,21 +258,21 @@ def cmd_empirical(args) -> int:
     return 0
 
 
-def _predict(args, theta: Hyperparameters, tau: float, n: int) -> EstimateWithCI:
-    from .model import DEFAULT_SCORES_PER_PAIR, EstimatorConfig, predict_pfa_closed_form, predict_pfa_sampling
+def _predict(args, theta: Hyperparameters, tau: float, n_list: list[int]) -> list[EstimateWithCI]:
+    """The model rows at each N of `n_list`: the closed form (L = inf) or the sampling method."""
+    from .model import DEFAULT_SCORES_PER_PAIR, predict_pfa
 
-    cfg = EstimatorConfig(seed=args.seed, n_impostors=n, t_outer=args.t_outer)
+    per_pair = math.inf
     if args.method == "sampling":
         per_pair = DEFAULT_SCORES_PER_PAIR if args.scores_per_pair is None else args.scores_per_pair
-        return predict_pfa_sampling(theta, tau, cfg, scores_per_pair=per_pair)
-    return predict_pfa_closed_form(theta, tau, cfg)
+    return predict_pfa(theta, tau, n_list, seed=args.seed, t_outer=args.t_outer, scores_per_pair=per_pair)
 
 
 def cmd_predict(args) -> int:
     theta = _load_theta(args.theta)
     tau = _resolve_tau(args)
-    rows = [(n, _predict(args, theta, tau, n)) for n in _parse_int_list(args.n)]
-    _write_text(_estimate_csv(rows), args.out)
+    n_list = _parse_int_list(args.n)
+    _write_text(_estimate_csv(list(zip(n_list, _predict(args, theta, tau, n_list)))), args.out)
     return 0
 
 
@@ -326,16 +327,13 @@ def cmd_curve(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["N", "tau_label", "tau", "source", "estimate", "ci_low", "ci_high"])
     for label, tau in taus:
-        for n in n_list:
-            if n <= capacity:
-                est = estimate_pfa_worst_case(packed, tau, n)
-                writer.writerow(
-                    [n, label, _fmt(tau), "empirical", _fmt(est.value), _fmt(est.ci_low), _fmt(est.ci_high)]
-                )
-            est = _predict(args, theta, tau, n)
-            writer.writerow(
-                [n, label, _fmt(tau), "model", _fmt(est.value), _fmt(est.ci_low), _fmt(est.ci_high)]
-            )
+        # n_list is ascending, so the empirical rows are those of its first N
+        empirical = [estimate_pfa_worst_case(packed, tau, n) for n in n_list if n <= capacity]
+        model = _predict(args, theta, tau, n_list)
+        for i, n in enumerate(n_list):
+            rows = [("empirical", empirical[i])] if i < len(empirical) else []
+            for source, est in rows + [("model", model[i])]:
+                writer.writerow([n, label, _fmt(tau), source, _fmt(est.value), _fmt(est.ci_low), _fmt(est.ci_high)])
     _write_text(buf.getvalue(), args.out)
     return 0
 
@@ -375,7 +373,7 @@ def _add_model_options(sub):
 
 
 def _unused_t_outer(text: str) -> int:
-    """argparse type of the unused --t-outer, refused below 1 as the predictors' is."""
+    """argparse type of the unused --t-outer, refused below 1 as the predictor's is."""
     try:
         value = int(text)
     except ValueError:

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError
 from .special_math import ndtri
 
-if TYPE_CHECKING:  # the model predictors import this module and read no corpus
+if TYPE_CHECKING:  # the model predictor imports this module and reads no corpus
     from .score_data import PackedCorpus
 
 

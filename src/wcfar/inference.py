@@ -44,7 +44,7 @@ import numpy as np
 from .errors import NumericError
 from .model import Hyperparameters
 from .score_data import PackedCorpus
-from .special_math import digamma, fit_gamma_from_expectations, fit_inv_gamma_from_expectations, gammaln
+from .special_math import digamma, gamma_shape, gammaln
 
 VARIANCE_FLOOR = 1e-12
 # ceiling on fitted prior shapes: beyond this the prior is numerically a
@@ -212,28 +212,24 @@ def m_step(stats: SufficientStats) -> Hyperparameters:
     mu0 = float(stats.m_mean.mean())
     spread = float(np.mean((stats.m_mean - mu0) ** 2 + stats.m_var))
     sigma0_sq = max(spread, VARIANCE_FLOOR)
+    lam_mean, inv_sigma_mean = float(stats.lam_mean.mean()), float(stats.inv_sigma.mean())
     try:
-        lam_fit = fit_gamma_from_expectations(
-            float(stats.lam_mean.mean()), float(stats.log_lam.mean())
-        )
-        sigma_fit = fit_inv_gamma_from_expectations(
-            float(stats.inv_sigma.mean()), float(stats.log_sigma.mean())
-        )
+        alpha_lambda = min(gamma_shape(lam_mean, float(stats.log_lam.mean())), SHAPE_CAP)
+        # 1/sigma_sq is gamma under the inverse-gamma prior, with E[log(1/sigma_sq)] = -E[log sigma_sq]
+        a_sigma = min(gamma_shape(inv_sigma_mean, -float(stats.log_sigma.mean())), SHAPE_CAP)
     except NumericError as exc:
         raise NumericError(
             f"hyper-parameter update failed: {exc}; "
             f"lam moments ({stats.lam_mean.mean()}, {stats.log_lam.mean()}), "
             f"sigma moments ({stats.inv_sigma.mean()}, {stats.log_sigma.mean()})"
         ) from exc
-    alpha_lambda = min(lam_fit.alpha, SHAPE_CAP)
-    a_sigma = min(sigma_fit.a, SHAPE_CAP)
     return Hyperparameters(
         mu0=mu0,
         sigma0_sq=sigma0_sq,
         a_sigma=a_sigma,
-        b_sigma=a_sigma / float(stats.inv_sigma.mean()),
+        b_sigma=a_sigma / inv_sigma_mean,
         alpha_lambda=alpha_lambda,
-        beta_lambda=alpha_lambda / float(stats.lam_mean.mean()),
+        beta_lambda=alpha_lambda / lam_mean,
     )
 
 

@@ -10,24 +10,23 @@ score mean mu around m, and scores are Gaussian around mu:
     mu_j     ~ Normal(m, sigma_sq / lam)        j = 1..N, sharing (m, lam, sigma_sq)
     s_[j,l]  ~ Normal(mu_j, sigma_sq)           l = 1..L
 
-The sampling predictor keeps, of N candidate sets of L scores sharing one
-target draw, the set with the highest sample mean M; the closed-form one
-keeps the highest latent mean mu*.  Given M, a winning score is M plus a
-centred residual of variance sigma_sq (1 - 1/L), so both record a Gaussian
-tail above tau, the closed form with 1/L = 0: they share every draw and
-differ only by the finite-L selection gap.
+The predictor keeps, of N candidate sets of L scores sharing one target
+draw, the set with the highest sample mean M.  Given M, a winning score is
+M plus a centred residual of variance sigma_sq (1 - 1/L), so the estimate
+is a Gaussian tail above tau.  At L = inf, where 1/L is exactly 0, the
+winner is the set with the highest latent mean mu*: that is the closed
+form, and every finite L differs from it only by the selection gap.
 
-Neither simulates a candidate or a score: the maximum of N i.i.d. normals
-has the law Phi^-1(U^(1/N)) for a uniform U, so both are one array kernel
-over the outer iterations at a cost independent of N and L.  All
-iterations draw (m, lam, sigma_sq, U) from one stream of the seed in an
-order free of N, so every N reuses the same U; as Phi^-1(U^(1/N)) rises
-with N, both estimates are non-decreasing in N pointwise for a fixed seed.
+No candidate and no score is simulated: the maximum of N i.i.d. normals
+has the law Phi^-1(U^(1/N)) for a uniform U, so each N is one array
+kernel over the outer iterations at a cost independent of N and L.  The
+outer iterations draw (m, lam, sigma_sq, U) once from one stream of the
+seed, and every N of the list reuses them; as Phi^-1(U^(1/N)) rises with
+N, the estimates are non-decreasing in N pointwise for a fixed seed.
 
-`EstimatorConfig` holds N and the Monte-Carlo settings, the seed and the
-number of outer iterations.  Each estimate carries a 99% normal interval
-across the iterations.  1/N and 1/L enter the kernel as floats, so N and
-L past the float range are refused.
+Each estimate carries a 99% normal interval across the iterations.  1/N
+and 1/L enter the kernel as floats, so N and a finite L past the float
+range are refused.
 """
 
 from __future__ import annotations
@@ -47,23 +46,6 @@ _JSON_FIELDS = ("mu0", "sigma0_sq", "a_sigma", "b_sigma", "alpha_lambda", "beta_
 
 # default scores per candidate set, matching an 18x18 utterance-pair grid
 DEFAULT_SCORES_PER_PAIR = 324
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Population size N and the predictors' `t_outer` outer iterations, drawn from the stream of `seed`."""
-
-    seed: int
-    n_impostors: int = 1
-    t_outer: int = 1000
-
-    def __post_init__(self):
-        if self.t_outer < 1:
-            raise ValueError(f"t_outer must be >= 1, got {self.t_outer}")
-        if self.n_impostors < 1:
-            raise ValueError(f"n_impostors must be >= 1, got {self.n_impostors}")
-        if self.n_impostors > sys.float_info.max:
-            raise ValueError(f"n_impostors must be at most {sys.float_info.max:g}, the float range")
 
 
 @dataclass(frozen=True)
@@ -130,16 +112,6 @@ def _sample_targets(h: Hyperparameters, count: int | None, g: np.random.Generato
     return m, lam, 1.0 / precision
 
 
-def _outer_draws(h: Hyperparameters, cfg: EstimatorConfig):
-    """Per outer iteration, target latents and the maximum of N standard normals
-    Phi^-1(U^(1/N)), U in (0, 1], without cancellation when U^(1/N) is near 1."""
-    g = RngStream(cfg.seed).generator()
-    m, lam, sigma_sq = _sample_targets(h, cfg.t_outer, g)
-    u = 1.0 - g.random(cfg.t_outer)
-    z_max = -ndtri(-np.expm1(np.log(u) / cfg.n_impostors))
-    return m, lam, sigma_sq, z_max
-
-
 def gaussian_tail(mu, sigma_sq, tau: float) -> np.ndarray:
     """P(score > tau) for Normal(mu, sigma_sq) scores, elementwise, and the indicator
     mu > tau when every variance is 0; exact at tau = +-inf, where `ndtr` is 0 or 1."""
@@ -148,43 +120,48 @@ def gaussian_tail(mu, sigma_sq, tau: float) -> np.ndarray:
     return ndtr((mu - tau) / np.sqrt(sigma_sq))
 
 
-def _predict_pfa(h: Hyperparameters, tau: float, cfg: EstimatorConfig, inv_l: float) -> EstimateWithCI:
-    """Both predictors: the winning set's mean Gaussian tail above `tau`, with 1/L = `inv_l`."""
-    if math.isnan(tau):
-        raise ValueError("tau must not be NaN")
-    m, lam, sigma_sq, z_max = _outer_draws(h, cfg)
-    means = m + np.sqrt(sigma_sq / lam + sigma_sq * inv_l) * z_max
-    values = gaussian_tail(means, sigma_sq * (1.0 - inv_l), tau)
-    return _estimate(values)
-
-
-def predict_pfa_sampling(
+def predict_pfa(
     h: Hyperparameters,
     tau: float,
-    cfg: EstimatorConfig,
-    scores_per_pair: int = DEFAULT_SCORES_PER_PAIR,
-) -> EstimateWithCI:
-    """Closest-of-N false alarm rate with selection by sample mean.
+    n_impostors: list[int],
+    *,
+    seed: int,
+    t_outer: int = 1000,
+    scores_per_pair: float = math.inf,
+) -> list[EstimateWithCI]:
+    """Closest-of-N false alarm rate at each N of `n_impostors`, in order.
 
-    Of N = `cfg.n_impostors` candidate sets of L = `scores_per_pair` scores,
-    the one with the highest sample mean M, the maximum of N Normal(m,
-    sigma_sq / lam + sigma_sq / L), wins; its expected fraction of scores
-    above `tau` is the tail of Normal(M, sigma_sq (1 - 1/L)), at L = 1 the
-    indicator M > tau.  The draws are the closed form's, so the two
-    estimates differ only by the finite-L selection gap.
+    Of N candidate sets of L = `scores_per_pair` scores, the one with the
+    highest sample mean M, the maximum of N Normal(m, sigma_sq / lam +
+    sigma_sq / L), wins; its expected fraction of scores above `tau` is the
+    tail of Normal(M, sigma_sq (1 - 1/L)), at L = 1 the indicator M > tau.
+    At L = inf the winner is the largest latent pair mean and its tail is
+    exact: the closed form.  Every argument is checked before the
+    `t_outer` outer iterations are drawn, once, from the stream of `seed`.
     """
+    if t_outer < 1:
+        raise ValueError(f"t_outer must be >= 1, got {t_outer}")
+    for n in n_impostors:
+        if n < 1:
+            raise ValueError(f"n_impostors must be >= 1, got {n}")
+        if n > sys.float_info.max:
+            raise ValueError(f"n_impostors must be at most {sys.float_info.max:g}, the float range")
     if scores_per_pair < 1:
         raise ValueError(f"scores_per_pair must be >= 1, got {scores_per_pair}")
-    if scores_per_pair > sys.float_info.max:
+    # an int past the float range is compared exactly, never converted
+    if sys.float_info.max < scores_per_pair < math.inf:
         raise ValueError(f"scores_per_pair must be at most {sys.float_info.max:g}, the float range")
-    return _predict_pfa(h, tau, cfg, 1.0 / scores_per_pair)
-
-
-def predict_pfa_closed_form(h: Hyperparameters, tau: float, cfg: EstimatorConfig) -> EstimateWithCI:
-    """Closest-of-N false alarm rate without simulating scores.
-
-    Selection is by the largest latent pair mean mu* = m + sqrt(sigma_sq /
-    lam) * Z_N, and each iteration contributes the exact Gaussian tail mass
-    above `tau` for that mean and the target's shared variance.
-    """
-    return _predict_pfa(h, tau, cfg, 0.0)
+    if math.isnan(tau):
+        raise ValueError("tau must not be NaN")
+    g = RngStream(seed).generator()
+    m, lam, sigma_sq = _sample_targets(h, t_outer, g)
+    log_u = np.log(1.0 - g.random(t_outer))  # U in (0, 1]
+    inv_l = 1.0 / scores_per_pair
+    spread = np.sqrt(sigma_sq / lam + sigma_sq * inv_l)
+    residual = sigma_sq * (1.0 - inv_l)
+    estimates = []
+    for n in n_impostors:
+        # Phi^-1(U^(1/N)), without cancellation when U^(1/N) is near 1
+        z_max = -ndtri(-np.expm1(log_u / n))
+        estimates.append(_estimate(gaussian_tail(m + spread * z_max, residual, tau)))
+    return estimates

@@ -331,7 +331,9 @@ def _entry_arrays(npz, **dtypes) -> list[np.ndarray]:
 
 
 def _is_offsets(offsets: np.ndarray, total: int) -> bool:
-    return offsets.size > 0 and offsets[0] == 0 and offsets[-1] == total and bool((np.diff(offsets) >= 0).all())
+    """Strictly increasing offsets from 0 to `total` of at least one range: a parse gives a
+    corpus a target, every name a character, every target a pair and every pair a score."""
+    return offsets.size > 1 and offsets[0] == 0 and offsets[-1] == total and bool((np.diff(offsets) > 0).all())
 
 
 def _corpus_arrays(corpus: PackedCorpus) -> dict[str, np.ndarray]:

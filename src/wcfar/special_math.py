@@ -1,25 +1,23 @@
-"""Special functions, gamma-family parameters and moment fitters.
+"""Special functions and the gamma shape solver.
 
-The two fitters solve the concave problems
+`gamma_shape` solves the concave problem
 
     max_{alpha, beta}  alpha*log(beta) - lgamma(alpha)
-                       + (alpha - 1)*E[log x] - beta*E[x]          (gamma)
+                       + (alpha - 1)*E[log x] - beta*E[x]
 
-    max_{a, b}         a*log(b) - lgamma(a)
-                       - (a + 1)*E[log x] - b*E[1/x]               (inverse gamma)
-
-by profiling out the rate (beta = alpha / mean), which reduces each problem
-to the scalar equation psi(alpha) - log(alpha) = c.  The left side f is
-strictly increasing from -inf to 0 on alpha > 0, so any feasible c < 0 has
-a unique root.  f is also strictly concave, so each Newton iterate lands at
+by profiling out the rate (beta = alpha / E[x]), which reduces it to the
+scalar equation psi(alpha) - log(alpha) = c.  The left side f is strictly
+increasing from -inf to 0 on alpha > 0, so any feasible c < 0 has a
+unique root.  f is also strictly concave, so each Newton iterate lands at
 or left of the root, and f(alpha) < -1/(2 alpha), so the start -1/(2c) is
 left of it already: the iterates climb to the root without passing it.
+An inverse-gamma fit of x is the gamma fit of 1/x, from E[1/x] and
+-E[log x].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,34 +194,6 @@ def trigamma(x):
     return _scalar_or_array(x, out)
 
 
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape/rate parametrisation of the gamma distribution."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"gamma shape must be positive and finite, got {self.alpha}")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"gamma rate must be positive and finite, got {self.beta}")
-
-
-@dataclass(frozen=True)
-class InvGammaParams:
-    """Shape/scale parametrisation of the inverse-gamma distribution."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise ValueError(f"inverse-gamma shape must be positive and finite, got {self.a}")
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValueError(f"inverse-gamma scale must be positive and finite, got {self.b}")
-
-
 def digamma(x):
     """Logarithmic derivative of the gamma function for x > 0."""
     arr = np.asarray(x, dtype=float)
@@ -268,13 +238,13 @@ def _solve_shape(c: float) -> float:
     )
 
 
-def fit_gamma_from_expectations(mean_x: float, mean_log_x: float) -> GammaParams:
-    """Maximum-likelihood gamma parameters from E[x] and E[log x].
+def gamma_shape(mean_x: float, mean_log_x: float) -> float:
+    """Maximum-likelihood gamma shape from E[x] and E[log x]; the rate is the shape / E[x].
 
-    The stationary conditions are beta = alpha / mean_x and
-    psi(alpha) - log(alpha) = mean_log_x - log(mean_x); the right side must
-    be strictly negative (Jensen's inequality guarantees this for moments of
-    any non-degenerate positive distribution).
+    The shape solves psi(alpha) - log(alpha) = mean_log_x - log(mean_x);
+    the right side must be strictly negative (Jensen's inequality
+    guarantees this for moments of any non-degenerate positive
+    distribution).
     """
     if not (mean_x > 0 and math.isfinite(mean_x) and math.isfinite(mean_log_x)):
         raise ValueError(f"invalid moments: mean={mean_x}, mean_log={mean_log_x}")
@@ -283,24 +253,4 @@ def fit_gamma_from_expectations(mean_x: float, mean_log_x: float) -> GammaParams
         raise InfeasibleMomentsError(
             f"E[log x] must be < log E[x]; got gap {-c:.3e} (mean={mean_x}, mean_log={mean_log_x})"
         )
-    alpha = _solve_shape(c)
-    return GammaParams(alpha=alpha, beta=alpha / mean_x)
-
-
-def fit_inv_gamma_from_expectations(mean_inv_x: float, mean_log_x: float) -> InvGammaParams:
-    """Maximum-likelihood inverse-gamma parameters from E[1/x] and E[log x].
-
-    If x follows InvGamma(a, b) then 1/x follows Gamma(a, rate=b) with
-    E[log(1/x)] = -E[log x], so the fit reduces to the gamma fitter applied
-    to the moments of 1/x.
-    """
-    if not (mean_inv_x > 0 and math.isfinite(mean_inv_x) and math.isfinite(mean_log_x)):
-        raise ValueError(f"invalid moments: mean_inv={mean_inv_x}, mean_log={mean_log_x}")
-    if -mean_log_x >= math.log(mean_inv_x):
-        gap = math.log(mean_inv_x) + mean_log_x
-        raise InfeasibleMomentsError(
-            f"-E[log x] must be < log E[1/x]; got gap {gap:.3e} "
-            f"(mean_inv={mean_inv_x}, mean_log={mean_log_x})"
-        )
-    g = fit_gamma_from_expectations(mean_inv_x, -mean_log_x)
-    return InvGammaParams(a=g.alpha, b=g.beta)
+    return _solve_shape(c)

@@ -35,16 +35,14 @@ def inv_gamma_moments(a, b):
     return a / b, float(np.log(b) - digamma(a))
 
 
-def gamma_fit_objective(p, mean_x, mean_log_x):
-    """Per-observation expected log density maximised by `fit_gamma_from_expectations`."""
-    return float(
-        p.alpha * np.log(p.beta) - gammaln(p.alpha) + (p.alpha - 1.0) * mean_log_x - p.beta * mean_x
-    )
+def gamma_fit_objective(alpha, beta, mean_x, mean_log_x):
+    """Per-observation expected log density of Gamma(alpha, rate=beta), which `gamma_shape` maximises."""
+    return float(alpha * np.log(beta) - gammaln(alpha) + (alpha - 1.0) * mean_log_x - beta * mean_x)
 
 
-def inv_gamma_fit_objective(p, mean_inv_x, mean_log_x):
-    """Per-observation expected log density maximised by `fit_inv_gamma_from_expectations`."""
-    return float(p.a * np.log(p.b) - gammaln(p.a) - (p.a + 1.0) * mean_log_x - p.b * mean_inv_x)
+def inv_gamma_fit_objective(a, b, mean_inv_x, mean_log_x):
+    """Per-observation expected log density of InvGamma(a, scale=b), which `gamma_shape` maximises on 1/x."""
+    return float(a * np.log(b) - gammaln(a) - (a + 1.0) * mean_log_x - b * mean_inv_x)
 
 
 def gamma_objective_grid(mean_x, mean_log_x, alpha_hat, beta_hat, n=200, decades=2.0):
@@ -190,7 +188,7 @@ def _loop_estimate(values):
     return EstimateWithCI(value, low, high)
 
 
-def loop_predict_pfa_sampling(h, tau, cfg, scores_per_pair):
+def loop_predict_pfa_sampling(h, tau, n, *, seed, t_outer, scores_per_pair):
     """Closest-of-N sampling predictor that simulates every candidate set.
 
     Per outer iteration, from its own child stream: one target draw, N pair
@@ -198,11 +196,10 @@ def loop_predict_pfa_sampling(h, tau, cfg, scores_per_pair):
     mean is kept and its fraction of scores above `tau` recorded.  Costs
     O(T N L) time and O(N L) memory.
     """
-    n = cfg.n_impostors
-    root = RngStream(cfg.seed)
-    values = np.empty(cfg.t_outer)
+    root = RngStream(seed)
+    values = np.empty(t_outer)
     scores = np.empty((n, scores_per_pair))
-    for t in range(cfg.t_outer):
+    for t in range(t_outer):
         g = root.child(t).generator()
         m, lam, sigma_sq = _target_draw(h, g)
         mus = g.normal(m, math.sqrt(sigma_sq / lam), size=n)
@@ -214,18 +211,18 @@ def loop_predict_pfa_sampling(h, tau, cfg, scores_per_pair):
     return _loop_estimate(values)
 
 
-def loop_predict_pfa_closed_form(h, tau, cfg):
+def loop_predict_pfa_closed_form(h, tau, n, *, seed, t_outer):
     """Closest-of-N closed-form predictor that draws all N latent pair means.
 
     Per outer iteration: one target draw, N pair means, and the exact
     Gaussian tail above `tau` for the largest of them.
     """
-    root = RngStream(cfg.seed)
-    values = np.empty(cfg.t_outer)
-    for t in range(cfg.t_outer):
+    root = RngStream(seed)
+    values = np.empty(t_outer)
+    for t in range(t_outer):
         g = root.child(t).generator()
         m, lam, sigma_sq = _target_draw(h, g)
-        mus = g.normal(m, math.sqrt(sigma_sq / lam), size=cfg.n_impostors)
+        mus = g.normal(m, math.sqrt(sigma_sq / lam), size=n)
         mu_star = float(np.max(mus))
         values[t] = ndtr((mu_star - tau) / math.sqrt(sigma_sq))
     return _loop_estimate(values)

@@ -15,14 +15,9 @@ from scipy.special import ndtri
 
 from wcfar.estimators import estimate_pfa_worst_case, estimate_pfa_zero_effort
 from wcfar.inference import PosteriorFactors, e_step, fit, sufficient_stats
-from wcfar.model import (
-    EstimatorConfig,
-    Hyperparameters,
-    predict_pfa_closed_form,
-    predict_pfa_sampling,
-)
+from wcfar.model import Hyperparameters, predict_pfa
 from wcfar.score_data import PackedCorpus
-from wcfar.special_math import fit_gamma_from_expectations, fit_inv_gamma_from_expectations
+from wcfar.special_math import gamma_shape
 from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
@@ -86,10 +81,7 @@ def test_acceptance_2_monotone_in_population_size():
     tau = 2.0
     sizes = [2**k for k in range(11)]  # 1 .. 1024
     empirical = [estimate_pfa_worst_case(corpus, tau, n) for n in sizes]
-    model = [
-        predict_pfa_closed_form(THETA, tau, EstimatorConfig(seed=83, n_impostors=n, t_outer=10_000))
-        for n in sizes
-    ]
+    model = predict_pfa(THETA, tau, sizes, seed=83, t_outer=10_000)
     # the empirical rates are exact, so they get no slack; the model's are Monte-Carlo
     failures = []
     for label, series in (("empirical", empirical), ("model", model)):
@@ -199,15 +191,15 @@ def test_acceptance_4_hyperparameter_recovery():
 
 
 def test_acceptance_5_sampling_vs_closed_form():
-    # both predictors share every draw, so their gap is the finite-L selection
+    # a finite L and L = inf share every draw, so their gap is the finite-L selection
     # gap, whose expectation the quadrature gives
     started = time.perf_counter()
     tau = 1.5
     gaps = []
-    for n in (1, 10, 100, 1000):
-        cfg = EstimatorConfig(seed=75, n_impostors=n, t_outer=10_000)
-        sampled = predict_pfa_sampling(THETA, tau, cfg, scores_per_pair=324)
-        closed = predict_pfa_closed_form(THETA, tau, cfg)
+    sizes = [1, 10, 100, 1000]
+    sampled_rows = predict_pfa(THETA, tau, sizes, seed=75, t_outer=10_000, scores_per_pair=324)
+    closed_rows = predict_pfa(THETA, tau, sizes, seed=75, t_outer=10_000)
+    for n, sampled, closed in zip(sizes, sampled_rows, closed_rows):
         q = closest_of_n_quadrature
         expected = q(THETA, tau, n, scores_per_pair=324) - q(THETA, tau, n)
         gaps.append((n, sampled.value - closed.value, expected))
@@ -237,14 +229,17 @@ def test_acceptance_7_moment_fitters_beat_grid():
         shape = float(np.exp(rng.uniform(np.log(0.1), np.log(100.0))))
         rate = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
         mean, mean_log = gamma_moments(shape, rate)
-        fitted = fit_gamma_from_expectations(mean, mean_log)
-        best, _, _ = gamma_objective_grid(mean, mean_log, fitted.alpha, fitted.beta)
-        worst_gap = min(worst_gap, gamma_fit_objective(fitted, mean, mean_log) - best)
+        alpha = gamma_shape(mean, mean_log)
+        beta = alpha / mean
+        best, _, _ = gamma_objective_grid(mean, mean_log, alpha, beta)
+        worst_gap = min(worst_gap, gamma_fit_objective(alpha, beta, mean, mean_log) - best)
 
+        # the inverse-gamma fit of x is the gamma fit of 1/x
         mean_inv, mean_log = inv_gamma_moments(shape, rate)
-        fitted_ig = fit_inv_gamma_from_expectations(mean_inv, mean_log)
-        best_ig, _, _ = inv_gamma_objective_grid(mean_inv, mean_log, fitted_ig.a, fitted_ig.b)
-        worst_gap = min(worst_gap, inv_gamma_fit_objective(fitted_ig, mean_inv, mean_log) - best_ig)
+        a = gamma_shape(mean_inv, -mean_log)
+        b = a / mean_inv
+        best_ig, _, _ = inv_gamma_objective_grid(mean_inv, mean_log, a, b)
+        worst_gap = min(worst_gap, inv_gamma_fit_objective(a, b, mean_inv, mean_log) - best_ig)
     report(
         7,
         "solvers beat 200x200 grid oracle",

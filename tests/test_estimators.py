@@ -15,7 +15,7 @@ from wcfar.estimators import (
     estimate_pfa_worst_case,
     estimate_pfa_zero_effort,
 )
-from wcfar.model import EstimatorConfig, Hyperparameters
+from wcfar.model import Hyperparameters, predict_pfa
 from wcfar.score_data import PackedCorpus, sample_skewness
 from wcfar.special_math import ndtri as wcfar_ndtri
 from wcfar.streams import RngStream
@@ -194,22 +194,25 @@ class TestWorstCase:
         assert 0.0 <= est.ci_low <= est.value <= est.ci_high <= 1.0
 
 
+THETA = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
+
+
 class TestConfigValidation:
     def test_bad_t_outer(self):
         with pytest.raises(ValueError, match="t_outer must be >= 1"):
-            EstimatorConfig(seed=1, t_outer=0)
+            predict_pfa(THETA, 0.0, [1], seed=1, t_outer=0)
 
     def test_bad_n(self):
         corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0]}})
         for n in (0, -3):
             with pytest.raises(ValueError, match=f"n_impostors must be >= 1, got {n}"):
-                EstimatorConfig(seed=1, n_impostors=n)
+                predict_pfa(THETA, 0.0, [n], seed=1)
             with pytest.raises(ValueError, match=f"n_impostors must be >= 1, got {n}"):
                 estimate_pfa_worst_case(corpus, 0.0, n)
             with pytest.raises(ValueError, match=f"n_impostors must be >= 1, got {n}"):
                 diagnose(corpus, 0.0, n)
         with pytest.raises(ValueError, match="n_impostors must be at most"):
-            EstimatorConfig(seed=1, n_impostors=10**400)
+            predict_pfa(THETA, 0.0, [10**400], seed=1)
 
     def test_estimate_invariants(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import tracemalloc
@@ -9,14 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from wcfar.model import (
-    EstimatorConfig,
-    Hyperparameters,
-    _sample_targets,
-    gaussian_tail,
-    predict_pfa_closed_form,
-    predict_pfa_sampling,
-)
+from wcfar import model
+from wcfar.model import Hyperparameters, _sample_targets, gaussian_tail, predict_pfa
 from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
@@ -31,9 +24,10 @@ from test_estimators import joint_halfwidth
 BASE = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
 
 
-def sampling(scores_per_pair: int):
-    """The sampling predictor at a fixed number of scores per set."""
-    return functools.partial(predict_pfa_sampling, scores_per_pair=scores_per_pair)
+def predict(h, tau, n, *, seed, t_outer, scores_per_pair=math.inf):
+    """`predict_pfa`'s one estimate at a single N."""
+    [est] = predict_pfa(h, tau, [n], seed=seed, t_outer=t_outer, scores_per_pair=scores_per_pair)
+    return est
 
 
 class TestHyperparameters:
@@ -125,14 +119,12 @@ class TestHierarchySampling:
 
 class TestPredictors:
     def test_sampling_saturates_at_low_threshold(self):
-        cfg = EstimatorConfig(seed=11, n_impostors=3, t_outer=200)
-        est = predict_pfa_sampling(BASE, -math.inf, cfg, scores_per_pair=10)
+        est = predict(BASE, -math.inf, 3, seed=11, t_outer=200, scores_per_pair=10)
         assert est.value == 1.0
 
     def test_closed_form_saturates(self):
-        cfg = EstimatorConfig(seed=11, n_impostors=3, t_outer=200)
-        assert predict_pfa_closed_form(BASE, -math.inf, cfg).value == 1.0
-        assert predict_pfa_closed_form(BASE, math.inf, cfg).value == 0.0
+        assert predict(BASE, -math.inf, 3, seed=11, t_outer=200).value == 1.0
+        assert predict(BASE, math.inf, 3, seed=11, t_outer=200).value == 0.0
 
     def test_degenerate_limit_recovers_gaussian_tail(self):
         # prior mass concentrated at m=0, sigma_sq=1, lam huge: scores are
@@ -145,8 +137,7 @@ class TestPredictors:
             alpha_lambda=1e12,
             beta_lambda=1e6,
         )
-        cfg = EstimatorConfig(seed=12, n_impostors=1, t_outer=2000)
-        est = predict_pfa_sampling(h, 1.0, cfg, scores_per_pair=324)
+        est = predict(h, 1.0, 1, seed=12, t_outer=2000, scores_per_pair=324)
         assert est.value == pytest.approx(float(ndtr(-1.0)), abs=0.005)
 
     @pytest.mark.filterwarnings("error")
@@ -160,53 +151,71 @@ class TestPredictors:
         assert tail.tolist() == [1.0, 0.0, 0.0]
 
     def test_sampling_injection_requires_scores(self):
-        cfg = EstimatorConfig(seed=1, n_impostors=2, t_outer=1)
         with pytest.raises(ValueError, match="scores_per_pair"):
-            predict_pfa_sampling(BASE, 1.0, cfg, scores_per_pair=0)
+            predict_pfa(BASE, 1.0, [2], seed=1, t_outer=1, scores_per_pair=0)
+
+    @pytest.mark.parametrize("l", [math.inf, 3])
+    def test_a_list_of_n_is_one_call_per_n(self, l):
+        ns = [5, 1, 10**9, 64, 1]
+        together = predict_pfa(BASE, 1.5, ns, seed=19, t_outer=300, scores_per_pair=l)
+        apart = [predict(BASE, 1.5, n, seed=19, t_outer=300, scores_per_pair=l) for n in ns]
+        # repr round-trips every float, so equal reprs are equal bits
+        assert [repr(est) for est in together] == [repr(est) for est in apart]
+
+    @pytest.mark.parametrize("ns,message", [
+        ([1, 0, 5], "n_impostors must be >= 1, got 0"),
+        ([2, 3, -3], "n_impostors must be >= 1, got -3"),
+        ([1, 10**400], "n_impostors must be at most"),
+    ], ids=["zero", "negative", "past-the-float-range"])
+    def test_a_bad_n_anywhere_is_refused_before_any_draw(self, monkeypatch, ns, message):
+        def no_draw(seed):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(model, "RngStream", no_draw)
+        for l in (math.inf, 3):
+            with pytest.raises(ValueError, match=message):
+                predict_pfa(BASE, 1.5, ns, seed=1, scores_per_pair=l)
 
     @staticmethod
-    def monotone_in_n(predict) -> bool:
-        values = []
-        for n in (1, 2, 4, 8, 16, 64, 10**6, 10**9):
-            cfg = EstimatorConfig(seed=13, n_impostors=n, t_outer=500)
-            values.append(predict(BASE, 1.5, cfg).value)
+    def monotone_in_n(l) -> bool:
+        ns = [1, 2, 4, 8, 16, 64, 10**6, 10**9]
+        values = [est.value for est in predict_pfa(BASE, 1.5, ns, seed=13, t_outer=500, scores_per_pair=l)]
         # every N reuses the same uniforms, and Phi^-1(U^(1/N)) rises with N
         return all(a <= b for a, b in zip(values, values[1:]))
 
     @staticmethod
-    def non_increasing_in_tau(predict) -> bool:
-        cfg = EstimatorConfig(seed=14, n_impostors=5, t_outer=400)
-        values = [predict(BASE, tau, cfg).value for tau in (-2.0, 0.0, 1.0, 2.5)]
+    def non_increasing_in_tau(l) -> bool:
+        taus = (-2.0, 0.0, 1.0, 2.5)
+        values = [predict(BASE, tau, 5, seed=14, t_outer=400, scores_per_pair=l).value for tau in taus]
         return all(a >= b for a, b in zip(values, values[1:]))
 
     def test_closed_form_pointwise_monotone_in_n(self):
-        assert self.monotone_in_n(predict_pfa_closed_form)
+        assert self.monotone_in_n(math.inf)
 
     @pytest.mark.parametrize("l", [1, 2, 324])
     def test_sampling_pointwise_monotone_in_n(self, l):
-        assert self.monotone_in_n(sampling(l))
+        assert self.monotone_in_n(l)
 
     def test_closed_form_non_increasing_in_tau(self):
-        assert self.non_increasing_in_tau(predict_pfa_closed_form)
+        assert self.non_increasing_in_tau(math.inf)
 
     @pytest.mark.parametrize("l", [1, 2, 324])
     def test_sampling_non_increasing_in_tau(self, l):
-        assert self.non_increasing_in_tau(sampling(l))
+        assert self.non_increasing_in_tau(l)
 
     def test_predictors_agree_small_scale(self):
-        # both predictors share every draw, so their gap is the finite-L
+        # a finite L and L = inf share every draw, so their gap is the finite-L
         # selection gap, whose expectation the quadrature gives
-        for n in (1, 10):
-            cfg = EstimatorConfig(seed=15, n_impostors=n, t_outer=3000)
-            sampled = predict_pfa_sampling(BASE, 1.0, cfg, scores_per_pair=324)
-            closed = predict_pfa_closed_form(BASE, 1.0, cfg)
+        ns = [1, 10]
+        sampled = predict_pfa(BASE, 1.0, ns, seed=15, t_outer=3000, scores_per_pair=324)
+        closed = predict_pfa(BASE, 1.0, ns, seed=15, t_outer=3000)
+        for n, s, c in zip(ns, sampled, closed):
             q = closest_of_n_quadrature
             gap = q(BASE, 1.0, n, scores_per_pair=324) - q(BASE, 1.0, n)
-            assert abs(sampled.value - closed.value - gap) <= 1e-4
+            assert abs(s.value - c.value - gap) <= 1e-4
 
     def test_closed_form_n1_matches_marginal_rate(self):
-        cfg = EstimatorConfig(seed=16, n_impostors=1, t_outer=20_000)
-        closed = predict_pfa_closed_form(BASE, 1.0, cfg)
+        closed = predict(BASE, 1.0, 1, seed=16, t_outer=20_000)
         draws = marginal_score_samples(BASE, 200_000, RngStream(17))
         rate = float(np.mean(draws > 1.0))
         se_marginal = math.sqrt(rate * (1 - rate) / draws.size)
@@ -214,11 +223,9 @@ class TestPredictors:
         assert abs(closed.value - rate) <= se_closed + 3.0 * se_marginal
 
     def test_deterministic(self):
-        cfg = EstimatorConfig(seed=18, n_impostors=7, t_outer=300)
-        assert predict_pfa_closed_form(BASE, 0.5, cfg) == predict_pfa_closed_form(BASE, 0.5, cfg)
-        assert predict_pfa_sampling(BASE, 0.5, cfg, scores_per_pair=9) == predict_pfa_sampling(
-            BASE, 0.5, cfg, scores_per_pair=9
-        )
+        for l in (math.inf, 9):
+            first = predict_pfa(BASE, 0.5, [7], seed=18, t_outer=300, scores_per_pair=l)
+            assert first == predict_pfa(BASE, 0.5, [7], seed=18, t_outer=300, scores_per_pair=l)
 
 
 def _halfwidth(est) -> float:
@@ -228,8 +235,7 @@ def _halfwidth(est) -> float:
 class TestPredictorOracles:
     @pytest.mark.parametrize("n", [1, 1000, 10**9])
     def test_closed_form_matches_quadrature(self, n):
-        cfg = EstimatorConfig(seed=31, n_impostors=n, t_outer=20_000)
-        est = predict_pfa_closed_form(BASE, 1.5, cfg)
+        est = predict(BASE, 1.5, n, seed=31, t_outer=20_000)
         assert abs(est.value - closest_of_n_quadrature(BASE, 1.5, n)) <= 2.0 * _halfwidth(est)
 
     @pytest.mark.parametrize("n", [1, 1000, 10**9])
@@ -237,42 +243,38 @@ class TestPredictorOracles:
         # two scores per set keep selection by sample mean well apart from
         # selection by latent mean, and the winner's residual variance
         # sigma^2 (1 - 1/L) well apart from sigma^2
-        cfg = EstimatorConfig(seed=31, n_impostors=n, t_outer=20_000)
-        est = predict_pfa_sampling(BASE, 1.5, cfg, scores_per_pair=2)
+        est = predict(BASE, 1.5, n, seed=31, t_outer=20_000, scores_per_pair=2)
         expected = closest_of_n_quadrature(BASE, 1.5, n, scores_per_pair=2)
         assert abs(est.value - expected) <= 2.0 * _halfwidth(est)
 
     @pytest.mark.parametrize("n", [1, 10, 100])
     def test_closed_form_matches_loop(self, n):
-        cfg = EstimatorConfig(seed=32, n_impostors=n, t_outer=4000)
-        fast = predict_pfa_closed_form(BASE, 1.5, cfg)
-        loop = loop_predict_pfa_closed_form(BASE, 1.5, cfg)
+        fast = predict(BASE, 1.5, n, seed=32, t_outer=4000)
+        loop = loop_predict_pfa_closed_form(BASE, 1.5, n, seed=32, t_outer=4000)
         assert abs(fast.value - loop.value) <= joint_halfwidth(fast, loop)
 
     @pytest.mark.parametrize("n", [1, 10, 100])
     def test_sampling_matches_loop(self, n):
-        cfg = EstimatorConfig(seed=32, n_impostors=n, t_outer=4000)
-        fast = predict_pfa_sampling(BASE, 1.5, cfg, scores_per_pair=2)
-        loop = loop_predict_pfa_sampling(BASE, 1.5, cfg, scores_per_pair=2)
+        fast = predict(BASE, 1.5, n, seed=32, t_outer=4000, scores_per_pair=2)
+        loop = loop_predict_pfa_sampling(BASE, 1.5, n, seed=32, t_outer=4000, scores_per_pair=2)
         assert abs(fast.value - loop.value) <= joint_halfwidth(fast, loop)
 
     @staticmethod
-    def peak_bytes(predict) -> int:
-        cfg = EstimatorConfig(seed=33, n_impostors=10**9, t_outer=10_000)
+    def peak_bytes(l) -> int:
         tracemalloc.start()
         try:
-            predict(BASE, 1.5, cfg)
+            predict_pfa(BASE, 1.5, [10**9], seed=33, t_outer=10_000, scores_per_pair=l)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return peak
 
     def test_closed_form_memory_independent_of_n(self):
-        assert self.peak_bytes(predict_pfa_closed_form) < 16 * 2**20
+        assert self.peak_bytes(math.inf) < 16 * 2**20
 
     def test_sampling_memory_independent_of_n_and_l(self):
         # no candidate and no score is materialised
-        assert self.peak_bytes(sampling(10**9)) < 16 * 2**20
+        assert self.peak_bytes(10**9) < 16 * 2**20
 
 
 # priors with shapes >= 0.5, whose gamma draws never underflow
@@ -291,9 +293,9 @@ class TestPredictorProperties:
     )
     def test_non_decreasing_in_n_non_increasing_in_tau(self, h, taus, ns, seed, l):
         # the winner's mean rises with N on shared draws, and each tail falls with tau
-        for predict in (predict_pfa_closed_form, sampling(l)):
+        for per_pair in (math.inf, l):
             grid = [
-                [predict(h, tau, EstimatorConfig(seed=seed, n_impostors=n, t_outer=50)).value for n in sorted(ns)]
+                [est.value for est in predict_pfa(h, tau, sorted(ns), seed=seed, t_outer=50, scores_per_pair=per_pair)]
                 for tau in sorted(taus)
             ]
             assert all(a <= b for row in grid for a, b in zip(row, row[1:]))

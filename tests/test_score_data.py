@@ -902,12 +902,15 @@ class TestCache:
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy", "missing", "dtype", "offsets",
                                         "names", "impostor-code-high", "impostor-code-negative",
-                                        "impostor-codes-truncated", "labels-empty"])
+                                        "impostor-codes-truncated", "empty-target", "empty-pair", "empty-name",
+                                        "no-targets", "labels-empty"])
     def test_a_bad_entry_is_a_miss_and_is_replaced(self, tmp_path, parses, damage):
         labels = damage.startswith("labels")
         path = tmp_path / ("l.csv" if labels else "c.csv")
         if labels:
             path.write_text("label,score\ntarget,1\nnontarget,0\n")
+        elif damage == "empty-target":  # two targets of two pairs each: target_offsets [0, 2, 4]
+            path.write_text("target_id,impostor_id,score\na,b,0.5\na,c,1.5\nd,b,2\nd,c,3\n")
         else:
             _small_corpus(tmp_path)
         load = load_labeled_scores if labels else load_corpus
@@ -939,6 +942,17 @@ class TestCache:
                 arrays["pair_impostor"][0] = -1
             elif damage == "impostor-codes-truncated":
                 arrays["pair_impostor"] = arrays["pair_impostor"][:-1]
+            elif damage == "empty-target":
+                arrays["target_offsets"][1] = 0
+            elif damage == "empty-pair":
+                arrays["pair_offsets"][1] = 0
+            elif damage == "empty-name":
+                arrays["name_offsets"][1] = 0
+            elif damage == "no-targets":
+                for name in ("names", "pair_impostor", "scores"):
+                    arrays[name] = arrays[name][:0]
+                for name in ("name_offsets", "target_offsets", "pair_offsets"):
+                    arrays[name] = arrays[name][:1]
             else:
                 arrays["target_scores"] = arrays["target_scores"][:0]
             with entry.open("wb") as out:

@@ -8,13 +8,10 @@ from scipy import special
 
 from wcfar import special_math
 from wcfar.errors import InfeasibleMomentsError, NumericError
-from wcfar.model import EstimatorConfig, Hyperparameters, _sample_targets, gaussian_tail, predict_pfa_closed_form
+from wcfar.model import Hyperparameters, _sample_targets, gaussian_tail, predict_pfa
 from wcfar.special_math import (
-    GammaParams,
-    InvGammaParams,
     digamma,
-    fit_gamma_from_expectations,
-    fit_inv_gamma_from_expectations,
+    gamma_shape,
     gammaln,
     ndtr,
     ndtri,
@@ -37,13 +34,15 @@ EULER_GAMMA = 0.5772156649015328606
 class TestParams:
     @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (np.nan, 1.0)])
     def test_gamma_rejects_bad_params(self, alpha, beta):
+        # the model's gamma prior, lam ~ Gamma(alpha_lambda, beta_lambda)
         with pytest.raises(ValueError):
-            GammaParams(alpha, beta)
+            Hyperparameters(0.0, 1.0, 4.0, 3.0, alpha, beta)
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (np.inf, 1.0)])
     def test_inv_gamma_rejects_bad_params(self, a, b):
+        # the model's inverse-gamma prior, sigma_sq ~ InvGamma(a_sigma, b_sigma)
         with pytest.raises(ValueError):
-            InvGammaParams(a, b)
+            Hyperparameters(0.0, 1.0, a, b, 4.0, 4.0)
 
     @pytest.mark.parametrize("mean,var", [(0.0, 0.0), (0.0, -1.0), (np.nan, 1.0), (0.0, np.inf)])
     def test_gaussian_rejects_bad_params(self, mean, var):
@@ -76,7 +75,7 @@ class TestNormalCdf:
         # a NaN threshold is refused before any tail is evaluated
         h = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
         with pytest.raises(ValueError, match="NaN"):
-            predict_pfa_closed_form(h, np.nan, EstimatorConfig(seed=1))
+            predict_pfa(h, np.nan, [1], seed=1)
 
     @settings(max_examples=300)
     @given(
@@ -236,29 +235,40 @@ class TestSolveShape:
             special_math._solve_shape(-1e-320)
 
 
+def gamma_fit(mean_x, mean_log_x):
+    """Gamma shape and rate fitted to E[x] and E[log x]."""
+    alpha = gamma_shape(mean_x, mean_log_x)
+    return alpha, alpha / mean_x
+
+
+def inv_gamma_fit(mean_inv_x, mean_log_x):
+    """Inverse-gamma shape and scale fitted to E[1/x] and E[log x], as the gamma fit of 1/x."""
+    return gamma_fit(mean_inv_x, -mean_log_x)
+
+
 class TestGammaFit:
     def test_round_trip_known_point(self):
         # moments of Gamma(3, 1.5): E[x] = 2, E[log x] = psi(3) - log(1.5)
         mean_log = float(digamma(3.0) - math.log(1.5))
-        fitted = fit_gamma_from_expectations(2.0, mean_log)
-        assert fitted.alpha == pytest.approx(3.0, rel=1e-9)
-        assert fitted.beta == pytest.approx(1.5, rel=1e-9)
+        alpha, beta = gamma_fit(2.0, mean_log)
+        assert alpha == pytest.approx(3.0, rel=1e-9)
+        assert beta == pytest.approx(1.5, rel=1e-9)
 
     def test_unit_exponential(self):
-        fitted = fit_gamma_from_expectations(1.0, -EULER_GAMMA)
-        assert fitted.alpha == pytest.approx(1.0, rel=1e-9)
-        assert fitted.beta == pytest.approx(1.0, rel=1e-9)
+        alpha, beta = gamma_fit(1.0, -EULER_GAMMA)
+        assert alpha == pytest.approx(1.0, rel=1e-9)
+        assert beta == pytest.approx(1.0, rel=1e-9)
 
     def test_near_degenerate_gap_does_not_diverge(self):
-        fitted = fit_gamma_from_expectations(5.0, math.log(5.0) - 1e-9)
-        assert math.isfinite(fitted.alpha) and fitted.alpha > 1e6
-        assert fitted.beta == pytest.approx(fitted.alpha / 5.0, rel=1e-12)
+        alpha, beta = gamma_fit(5.0, math.log(5.0) - 1e-9)
+        assert math.isfinite(alpha) and alpha > 1e6
+        assert beta == pytest.approx(alpha / 5.0, rel=1e-12)
 
     def test_infeasible_moments(self):
         with pytest.raises(InfeasibleMomentsError):
-            fit_gamma_from_expectations(2.0, math.log(2.0))
+            gamma_shape(2.0, math.log(2.0))
         with pytest.raises(InfeasibleMomentsError):
-            fit_gamma_from_expectations(2.0, math.log(2.0) + 0.5)
+            gamma_shape(2.0, math.log(2.0) + 0.5)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -266,9 +276,9 @@ class TestGammaFit:
         beta=st.floats(1e-3, 1e3),
     )
     def test_round_trip_identity(self, alpha, beta):
-        fitted = fit_gamma_from_expectations(*gamma_moments(alpha, beta))
-        assert fitted.alpha == pytest.approx(alpha, rel=1e-6)
-        assert fitted.beta == pytest.approx(beta, rel=1e-6)
+        fitted_alpha, fitted_beta = gamma_fit(*gamma_moments(alpha, beta))
+        assert fitted_alpha == pytest.approx(alpha, rel=1e-6)
+        assert fitted_beta == pytest.approx(beta, rel=1e-6)
 
     def test_beats_grid_oracle(self):
         rng = RngStream(21).generator()
@@ -276,26 +286,26 @@ class TestGammaFit:
             alpha = float(np.exp(rng.uniform(np.log(0.1), np.log(100.0))))
             beta = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
             mean, mean_log = gamma_moments(alpha, beta)
-            fitted = fit_gamma_from_expectations(mean, mean_log)
-            ours = gamma_fit_objective(fitted, mean, mean_log)
-            best, _, _ = gamma_objective_grid(mean, mean_log, fitted.alpha, fitted.beta)
+            fitted = gamma_fit(mean, mean_log)
+            ours = gamma_fit_objective(*fitted, mean, mean_log)
+            best, _, _ = gamma_objective_grid(mean, mean_log, *fitted)
             assert ours >= best - 1e-8
 
 
 class TestInvGammaFit:
     def test_round_trip_known_point(self):
-        fitted = fit_inv_gamma_from_expectations(*inv_gamma_moments(4.0, 6.0))
-        assert fitted.a == pytest.approx(4.0, rel=1e-9)
-        assert fitted.b == pytest.approx(6.0, rel=1e-9)
+        a, b = inv_gamma_fit(*inv_gamma_moments(4.0, 6.0))
+        assert a == pytest.approx(4.0, rel=1e-9)
+        assert b == pytest.approx(6.0, rel=1e-9)
 
     def test_unit_case(self):
-        fitted = fit_inv_gamma_from_expectations(1.0, float(-digamma(1.0)))
-        assert fitted.a == pytest.approx(1.0, rel=1e-9)
-        assert fitted.b == pytest.approx(1.0, rel=1e-9)
+        a, b = inv_gamma_fit(1.0, float(-digamma(1.0)))
+        assert a == pytest.approx(1.0, rel=1e-9)
+        assert b == pytest.approx(1.0, rel=1e-9)
 
     def test_infeasible_moments(self):
         with pytest.raises(InfeasibleMomentsError):
-            fit_inv_gamma_from_expectations(2.0, -math.log(2.0))
+            inv_gamma_fit(2.0, -math.log(2.0))
 
     def test_beats_grid_oracle(self):
         rng = RngStream(22).generator()
@@ -303,7 +313,7 @@ class TestInvGammaFit:
             a = float(np.exp(rng.uniform(np.log(0.1), np.log(100.0))))
             b = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
             mean_inv, mean_log = inv_gamma_moments(a, b)
-            fitted = fit_inv_gamma_from_expectations(mean_inv, mean_log)
-            ours = inv_gamma_fit_objective(fitted, mean_inv, mean_log)
-            best, _, _ = inv_gamma_objective_grid(mean_inv, mean_log, fitted.a, fitted.b)
+            fitted = inv_gamma_fit(mean_inv, mean_log)
+            ours = inv_gamma_fit_objective(*fitted, mean_inv, mean_log)
+            best, _, _ = inv_gamma_objective_grid(mean_inv, mean_log, *fitted)
             assert ours >= best - 1e-8

@@ -7,7 +7,7 @@ from scipy.special import ndtri
 from wcfar.estimators import estimate_pfa_worst_case
 from wcfar.inference import fit
 from wcfar.metrics import eer_threshold
-from wcfar.model import EstimatorConfig, Hyperparameters, predict_pfa_sampling
+from wcfar.model import Hyperparameters, predict_pfa
 from wcfar.synthetic import (
     SyntheticSpec,
     ToyAsvSpec,
@@ -72,12 +72,10 @@ class TestModelCorpus:
             theta=THETA, t_targets=2000, n_impostors_per_target=100, l_scores_per_pair=20, seed=53
         )
         packed = generate_model_corpus(spec)
-        for n in (1, 10, 50):
+        sizes = [1, 10, 50]
+        models = predict_pfa(THETA, 1.5, sizes, seed=55, t_outer=5_000, scores_per_pair=20)
+        for n, model in zip(sizes, models):
             emp = estimate_pfa_worst_case(packed, 1.5, n)
-            model = predict_pfa_sampling(
-                THETA, 1.5, EstimatorConfig(seed=55, n_impostors=n, t_outer=5_000),
-                scores_per_pair=20,
-            )
             se_emp = (emp.ci_high - emp.ci_low) / (2.0 * Z99)
             se_model = (model.ci_high - model.ci_low) / (2.0 * Z99)
             tolerance = Z99 * math.hypot(se_emp, se_model)
