@@ -172,26 +172,27 @@ def _load_corpus(args):
 
 
 def _resolve_tau(args) -> float:
-    if getattr(args, "tau", None) is not None:
+    """--tau, or the 'tau' of the --threshold file; argparse requires exactly one of them."""
+    if args.tau is not None:
         return args.tau
-    if getattr(args, "threshold", None) is not None:
-        with open(args.threshold) as fh:
-            try:
-                return float(json.load(fh)["tau"])
-            except (KeyError, TypeError, ValueError):
-                raise ValueError(
-                    f"threshold file {args.threshold} must hold a JSON object with a numeric 'tau'"
-                ) from None
-    raise ValueError("one of --tau or --threshold is required")
+    try:
+        return float(_read_json(args.threshold)["tau"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"threshold file {args.threshold} must hold a JSON object with a numeric 'tau'") from None
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """A CSV table of `header` and `rows`, one line each."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _estimate_csv(rows: list[tuple[int, EstimateWithCI]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "estimate", "ci_low", "ci_high"])
-    for n, est in rows:
-        writer.writerow([n, _fmt(est.value), _fmt(est.ci_low), _fmt(est.ci_high)])
-    return buf.getvalue()
+    table = ([n, _fmt(est.value), _fmt(est.ci_low), _fmt(est.ci_high)] for n, est in rows)
+    return _csv_text(["N", "estimate", "ci_low", "ci_high"], table)
 
 
 # ---------------------------------------------------------------- commands
@@ -205,23 +206,18 @@ def cmd_threshold(args) -> int:
 
     labeled = load_labeled_scores(args.labels)
     if args.eer:
-        spec, metric = eer_threshold(labeled)
+        tau, metric, degenerate = eer_threshold(labeled)
+        payload = {"provenance": "eer"}
     else:
-        spec, metric = min_dcf_threshold(labeled, args.dcf)
-    payload = {
-        "tau": spec.tau,
-        "metric_value": metric,
-        "provenance": spec.provenance,
-        "degenerate": spec.degenerate,
-    }
-    if spec.dcf_params is not None:
-        payload["dcf_params"] = asdict(spec.dcf_params)
+        tau, metric, degenerate = min_dcf_threshold(labeled, args.dcf)
+        payload = {"provenance": "min_dcf", "dcf_params": asdict(args.dcf)}
+    payload.update(tau=tau, metric_value=metric, degenerate=degenerate)
     _write_text(_json_dump(payload), args.out)
     return 0
 
 
 def cmd_fit(args) -> int:
-    from .inference import fit
+    from .inference import SHAPE_CAP, fit
 
     corpus = _load_corpus(args)
     init = _load_theta(args.init) if args.init else None
@@ -237,14 +233,12 @@ def cmd_fit(args) -> int:
     payload["iterations"] = report.iterations
     _write_text(_json_dump(payload), args.out)
     if args.trace:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["iteration", "elbo"])
-        for i, value in enumerate(report.elbo_trace, start=1):
-            writer.writerow([i, _fmt(value)])
-        _write_text(buf.getvalue(), args.trace)
+        table = ([i, _fmt(value)] for i, value in enumerate(report.elbo_trace, start=1))
+        _write_text(_csv_text(["iteration", "elbo"], table), args.trace)
     if not report.converged:
-        print(f"warning: EM stopped at max_iter={args.max_iter} before converging", file=sys.stderr)
+        capped = [name for name in ("alpha_lambda", "a_sigma") if getattr(report.hyperparameters, name) >= SHAPE_CAP]
+        why = "".join(f"; {name} sits at its cap {SHAPE_CAP:g}: the corpus does not identify it" for name in capped)
+        print(f"warning: EM stopped at max_iter={args.max_iter} before converging{why}", file=sys.stderr)
     return 0
 
 
@@ -323,9 +317,7 @@ def cmd_curve(args) -> int:
         raise ValueError("population sizes must be ascending")
     capacity = int(packed.pairs_per_target.min())
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "tau_label", "tau", "source", "estimate", "ci_low", "ci_high"])
+    table = []
     for label, tau in taus:
         # n_list is ascending, so the empirical rows are those of its first N
         empirical = [estimate_pfa_worst_case(packed, tau, n) for n in n_list if n <= capacity]
@@ -333,8 +325,8 @@ def cmd_curve(args) -> int:
         for i, n in enumerate(n_list):
             rows = [("empirical", empirical[i])] if i < len(empirical) else []
             for source, est in rows + [("model", model[i])]:
-                writer.writerow([n, label, _fmt(tau), source, _fmt(est.value), _fmt(est.ci_low), _fmt(est.ci_high)])
-    _write_text(buf.getvalue(), args.out)
+                table.append([n, label, _fmt(tau), source, _fmt(est.value), _fmt(est.ci_low), _fmt(est.ci_high)])
+    _write_text(_csv_text(["N", "tau_label", "tau", "source", "estimate", "ci_low", "ci_high"], table), args.out)
     return 0
 
 
@@ -342,8 +334,9 @@ def cmd_diagnose(args) -> int:
     from .estimators import diagnose
 
     corpus = _load_corpus(args)
-    report = diagnose(corpus, _resolve_tau(args), args.n_impostors)
-    _write_text(_json_dump({**report.to_json(), "t_outer": args.t_outer}), args.out)
+    tau = _resolve_tau(args)  # before `diagnose`, so a bad --threshold file is reported before a bad N
+    echo = {"tau": tau, "n_impostors": args.n_impostors, "t_outer": args.t_outer}
+    _write_text(_json_dump({**diagnose(corpus, args.n_impostors).to_json(), **echo}), args.out)
     return 0
 
 

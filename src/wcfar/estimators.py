@@ -19,7 +19,8 @@ targets, and the confidence interval is a 99% normal approximation across
 targets, the independent units of the corpus.  With one candidate the
 worst-case scheme reduces to zero effort, as does picking a random member
 of the candidate set at any N.  Nothing here draws a random number, so
-the estimators take the threshold and N only.
+the estimators take the threshold and N only, and `diagnose`, which reads
+no threshold, takes N only.
 """
 
 from __future__ import annotations
@@ -165,8 +166,6 @@ class DiagnosticsReport:
     selection probability that falls on the other pairs.
     """
 
-    tau: float
-    n_impostors: int
     avg_pairwise_skewness: float | None
     pair_mean_skewness: float | None
     skewness_excluded_pairs: int
@@ -188,7 +187,7 @@ def _selected_stdev(pair_var: np.ndarray, weights: np.ndarray) -> tuple[float | 
     return float(math.sqrt(weights[kept] @ pair_var[kept] / kept_weight)), excluded_share
 
 
-def diagnose(corpus: PackedCorpus, tau: float, n_impostors: int) -> DiagnosticsReport:
+def diagnose(corpus: PackedCorpus, n_impostors: int) -> DiagnosticsReport:
     """Quantify how far the corpus is from the generative model's assumptions.
 
     Reports the average skewness of per-pair scores, the skewness of the
@@ -205,8 +204,6 @@ def diagnose(corpus: PackedCorpus, tau: float, n_impostors: int) -> DiagnosticsR
     closest_sd, closest_share = _selected_stdev(pair_var, _closest_weights(packed, n_impostors))
     random_sd, random_share = _selected_stdev(pair_var, _uniform_weights(packed))
     return DiagnosticsReport(
-        tau=tau,
-        n_impostors=n_impostors,
         avg_pairwise_skewness=float(kept.mean()) if kept.size else None,
         pair_mean_skewness=sample_skewness(packed.pair_means()),
         skewness_excluded_pairs=int(skews.size - kept.size),

@@ -8,11 +8,16 @@ sentinel below and above everything; the detection cost is piecewise
 constant between scores, so this scan attains its global minimum.  When the
 pool holds a single distinct score, that score is the only candidate and
 the threshold is flagged degenerate.
+
+`eer_threshold` and `min_dcf_threshold` each return ``(tau, metric,
+degenerate)``: the threshold, the EER or normalised cost achieved there,
+and that flag.  A `LabeledScoreSet` holds finite scores only, and the
+midpoints are taken as ``0.5 * a + 0.5 * b``, which cannot overflow, so
+tau is always finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,22 +40,6 @@ class DcfParams:
             raise ValueError(f"costs must be positive, got {self.c_miss}, {self.c_fa}")
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """An operating threshold and how it was chosen."""
-
-    tau: float
-    provenance: str  # "eer" | "min_dcf" | "manual"
-    dcf_params: DcfParams | None = None
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if not math.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau}")
-        if self.provenance not in ("eer", "min_dcf", "manual"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
-
 def _scan(s: LabeledScoreSet):
     """Candidate thresholds, (P_miss, P_fa) at each, and whether the pool holds one distinct score."""
     tar = np.sort(np.asarray(s.target_scores, dtype=float))
@@ -58,15 +47,15 @@ def _scan(s: LabeledScoreSet):
     pooled = np.sort(np.concatenate((tar, non)))
     distinct = pooled[np.concatenate(([True], pooled[1:] != pooled[:-1]))]
     degenerate = distinct.size == 1
-    mids = 0.5 * (distinct[:-1] + distinct[1:])
+    mids = 0.5 * distinct[:-1] + 0.5 * distinct[1:]
     taus = distinct if degenerate else np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
     p_miss = np.searchsorted(tar, taus, side="right") / len(tar)
     p_fa = 1.0 - np.searchsorted(non, taus, side="right") / len(non)
     return taus, p_miss, p_fa, degenerate
 
 
-def eer_threshold(s: LabeledScoreSet) -> tuple[ThresholdSpec, float]:
-    """Threshold equalising false alarm and miss rates, with the achieved EER.
+def eer_threshold(s: LabeledScoreSet) -> tuple[float, float, bool]:
+    """Threshold equalising false alarm and miss rates, the achieved EER, and the degenerate flag.
 
     Returns the candidate minimising |P_fa - P_miss|; ties break toward the
     smaller threshold.  If every pooled score is identical the threshold
@@ -74,14 +63,11 @@ def eer_threshold(s: LabeledScoreSet) -> tuple[ThresholdSpec, float]:
     """
     taus, p_miss, p_fa, degenerate = _scan(s)
     k = int(np.argmin(np.abs(p_fa - p_miss)))
-    return (
-        ThresholdSpec(tau=float(taus[k]), provenance="eer", degenerate=degenerate),
-        float(0.5 * (p_fa[k] + p_miss[k])),
-    )
+    return float(taus[k]), float(0.5 * (p_fa[k] + p_miss[k])), degenerate
 
 
-def min_dcf_threshold(s: LabeledScoreSet, p: DcfParams) -> tuple[ThresholdSpec, float]:
-    """Threshold minimising the normalised detection cost, with that cost.
+def min_dcf_threshold(s: LabeledScoreSet, p: DcfParams) -> tuple[float, float, bool]:
+    """Threshold minimising the normalised detection cost, that cost, and the degenerate flag.
 
     The cost p_target*c_miss*P_miss + (1-p_target)*c_fa*P_fa is normalised
     by the better of the two trivial all-accept/all-reject systems.
@@ -90,5 +76,4 @@ def min_dcf_threshold(s: LabeledScoreSet, p: DcfParams) -> tuple[ThresholdSpec, 
     norm = min(p.p_target * p.c_miss, (1.0 - p.p_target) * p.c_fa)
     dcf = (p.p_target * p.c_miss * p_miss + (1.0 - p.p_target) * p.c_fa * p_fa) / norm
     k = int(np.argmin(dcf))
-    spec = ThresholdSpec(tau=float(taus[k]), provenance="min_dcf", dcf_params=p, degenerate=degenerate)
-    return spec, float(dcf[k])
+    return float(taus[k]), float(dcf[k]), degenerate

@@ -63,14 +63,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LabeledScoreSet:
-    """Target and non-target trial scores for threshold calibration."""
+    """Target and non-target trial scores for threshold calibration; every score is finite."""
 
     target_scores: np.ndarray
     nontarget_scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "target_scores", _frozen_array(self.target_scores))
-        object.__setattr__(self, "nontarget_scores", _frozen_array(self.nontarget_scores))
+        for name in ("target_scores", "nontarget_scores"):
+            scores = _frozen_array(getattr(self, name))
+            if not np.isfinite(scores).all():
+                raise ValueError(f"{name} holds a score that is not finite")
+            object.__setattr__(self, name, scores)
 
     def __eq__(self, other):
         return (

@@ -84,6 +84,16 @@ class TestThresholdCommand:
         assert payload["provenance"] == "min_dcf"
         assert payload["dcf_params"]["c_fa"] == 10.0
 
+    def test_scores_at_the_float_range(self, tmp_path, capsys):
+        # the midpoint of the two scores overflowed when taken as 0.5 * (a + b)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("label,score\ntarget,1.79e308\nnontarget,1.7e308\n")
+        assert run(["threshold", "--labels", labels, "--eer"]) == 0
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert np.isfinite(payload["tau"]) and payload["metric_value"] == 0.0
+        assert err == ""
+
     def test_missing_file(self, capsys):
         assert run(["threshold", "--labels", "/nonexistent.csv", "--eer"]) == 1
         assert "error" in capsys.readouterr().err
@@ -153,6 +163,24 @@ class TestFitCommand:
         [line] = captured.err.splitlines()
         assert line.startswith("error: cannot fit") and reason in line
 
+    def test_a_shape_at_its_cap_is_named_when_em_stops(self, tmp_path, capsys):
+        # constant pairs with means 0, 0.1, ..., 0.5 in each target: alpha_lambda reaches the cap at iteration 1
+        rows = "".join(f"t{t},i{j},{j / 10}\n" for t in range(5) for j in range(6) for _ in range(4))
+        path = tmp_path / "corpus.csv"
+        path.write_text("target_id,impostor_id,score\n" + rows)
+        assert run(["fit", "--corpus", path, "--max-iter", "20"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["iterations"] == 20 and not payload["converged"]
+        assert captured.err.splitlines() == [
+            "warning: EM stopped at max_iter=20 before converging; "
+            "alpha_lambda sits at its cap 1e+06: the corpus does not identify it"
+        ]
+
+    def test_no_shape_is_named_below_its_cap(self, corpus_csv, capsys):
+        assert run(["fit", "--corpus", corpus_csv, "--max-iter", "2"]) == 0
+        assert capsys.readouterr().err.splitlines() == ["warning: EM stopped at max_iter=2 before converging"]
+
 
 class TestEmpiricalCommand:
     def test_csv_output(self, corpus_csv, capsys):
@@ -196,6 +224,19 @@ class TestEmpiricalCommand:
         assert len(errors) == 1 and "--format" in errors[0] and "format=" not in errors[0]
         args = ["empirical", "--corpus", bare, "--format", "csv", "--tau", "1.0", "--n", "1"]
         assert run(args) == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,x", "expected a comma-separated integer list, got '1,x'"),
+        (",", "empty population-size list"),
+    ], ids=["not-an-integer", "no-integer"])
+    def test_bad_population_list(self, corpus_csv, capsys, text, message):
+        assert run(["empirical", "--corpus", corpus_csv, "--tau", "1.0", "--n", text]) == 1
+        assert error_lines(capsys) == [f"error: {message}"]
+
+    def test_t_outer_not_an_integer(self, corpus_csv, capsys):
+        assert run(["empirical", "--corpus", corpus_csv, "--tau", "1.0", "--n", "1", "--t-outer", "x"]) == 1
+        [line] = error_lines(capsys)
+        assert "--t-outer: invalid int value: 'x'" in line
 
     def test_population_exceeding_corpus(self, corpus_csv, capsys):
         code = run(
@@ -441,6 +482,12 @@ class TestSimulateCommand:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert hashlib.sha256(data).hexdigest() == self.PINNED["model"]["sim.csv"]
 
+    def test_spec_not_an_object(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("[1, 2]")
+        assert run(["simulate", "--spec", spec_path]) == 1
+        assert error_lines(capsys) == [f"error: spec {spec_path} must hold a JSON object"]
+
     def test_spec_not_json(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("nope")
@@ -620,6 +667,13 @@ class TestDiagnoseCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_impostors"] == 4
         assert payload["closest_impostor_stdev"] > 0
+        # the command echoes its threshold, N and t_outer beside the report's fields
+        assert (payload["tau"], payload["t_outer"]) == (1.0, 300)
+        assert set(payload) == {
+            "tau", "n_impostors", "t_outer", "avg_pairwise_skewness", "pair_mean_skewness",
+            "skewness_excluded_pairs", "closest_impostor_stdev", "random_impostor_stdev",
+            "closest_excluded_share", "random_excluded_share",
+        }
 
 
 class TestScoreFiles:

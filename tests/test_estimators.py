@@ -210,9 +210,14 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"n_impostors must be >= 1, got {n}"):
                 estimate_pfa_worst_case(corpus, 0.0, n)
             with pytest.raises(ValueError, match=f"n_impostors must be >= 1, got {n}"):
-                diagnose(corpus, 0.0, n)
+                diagnose(corpus, n)
         with pytest.raises(ValueError, match="n_impostors must be at most"):
             predict_pfa(THETA, 0.0, [10**400], seed=1)
+
+    def test_nan_tau(self):
+        corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0]}})
+        with pytest.raises(ValueError, match="tau must not be NaN"):
+            estimate_pfa_worst_case(corpus, math.nan, 1)
 
     def test_estimate_invariants(self):
         with pytest.raises(ValueError):
@@ -232,7 +237,7 @@ class TestDiagnose:
                 seed=41,
             )
         )
-        report = diagnose(corpus, 1.0, 1)
+        report = diagnose(corpus, 1)
         assert abs(report.pair_mean_skewness) < 4.0 * math.sqrt(6.0 / 2000)
 
     def test_closest_impostors_lower_spread_when_constructed(self):
@@ -245,16 +250,16 @@ class TestDiagnose:
             sd = 0.5 if j >= 20 else 2.0
             groups[f"i{j:02d}"] = mean + sd * g.standard_normal(40)
         corpus = PackedCorpus.from_groups({"t": groups})
-        report = diagnose(corpus, 10.0, 10)
+        report = diagnose(corpus, 10)
         assert report.closest_impostor_stdev < report.random_impostor_stdev
 
     def test_short_pairs_are_counted(self):
         corpus = PackedCorpus.from_groups({"t": {"a": [0.5], "b": [0.1, 0.9, 0.2], "c": [0.4, 0.6, 0.8]}})
-        report = diagnose(corpus, 0.0, 1)
+        report = diagnose(corpus, 1)
         assert report.skewness_excluded_pairs == 1
         # a constant pair has no skewness, even where its mean is off by an ulp
         constant = PackedCorpus.from_groups({"t": {"a": [0.1] * 3, "b": [0.2, 0.5, 0.9]}})
-        report_constant = diagnose(constant, 0.0, 1)
+        report_constant = diagnose(constant, 1)
         assert report_constant.skewness_excluded_pairs == 1
         assert report_constant.avg_pairwise_skewness == pytest.approx(
             sample_skewness([0.2, 0.5, 0.9]), rel=1e-12
@@ -266,11 +271,18 @@ class TestDiagnose:
         total = report.to_json()
         assert set(total) >= {"avg_pairwise_skewness", "closest_impostor_stdev"}
 
+    def test_single_score_pairs_have_no_spread(self):
+        corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0]}, "u": {"a": [2.0], "b": [0.5]}})
+        report = diagnose(corpus, 2)
+        assert report.closest_impostor_stdev is None and report.random_impostor_stdev is None
+        assert report.closest_excluded_share == 1.0 and report.random_excluded_share == 1.0
+        assert report.avg_pairwise_skewness is None and report.skewness_excluded_pairs == 4
+
     def test_spreads_are_selection_weighted(self):
         # ranks by mean: c, b, a.  At N = 2, c wins with probability 2/3 and
         # b with 1/3; a random pick takes each pair with probability 1/3
         corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0, 3.0], "c": [3.0, 7.0]}})
-        report = diagnose(corpus, 0.0, 2)
+        report = diagnose(corpus, 2)
         assert report.closest_impostor_stdev == pytest.approx(math.sqrt((2 * 8.0 + 2.0) / 3.0), rel=1e-12)
         assert report.closest_excluded_share == 0.0
         assert report.random_impostor_stdev == pytest.approx(math.sqrt(5.0), rel=1e-12)
@@ -330,7 +342,7 @@ class TestExactOracles:
     def test_diagnose_within_loop_oracle_halfwidth(self, n, seed):
         corpus = PackedCorpus.from_groups(unequal_model_groups(5))
         t_outer = 20_000
-        report = diagnose(corpus, 0.8, n)
+        report = diagnose(corpus, n)
         loop = loop_diagnose_variances(corpus, n, seed=seed, t_outer=t_outer)
         for name in ("closest", "random"):
             kept, share = loop[name]

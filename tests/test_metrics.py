@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtr
 
 from wcfar.estimators import estimate_pfa_zero_effort
-from wcfar.metrics import DcfParams, ThresholdSpec, eer_threshold, min_dcf_threshold
+from wcfar.metrics import DcfParams, eer_threshold, min_dcf_threshold
 from wcfar.score_data import LabeledScoreSet, PackedCorpus
 from wcfar.streams import RngStream
 
@@ -80,29 +80,36 @@ class TestEer:
             target_scores=g.normal(1.0, 1.0, size=100_000),
             nontarget_scores=g.normal(-1.0, 1.0, size=100_000),
         )
-        spec, eer = eer_threshold(labeled)
-        assert spec.tau == pytest.approx(0.0, abs=0.02)
+        tau, eer, degenerate = eer_threshold(labeled)
+        assert tau == pytest.approx(0.0, abs=0.02)
         assert eer == pytest.approx(float(ndtr(-1.0)), abs=0.005)
-        assert spec.provenance == "eer"
-        assert not spec.degenerate
+        assert not degenerate
 
     def test_separable_returns_midpoint(self):
         labeled = LabeledScoreSet(target_scores=[1.0, 2.0], nontarget_scores=[-2.0, -1.0])
-        spec, eer = eer_threshold(labeled)
-        assert spec.tau == pytest.approx(0.0)
+        tau, eer, _ = eer_threshold(labeled)
+        assert tau == pytest.approx(0.0)
         assert eer == 0.0
 
     def test_single_scores_midpoint(self):
         labeled = LabeledScoreSet(target_scores=[1.0], nontarget_scores=[0.0])
-        spec, eer = eer_threshold(labeled)
-        assert spec.tau == pytest.approx(0.5)
+        tau, eer, _ = eer_threshold(labeled)
+        assert tau == pytest.approx(0.5)
         assert eer == 0.0
+
+    def test_scores_at_the_float_range_give_a_finite_midpoint(self):
+        # 0.5 * (a + b) overflows here; the midpoint 1.745e308 separates the classes
+        labeled = LabeledScoreSet(target_scores=[1.79e308], nontarget_scores=[1.7e308, -1.79e308])
+        tau, eer, degenerate = eer_threshold(labeled)
+        assert math.isfinite(tau) and 1.7e308 <= tau < 1.79e308
+        assert eer == 0.0 and not degenerate
+        assert min_dcf_threshold(labeled, DcfParams(0.5, 1.0, 1.0))[:2] == (tau, 0.0)
 
     def test_degenerate_flag(self):
         labeled = LabeledScoreSet(target_scores=[2.0, 2.0], nontarget_scores=[2.0])
-        spec, eer = eer_threshold(labeled)
-        assert spec.degenerate
-        assert spec.tau == 2.0
+        tau, eer, degenerate = eer_threshold(labeled)
+        assert degenerate
+        assert tau == 2.0
         assert eer == 0.5
 
     def test_matches_exhaustive_scan(self):
@@ -113,12 +120,12 @@ class TestEer:
             target_scores=g.normal(1.0, 1.0, size=20_000),
             nontarget_scores=g.normal(-1.0, 1.0, size=30_001),
         )
-        spec, eer = eer_threshold(labeled)
+        tau, eer, _ = eer_threshold(labeled)
         pooled = np.concatenate([labeled.target_scores, labeled.nontarget_scores])
         eps = 1e-9
         candidates = np.concatenate([pooled - eps, pooled, pooled + eps])
         p_miss, p_fa = rates_at(candidates, labeled)
-        miss, fa = rates_at(spec.tau, labeled)
+        miss, fa = rates_at(tau, labeled)
         assert abs(fa - miss) <= np.abs(p_fa - p_miss).min() + 1e-12
         assert eer == pytest.approx(0.5 * (fa + miss), abs=1e-12)
 
@@ -141,7 +148,7 @@ class TestMinDcf:
     @pytest.mark.parametrize("params", SETTINGS)
     def test_matches_exhaustive_scan(self, params):
         labeled = self.overlapping()
-        spec, dcf = min_dcf_threshold(labeled, params)
+        tau, dcf, _ = min_dcf_threshold(labeled, params)
         pooled = np.concatenate([labeled.target_scores, labeled.nontarget_scores])
         eps = 1e-9
         candidates = np.concatenate(
@@ -149,37 +156,37 @@ class TestMinDcf:
         )
         oracle = dcf_at(candidates, labeled, params).min()
         assert dcf <= oracle + 1e-12
-        assert dcf == pytest.approx(float(dcf_at(spec.tau, labeled, params)), abs=1e-12)
+        assert dcf == pytest.approx(float(dcf_at(tau, labeled, params)), abs=1e-12)
 
     def test_cost_asymmetry_moves_threshold(self):
         labeled = self.overlapping()
-        tau_miss_heavy = min_dcf_threshold(labeled, self.SETTINGS[0])[0].tau
-        tau_balanced = min_dcf_threshold(labeled, self.SETTINGS[1])[0].tau
-        tau_fa_heavy = min_dcf_threshold(labeled, self.SETTINGS[2])[0].tau
+        tau_miss_heavy, _, _ = min_dcf_threshold(labeled, self.SETTINGS[0])
+        tau_balanced, _, _ = min_dcf_threshold(labeled, self.SETTINGS[1])
+        tau_fa_heavy, _, _ = min_dcf_threshold(labeled, self.SETTINGS[2])
         assert tau_miss_heavy < tau_balanced < tau_fa_heavy
 
     def test_separable_cost_zero(self):
         labeled = LabeledScoreSet(target_scores=[1.0, 2.0], nontarget_scores=[-2.0, -1.0])
-        _, dcf = min_dcf_threshold(labeled, DcfParams(0.5, 1.0, 1.0))
+        _, dcf, _ = min_dcf_threshold(labeled, DcfParams(0.5, 1.0, 1.0))
         assert dcf == 0.0
 
     def test_huge_fa_cost_pushes_threshold_up(self):
         labeled = self.overlapping()
-        spec, _ = min_dcf_threshold(labeled, DcfParams(0.5, 1.0, 1e9))
-        assert spec.tau > labeled.nontarget_scores.max()
+        tau, _, _ = min_dcf_threshold(labeled, DcfParams(0.5, 1.0, 1e9))
+        assert tau > labeled.nontarget_scores.max()
 
     def test_min_dcf_not_worse_than_eer_threshold(self):
         labeled = self.overlapping()
         for params in self.SETTINGS:
-            _, dcf = min_dcf_threshold(labeled, params)
-            eer_spec, _ = eer_threshold(labeled)
-            assert dcf <= dcf_at(eer_spec.tau, labeled, params) + 1e-12
+            _, dcf, _ = min_dcf_threshold(labeled, params)
+            eer_tau, _, _ = eer_threshold(labeled)
+            assert dcf <= dcf_at(eer_tau, labeled, params) + 1e-12
 
     def test_degenerate_flag(self):
         labeled = LabeledScoreSet(target_scores=[1.0], nontarget_scores=[1.0])
-        spec, dcf = min_dcf_threshold(labeled, DcfParams(0.5, 1.0, 1.0))
-        assert spec.degenerate
-        assert spec.tau == 1.0
+        tau, dcf, degenerate = min_dcf_threshold(labeled, DcfParams(0.5, 1.0, 1.0))
+        assert degenerate
+        assert tau == 1.0
         assert dcf == 1.0
 
 
@@ -189,8 +196,9 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             DcfParams(p, cm, cf)
 
-    def test_threshold_spec_requires_finite_tau(self):
-        with pytest.raises(ValueError):
-            ThresholdSpec(tau=math.inf, provenance="manual")
-        with pytest.raises(ValueError):
-            ThresholdSpec(tau=0.0, provenance="guess")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_labeled_scores_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="target_scores holds a score that is not finite"):
+            LabeledScoreSet([bad], [0.0])
+        with pytest.raises(ValueError, match="nontarget_scores holds a score that is not finite"):
+            LabeledScoreSet([0.0], [1.0, bad])

@@ -39,6 +39,10 @@ class TestHyperparameters:
         with pytest.raises(ValueError, match="missing key"):
             Hyperparameters.from_json({"mu0": 0.0})
 
+    def test_json_not_an_object(self):
+        with pytest.raises(ValueError, match="must be an object, got list"):
+            Hyperparameters.from_json([])
+
     @pytest.mark.parametrize(
         "field", ["sigma0_sq", "a_sigma", "b_sigma", "alpha_lambda", "beta_lambda"]
     )

@@ -131,6 +131,11 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="line 1"):
             load_corpus(path)
 
+    def test_jsonl_row_not_an_object(self, tmp_path):
+        path = write(tmp_path, "c.jsonl", ["[1, 2]"])
+        with pytest.raises(ParseError, match="line 1: row is not an object"):
+            load_corpus(path)
+
     def test_jsonl_missing_key(self, tmp_path):
         path = write(tmp_path, "c.jsonl", [json.dumps({"target": "a", "score": 1.0})])
         with pytest.raises(ParseError, match="impostor"):
@@ -640,7 +645,7 @@ class TestCorpusStats:
         assert abs(skew) < 4.0 * np.sqrt(6.0 / 3000)
 
     def test_json_serialisable(self):
-        report = diagnose(self.corpus(), 1.0, 2)
+        report = diagnose(self.corpus(), 2)
         payload = json.loads(json.dumps(report.to_json()))
         assert payload["avg_pairwise_skewness"] == pytest.approx(0.0, abs=1e-12)
         assert payload["skewness_excluded_pairs"] == 1

@@ -270,6 +270,10 @@ class TestGammaFit:
         with pytest.raises(InfeasibleMomentsError):
             gamma_shape(2.0, math.log(2.0) + 0.5)
 
+    def test_invalid_moments(self):
+        with pytest.raises(ValueError, match="invalid moments"):
+            gamma_shape(0.0, 0.0)
+
     @settings(max_examples=100, deadline=None)
     @given(
         alpha=st.floats(0.05, 500.0),

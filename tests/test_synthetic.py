@@ -119,7 +119,7 @@ class TestToyAsv:
             n_speakers=40, n_utts_per_speaker=8, seed=5,
         )
         _, labeled = generate_toy_asv_corpus(spec)
-        _, eer = eer_threshold(labeled)
+        _, eer, _ = eer_threshold(labeled)
         assert eer == pytest.approx(0.5, abs=0.03)
 
     def test_requires_two_utterances(self):
@@ -128,6 +128,22 @@ class TestToyAsv:
                 ToyAsvSpec(embedding_dim=4, speaker_spread=1.0, utterance_noise=0.5,
                            n_speakers=3, n_utts_per_speaker=1, seed=1)
             )
+
+    def test_requires_two_speakers(self):
+        with pytest.raises(ValueError, match="non-target trials"):
+            generate_toy_asv_corpus(
+                ToyAsvSpec(embedding_dim=4, speaker_spread=1.0, utterance_noise=0.5,
+                           n_speakers=1, n_utts_per_speaker=3, seed=1)
+            )
+
+    @pytest.mark.parametrize("field, message", [
+        ("embedding_dim", "dimensions and counts must be >= 1"),
+        ("speaker_spread", "spread parameters must be positive"),
+    ], ids=["embedding_dim", "speaker_spread"])
+    def test_spec_validation(self, field, message):
+        spec = dict(embedding_dim=4, speaker_spread=1.0, utterance_noise=0.5, n_speakers=3, n_utts_per_speaker=2, seed=1)
+        with pytest.raises(ValueError, match=message):
+            ToyAsvSpec(**{**spec, field: 0})
 
     def test_pair_scores_gaussian_in_high_dimension(self):
         # the squared-distance score has a chi-square component whose skew
@@ -148,10 +164,10 @@ class TestToyAsv:
 
     def test_worst_case_rate_grows_with_population(self):
         corpus, labeled = generate_toy_asv_corpus(self.SPEC)
-        spec, eer = eer_threshold(labeled)
+        tau, eer, _ = eer_threshold(labeled)
         assert 0.05 < eer < 0.35
         estimates = [
-            estimate_pfa_worst_case(corpus, spec.tau, n)
+            estimate_pfa_worst_case(corpus, tau, n)
             for n in (1, 10, 100)
         ]
         for smaller, larger in zip(estimates, estimates[1:]):
