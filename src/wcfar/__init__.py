@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ["NumericError"],
     "estimators": ["EstimateWithCI", "diagnose", "estimate_pfa_worst_case", "estimate_pfa_zero_effort"],
-    "inference": ["PosteriorFactors", "e_step", "fit", "sufficient_stats"],
+    "inference": ["PosteriorFactors", "e_step", "fit"],
     "metrics": ["DcfParams", "eer_threshold", "min_dcf_threshold"],
     "model": ["Hyperparameters", "predict_pfa"],
     "score_data": ["PackedCorpus", "load_corpus", "load_labeled_scores"],

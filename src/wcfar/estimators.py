@@ -14,13 +14,12 @@ Both are computed as the exact expectation over these draws, not by
 simulating them.  Within a target of P pairs ranked by mean, highest first
 with ties to the lower pair index, the rank-k pair is the closest of N
 with probability C(P-1-k, N-1) / C(P, N); each target's value is the
-weighted sum of its pairs' fractions.  The estimate is the mean over
+weighted sum of its pairs' fractions.  Zero effort is the same kernel at
+N = 1, where every weight is exactly 1/P.  The estimate is the mean over
 targets, and the confidence interval is a 99% normal approximation across
-targets, the independent units of the corpus.  With one candidate the
-worst-case scheme reduces to zero effort, as does picking a random member
-of the candidate set at any N.  Nothing here draws a random number, so
-the estimators take the threshold and N only, and `diagnose`, which reads
-no threshold, takes N only.
+targets, the independent units of the corpus.  Nothing here draws a
+random number, so the estimators take the threshold and N only, and
+`diagnose`, which reads no threshold, takes N only.
 """
 
 from __future__ import annotations
@@ -92,29 +91,25 @@ def _require_pool(packed: PackedCorpus, n_impostors: int):
         )
 
 
-def _closest_weights(packed: PackedCorpus, n_impostors: int) -> np.ndarray:
+def _rank_weights(packed: PackedCorpus, n_impostors: int) -> np.ndarray:
     """Per pair, the probability that it is the closest of `n_impostors`
     candidates drawn without replacement from its target's pairs.
 
-    With S_k = C(P-k, N) / C(P, N), the chance that every candidate ranks k
-    or lower, the rank-k pair wins with probability S_k - S_{k+1}.  One
-    table per distinct pool size P is built from the ratio S_{k+1} / S_k =
-    (P-k-N) / (P-k), which stays in range where C(P, N) overflows.
+    In a pool of P pairs the rank-k pair wins with probability
+    w_k = C(P-1-k, N-1) / C(P, N).  One table per distinct pool size is
+    built directly from w_0 = N/P and w_{k+1} = w_k (P-k-N) / (P-k-1): no
+    difference is taken, C(P, N) never has to be in range, and N = 1
+    gives exactly 1/P at every rank.
     """
     pools = packed.pairs_per_target[packed.pair_target]
     rank = packed.pair_rank
     weights = np.empty(packed.n_pairs)
     for p in set(packed.pairs_per_target.tolist()):
-        k = np.arange(p)
-        s = np.concatenate(([1.0], np.cumprod(np.maximum(p - k - n_impostors, 0) / (p - k))))
+        k = np.arange(p - 1)
+        w = np.cumprod(np.concatenate(([n_impostors / p], np.maximum(p - k - n_impostors, 0) / (p - k - 1))))
         at = pools == p
-        weights[at] = (s[:-1] - s[1:])[rank[at]]
+        weights[at] = w[rank[at]]
     return weights
-
-
-def _uniform_weights(packed: PackedCorpus) -> np.ndarray:
-    """Per pair, the probability that a random impostor of its target picks it."""
-    return 1.0 / packed.pairs_per_target[packed.pair_target]
 
 
 def _target_means(packed: PackedCorpus, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -135,15 +130,8 @@ def _estimate(values: np.ndarray) -> EstimateWithCI:
 
 
 def estimate_pfa_zero_effort(corpus: PackedCorpus, tau: float) -> EstimateWithCI:
-    """Probability of accepting a random impostor of a random target at threshold `tau`.
-
-    Each target contributes the mean of its pairs' fractions of scores
-    above `tau`.
-    """
-    packed = _validated(corpus)
-    if math.isnan(tau):
-        raise ValueError("tau must not be NaN")
-    return _estimate(_target_means(packed, _uniform_weights(packed), packed.pair_exceed_fraction(tau)))
+    """Probability of accepting a random impostor of a random target at threshold `tau`."""
+    return estimate_pfa_worst_case(corpus, tau, 1)
 
 
 def estimate_pfa_worst_case(corpus: PackedCorpus, tau: float, n_impostors: int) -> EstimateWithCI:
@@ -152,7 +140,7 @@ def estimate_pfa_worst_case(corpus: PackedCorpus, tau: float, n_impostors: int) 
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
     _require_pool(packed, n_impostors)
-    weights = _closest_weights(packed, n_impostors)
+    weights = _rank_weights(packed, n_impostors)
     return _estimate(_target_means(packed, weights, packed.pair_exceed_fraction(tau)))
 
 
@@ -201,8 +189,8 @@ def diagnose(corpus: PackedCorpus, n_impostors: int) -> DiagnosticsReport:
     pair_var = packed.pair_variances()
     skews = packed.pair_skewness()
     kept = skews[~np.isnan(skews)]
-    closest_sd, closest_share = _selected_stdev(pair_var, _closest_weights(packed, n_impostors))
-    random_sd, random_share = _selected_stdev(pair_var, _uniform_weights(packed))
+    closest_sd, closest_share = _selected_stdev(pair_var, _rank_weights(packed, n_impostors))
+    random_sd, random_share = _selected_stdev(pair_var, _rank_weights(packed, 1))
     return DiagnosticsReport(
         avg_pairwise_skewness=float(kept.mean()) if kept.size else None,
         pair_mean_skewness=sample_skewness(packed.pair_means()),

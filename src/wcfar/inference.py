@@ -13,7 +13,9 @@ hyper-parameters to the expected sufficient statistics, which also cannot
 decrease the bound.  The bound itself is available in closed form and is
 the correctness oracle for all the update formulas.
 
-Writing E[.] for expectations under the current q, the factor optima are
+Writing E[.] for expectations under the current q, which `PosteriorFactors`
+computes from its own parameters (E[1/sigma_sq_i], E[log sigma_sq_i],
+E[lam_i] and E[log lam_i] are its properties), the factor optima are
 
     q(mu_ij):      mean (sum_l s_ijl + E[lam_i] E[m_i]) / (L_ij + E[lam_i])
                    var  1 / (E[1/sigma_sq_i] (L_ij + E[lam_i]))
@@ -80,6 +82,26 @@ class PosteriorFactors:
             pair_var=np.full(p, h.sigma0_sq),
         )
 
+    @property
+    def inv_sigma(self) -> np.ndarray:
+        """E[1/sigma_sq_i]"""
+        return self.sigma_shape / self.sigma_scale
+
+    @property
+    def log_sigma(self) -> np.ndarray:
+        """E[log sigma_sq_i]"""
+        return np.log(self.sigma_scale) - digamma(self.sigma_shape)
+
+    @property
+    def lam_mean(self) -> np.ndarray:
+        """E[lam_i]"""
+        return self.lam_shape / self.lam_rate
+
+    @property
+    def log_lam(self) -> np.ndarray:
+        """E[log lam_i]"""
+        return digamma(self.lam_shape) - np.log(self.lam_rate)
+
     def validate(self):
         for name in ("m_var", "sigma_shape", "sigma_scale", "lam_shape", "lam_rate", "pair_var"):
             arr = getattr(self, name)
@@ -88,36 +110,14 @@ class PosteriorFactors:
 
 
 @dataclass(frozen=True)
-class SufficientStats:
-    """Expectations of the latents under the current variational posterior."""
-
-    m_mean: np.ndarray  # E[m_i]
-    m_var: np.ndarray  # Var[m_i]
-    inv_sigma: np.ndarray  # E[1/sigma_sq_i]
-    log_sigma: np.ndarray  # E[log sigma_sq_i]
-    lam_mean: np.ndarray  # E[lam_i]
-    log_lam: np.ndarray  # E[log lam_i]
-    pair_mean: np.ndarray  # E[mu_ij]
-
-
-@dataclass(frozen=True)
 class FitReport:
     hyperparameters: Hyperparameters
-    elbo_trace: np.ndarray
-    iterations: int
+    elbo_trace: np.ndarray  # one bound per iteration
     converged: bool
 
-
-def sufficient_stats(q: PosteriorFactors) -> SufficientStats:
-    return SufficientStats(
-        m_mean=q.m_mean,
-        m_var=q.m_var,
-        inv_sigma=q.sigma_shape / q.sigma_scale,
-        log_sigma=np.log(q.sigma_scale) - digamma(q.sigma_shape),
-        lam_mean=q.lam_shape / q.lam_rate,
-        log_lam=digamma(q.lam_shape) - np.log(q.lam_rate),
-        pair_mean=q.pair_mean,
-    )
+    @property
+    def iterations(self) -> int:
+        return len(self.elbo_trace)
 
 
 def _per_target(data: PackedCorpus, values: np.ndarray) -> np.ndarray:
@@ -125,11 +125,10 @@ def _per_target(data: PackedCorpus, values: np.ndarray) -> np.ndarray:
     return np.bincount(data.pair_target, weights=values, minlength=data.n_targets)
 
 
-def _pair_deviation_sums(data: PackedCorpus, q: PosteriorFactors) -> np.ndarray:
-    """S_i = sum_j E[(mu_ij - m_i)^2], in cancellation-free deviation form."""
+def _pair_spread(data: PackedCorpus, q: PosteriorFactors) -> np.ndarray:
+    """E[(mu_ij - m_i)^2] per pair, in cancellation-free deviation form."""
     tgt = data.pair_target
-    quad = (q.pair_mean - q.m_mean[tgt]) ** 2 + q.pair_var + q.m_var[tgt]
-    return _per_target(data, quad)
+    return (q.pair_mean - q.m_mean[tgt]) ** 2 + q.pair_var + q.m_var[tgt]
 
 
 def _score_residuals(data: PackedCorpus, q: PosteriorFactors) -> np.ndarray:
@@ -142,13 +141,11 @@ def _score_residuals(data: PackedCorpus, q: PosteriorFactors) -> np.ndarray:
 def update_q_mu(q: PosteriorFactors, data: PackedCorpus, h: Hyperparameters) -> None:
     """Coordinate update of every pair-mean factor q(mu_ij)."""
     del h  # the prior enters only through the target factors
-    stats = sufficient_stats(q)
     tgt = data.pair_target
-    lam = stats.lam_mean[tgt]
+    lam = q.lam_mean[tgt]
     counts = data.pair_count
-    pair_sum = data.pair_sums
-    q.pair_mean = (pair_sum + lam * stats.m_mean[tgt]) / (counts + lam)
-    q.pair_var = np.maximum(1.0 / (stats.inv_sigma[tgt] * (counts + lam)), VARIANCE_FLOOR)
+    q.pair_mean = (data.pair_sums + lam * q.m_mean[tgt]) / (counts + lam)
+    q.pair_var = np.maximum(1.0 / (q.inv_sigma[tgt] * (counts + lam)), VARIANCE_FLOOR)
     q.validate()
 
 
@@ -158,13 +155,10 @@ def update_q_m(q: PosteriorFactors, data: PackedCorpus, h: Hyperparameters) -> N
     The posterior mean is written as the prior mean plus a data pull, which
     stays exact even when the prior variance sits at its floor.
     """
-    stats = sufficient_stats(q)
-    n_pairs = data.pairs_per_target
-    data_precision = n_pairs * stats.lam_mean * stats.inv_sigma
-    precision = data_precision + 1.0 / h.sigma0_sq
+    precision = data.pairs_per_target * q.lam_mean * q.inv_sigma + 1.0 / h.sigma0_sq
     if np.any(precision <= 0) or not np.all(np.isfinite(precision)):
         raise NumericError("non-positive precision in q(m) update")
-    pull = _per_target(data, stats.pair_mean - h.mu0) * stats.lam_mean * stats.inv_sigma
+    pull = _per_target(data, q.pair_mean - h.mu0) * q.lam_mean * q.inv_sigma
     q.m_var = np.maximum(1.0 / precision, VARIANCE_FLOOR)
     q.m_mean = h.mu0 + pull / precision
     q.validate()
@@ -172,23 +166,20 @@ def update_q_m(q: PosteriorFactors, data: PackedCorpus, h: Hyperparameters) -> N
 
 def update_q_lambda(q: PosteriorFactors, data: PackedCorpus, h: Hyperparameters) -> None:
     """Coordinate update of every precision-multiplier factor q(lam_i)."""
-    stats = sufficient_stats(q)
     q.lam_shape = h.alpha_lambda + 0.5 * data.pairs_per_target
-    rate = h.beta_lambda + 0.5 * stats.inv_sigma * _pair_deviation_sums(data, q)
+    rate = h.beta_lambda + 0.5 * q.inv_sigma * _per_target(data, _pair_spread(data, q))
     q.lam_rate = np.maximum(rate, VARIANCE_FLOOR)
     q.validate()
 
 
 def update_q_sigma(q: PosteriorFactors, data: PackedCorpus, h: Hyperparameters) -> None:
     """Coordinate update of every shared-variance factor q(sigma_sq_i)."""
-    stats = sufficient_stats(q)
-    counts = data.pair_count.astype(float)
-    scores_per_target = _per_target(data, counts)
+    scores_per_target = _per_target(data, data.pair_count.astype(float))
     q.sigma_shape = h.a_sigma + 0.5 * (data.pairs_per_target + scores_per_target)
     scale = (
         h.b_sigma
         + 0.5 * _per_target(data, _score_residuals(data, q))
-        + 0.5 * stats.lam_mean * _pair_deviation_sums(data, q)
+        + 0.5 * q.lam_mean * _per_target(data, _pair_spread(data, q))
     )
     q.sigma_scale = np.maximum(scale, VARIANCE_FLOOR)
     q.validate()
@@ -202,26 +193,26 @@ def e_step(q: PosteriorFactors, data: PackedCorpus, h: Hyperparameters) -> None:
     update_q_sigma(q, data, h)
 
 
-def m_step(stats: SufficientStats) -> Hyperparameters:
+def m_step(q: PosteriorFactors) -> Hyperparameters:
     """Hyper-parameters maximising the expected complete-data log density.
 
     The gamma-family shapes are capped at SHAPE_CAP; the profiled rate
     keeps beta = alpha/mean, which is the exact maximiser on the capped
     set, so the update still cannot decrease the bound.
     """
-    mu0 = float(stats.m_mean.mean())
-    spread = float(np.mean((stats.m_mean - mu0) ** 2 + stats.m_var))
+    mu0 = float(q.m_mean.mean())
+    spread = float(np.mean((q.m_mean - mu0) ** 2 + q.m_var))
     sigma0_sq = max(spread, VARIANCE_FLOOR)
-    lam_mean, inv_sigma_mean = float(stats.lam_mean.mean()), float(stats.inv_sigma.mean())
+    lam_mean, log_lam = float(q.lam_mean.mean()), float(q.log_lam.mean())
+    inv_sigma_mean, log_sigma = float(q.inv_sigma.mean()), float(q.log_sigma.mean())
     try:
-        alpha_lambda = min(gamma_shape(lam_mean, float(stats.log_lam.mean())), SHAPE_CAP)
+        alpha_lambda = min(gamma_shape(lam_mean, log_lam), SHAPE_CAP)
         # 1/sigma_sq is gamma under the inverse-gamma prior, with E[log(1/sigma_sq)] = -E[log sigma_sq]
-        a_sigma = min(gamma_shape(inv_sigma_mean, -float(stats.log_sigma.mean())), SHAPE_CAP)
+        a_sigma = min(gamma_shape(inv_sigma_mean, -log_sigma), SHAPE_CAP)
     except NumericError as exc:
         raise NumericError(
             f"hyper-parameter update failed: {exc}; "
-            f"lam moments ({stats.lam_mean.mean()}, {stats.log_lam.mean()}), "
-            f"sigma moments ({stats.inv_sigma.mean()}, {stats.log_sigma.mean()})"
+            f"lam moments ({lam_mean}, {log_lam}), sigma moments ({inv_sigma_mean}, {log_sigma})"
         ) from exc
     return Hyperparameters(
         mu0=mu0,
@@ -240,9 +231,9 @@ def elbo(data: PackedCorpus, q: PosteriorFactors, h: Hyperparameters) -> float:
     mean offsets plus variances), which keeps the bound exact when factors
     or hyper-parameters sit at their numerical floors.
     """
-    stats = sufficient_stats(q)
     tgt = data.pair_target
     counts = data.pair_count.astype(float)
+    inv_sigma, log_sigma, lam_mean, log_lam = q.inv_sigma, q.log_sigma, q.lam_mean, q.log_lam
 
     # expected log prior of the per-target latents
     cross_m = -0.5 * (_LOG_2PI + math.log(h.sigma0_sq)) - (
@@ -251,29 +242,28 @@ def elbo(data: PackedCorpus, q: PosteriorFactors, h: Hyperparameters) -> float:
     cross_lam = (
         h.alpha_lambda * math.log(h.beta_lambda)
         - gammaln(h.alpha_lambda)
-        + (h.alpha_lambda - 1.0) * stats.log_lam
-        - h.beta_lambda * stats.lam_mean
+        + (h.alpha_lambda - 1.0) * log_lam
+        - h.beta_lambda * lam_mean
     )
     cross_sigma = (
         h.a_sigma * math.log(h.b_sigma)
         - gammaln(h.a_sigma)
-        - (h.a_sigma + 1.0) * stats.log_sigma
-        - h.b_sigma * stats.inv_sigma
+        - (h.a_sigma + 1.0) * log_sigma
+        - h.b_sigma * inv_sigma
     )
 
     # expected log density of pair means given target latents
-    quad_mu = (q.pair_mean - q.m_mean[tgt]) ** 2 + q.pair_var + q.m_var[tgt]
     cross_pair = (
-        0.5 * stats.log_lam[tgt]
+        0.5 * log_lam[tgt]
         - 0.5 * _LOG_2PI
-        - 0.5 * stats.log_sigma[tgt]
-        - 0.5 * stats.lam_mean[tgt] * stats.inv_sigma[tgt] * quad_mu
+        - 0.5 * log_sigma[tgt]
+        - 0.5 * lam_mean[tgt] * inv_sigma[tgt] * _pair_spread(data, q)
     )
 
     # expected log likelihood of the scores
     residual = _score_residuals(data, q)
     cross_scores = (
-        -0.5 * counts * (_LOG_2PI + stats.log_sigma[tgt]) - 0.5 * stats.inv_sigma[tgt] * residual
+        -0.5 * counts * (_LOG_2PI + log_sigma[tgt]) - 0.5 * inv_sigma[tgt] * residual
     )
 
     # entropies of the variational factors
@@ -371,11 +361,10 @@ def fit(
     trace = []
     previous = -np.inf
     converged = False
-    iteration = 0
     for iteration in range(1, max_iter + 1):
         try:
             e_step(q, data, h)
-            h = m_step(sufficient_stats(q))
+            h = m_step(q)
         except NumericError as exc:
             raise NumericError(f"iteration {iteration}: {exc}") from exc
         bound = elbo(data, q, h)
@@ -384,9 +373,4 @@ def fit(
             converged = True
             break
         previous = bound
-    return FitReport(
-        hyperparameters=h,
-        elbo_trace=np.asarray(trace),
-        iterations=iteration,
-        converged=converged,
-    )
+    return FitReport(hyperparameters=h, elbo_trace=np.asarray(trace), converged=converged)

@@ -11,9 +11,10 @@ the threshold is flagged degenerate.
 
 `eer_threshold` and `min_dcf_threshold` each return ``(tau, metric,
 degenerate)``: the threshold, the EER or normalised cost achieved there,
-and that flag.  A `LabeledScoreSet` holds finite scores only, and the
-midpoints are taken as ``0.5 * a + 0.5 * b``, which cannot overflow, so
-tau is always finite.
+and that flag.  A `LabeledScoreSet` holds finite scores in two non-empty
+arrays, the midpoints are taken as ``0.5 * a + 0.5 * b``, which cannot
+overflow, and the sentinels do not step past the float range, so tau is
+always finite.
 """
 
 from __future__ import annotations
@@ -48,7 +49,10 @@ def _scan(s: LabeledScoreSet):
     distinct = pooled[np.concatenate(([True], pooled[1:] != pooled[:-1]))]
     degenerate = distinct.size == 1
     mids = 0.5 * distinct[:-1] + 0.5 * distinct[1:]
-    taus = distinct if degenerate else np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
+    low = distinct[0] - 1.0
+    if low == distinct[0]:  # from about 1e16 in magnitude the step rounds away; take the next finite float down
+        low = np.nextafter(low, -np.finfo(float).max)
+    taus = distinct if degenerate else np.concatenate(([low], mids, [distinct[-1] + 1.0]))
     p_miss = np.searchsorted(tar, taus, side="right") / len(tar)
     p_fa = 1.0 - np.searchsorted(non, taus, side="right") / len(non)
     return taus, p_miss, p_fa, degenerate

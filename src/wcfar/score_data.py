@@ -63,7 +63,8 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LabeledScoreSet:
-    """Target and non-target trial scores for threshold calibration; every score is finite."""
+    """Target and non-target trial scores for threshold calibration; neither
+    array is empty, and every score is finite."""
 
     target_scores: np.ndarray
     nontarget_scores: np.ndarray
@@ -71,6 +72,8 @@ class LabeledScoreSet:
     def __post_init__(self):
         for name in ("target_scores", "nontarget_scores"):
             scores = _frozen_array(getattr(self, name))
+            if not scores.size:
+                raise ValueError(f"{name} is empty")
             if not np.isfinite(scores).all():
                 raise ValueError(f"{name} holds a score that is not finite")
             object.__setattr__(self, name, scores)
@@ -383,8 +386,6 @@ def _corpus_from(npz) -> PackedCorpus:
 
 def _labels_from(npz) -> LabeledScoreSet:
     target, nontarget = _entry_arrays(npz, target_scores=float, nontarget_scores=float)
-    if not target.size or not nontarget.size:
-        raise ValueError("inconsistent cache entry")
     return LabeledScoreSet(target_scores=target, nontarget_scores=nontarget)
 
 

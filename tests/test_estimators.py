@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.special import ndtr, ndtri
 from wcfar.errors import ConfigError
 from wcfar.estimators import (
     EstimateWithCI,
+    _rank_weights,
     confidence_interval,
     diagnose,
     estimate_pfa_worst_case,
@@ -120,6 +122,21 @@ class TestZeroEffort:
         assert abs(est.value - pooled) <= 1e-12
 
 
+class TestRankWeights:
+    @pytest.mark.parametrize("p", [1, 2, 5, 250, 3000])
+    def test_match_exact_rationals(self, p):
+        # w_k = C(P-1-k, N-1) / C(P, N) for the rank-k pair of a pool of P
+        corpus = PackedCorpus.from_groups({"t": {f"i{j}": [float(j)] for j in range(p)}})
+        by_rank = np.argsort(corpus.pair_rank)
+        for n in sorted({1, 2, 3, 64, p} & set(range(1, p + 1))):
+            weights = _rank_weights(corpus, n)[by_rank].tolist()
+            exact = [Fraction(math.comb(p - 1 - k, n - 1), math.comb(p, n)) for k in range(p)]
+            assert all(w == 0.0 for w, e in zip(weights, exact) if not e), n
+            worst = max(abs(Fraction(w) - e) / e for w, e in zip(weights, exact) if e)
+            assert worst <= 1e-13, (n, float(worst))
+        assert _rank_weights(corpus, 1).tolist() == [1.0 / p] * p
+
+
 class TestWorstCase:
     def test_three_impostor_enumeration(self):
         # candidate pairs at N=2 out of {A, B, C}: (A,B) picks B with rate 0,
@@ -140,7 +157,7 @@ class TestWorstCase:
         )
         worst = estimate_pfa_worst_case(corpus, 1.0, 1)
         zero = estimate_pfa_zero_effort(corpus, 1.0)
-        assert abs(worst.value - zero.value) <= 1e-12
+        assert worst == zero
 
     def test_non_decreasing_in_population_size(self):
         corpus = generate_model_corpus(
@@ -421,4 +438,4 @@ class TestExactProperties:
         corpus = PackedCorpus.from_groups(groups)
         worst = estimate_pfa_worst_case(corpus, tau, 1)
         zero = estimate_pfa_zero_effort(corpus, tau)
-        assert abs(worst.value - zero.value) <= 1e-12
+        assert worst == zero

@@ -1,18 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from wcfar.errors import NumericError
 from wcfar.inference import (
     PosteriorFactors,
-    SufficientStats,
     e_step,
     elbo,
     fit,
     m_step,
     moment_init,
-    sufficient_stats,
     update_q_lambda,
     update_q_m,
     update_q_mu,
@@ -21,7 +17,6 @@ from wcfar.inference import (
 )
 from wcfar.model import Hyperparameters
 from wcfar.score_data import PackedCorpus
-from wcfar.special_math import digamma
 from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, generate_model_corpus
 
@@ -224,62 +219,53 @@ class TestQuadratureAgreement:
             current = np.concatenate([q.m_mean, q.pair_mean, q.sigma_scale, q.lam_rate])
             if np.max(np.abs(current - previous)) < 1e-14:
                 break
-        stats = sufficient_stats(q)
         oracle = quadrature_posterior(pairs, h, n=160)
-        assert stats.m_mean[0] == pytest.approx(oracle["m"], rel=0.02)
-        assert stats.lam_mean[0] == pytest.approx(oracle["lam"], rel=0.02)
-        assert stats.inv_sigma[0] == pytest.approx(oracle["inv_sigma"], rel=0.02)
+        assert q.m_mean[0] == pytest.approx(oracle["m"], rel=0.02)
+        assert q.lam_mean[0] == pytest.approx(oracle["lam"], rel=0.02)
+        assert q.inv_sigma[0] == pytest.approx(oracle["inv_sigma"], rel=0.02)
         sigma_mean = q.sigma_scale[0] / (q.sigma_shape[0] - 1.0)
         assert sigma_mean == pytest.approx(oracle["sigma_sq"], rel=0.02)
-        assert np.allclose(stats.pair_mean, oracle["pair_means"], rtol=0.02)
+        assert np.allclose(q.pair_mean, oracle["pair_means"], rtol=0.02)
+
+
+def target_factors(t, m_mean, m_var, sigma, lam) -> PosteriorFactors:
+    """`t` identical target factors with no pairs; `sigma` is (shape, scale) and `lam` is (shape, rate)."""
+    return PosteriorFactors(
+        m_mean=np.full(t, m_mean),
+        m_var=np.full(t, m_var),
+        sigma_shape=np.full(t, sigma[0]),
+        sigma_scale=np.full(t, sigma[1]),
+        lam_shape=np.full(t, lam[0]),
+        lam_rate=np.full(t, lam[1]),
+        pair_mean=np.array([]),
+        pair_var=np.array([]),
+    )
 
 
 class TestMStep:
+    # sigma (3, 2) gives E[1/sigma_sq] = 1.5 and E[log sigma_sq] = log 2 - digamma(3);
+    # lam (2, 1) gives E[lam] = 2 and E[log lam] = digamma(2)
     def test_equal_point_masses_floor_spread(self):
-        t = 5
-        stats = SufficientStats(
-            m_mean=np.full(t, 0.7),
-            m_var=np.zeros(t),
-            inv_sigma=np.full(t, 1.5),
-            log_sigma=np.full(t, math.log(2.0) - float(digamma(3.0))),
-            lam_mean=np.full(t, 2.0),
-            log_lam=np.full(t, float(digamma(2.0)) - math.log(1.0)),
-            pair_mean=np.array([]),
-        )
-        h = m_step(stats)
+        h = m_step(target_factors(5, 0.7, 0.0, sigma=(3.0, 2.0), lam=(2.0, 1.0)))
         assert h.mu0 == pytest.approx(0.7)
         assert h.sigma0_sq == VARIANCE_FLOOR
 
     def test_analytic_moment_round_trip(self):
         theta = Hyperparameters(0.3, 1.2, 5.0, 4.0, 3.0, 2.0)
-        t = 7
-        stats = SufficientStats(
-            m_mean=np.full(t, theta.mu0),
-            m_var=np.full(t, theta.sigma0_sq),
-            inv_sigma=np.full(t, theta.a_sigma / theta.b_sigma),
-            log_sigma=np.full(t, math.log(theta.b_sigma) - float(digamma(theta.a_sigma))),
-            lam_mean=np.full(t, theta.alpha_lambda / theta.beta_lambda),
-            log_lam=np.full(
-                t, float(digamma(theta.alpha_lambda)) - math.log(theta.beta_lambda)
-            ),
-            pair_mean=np.array([]),
+        q = target_factors(
+            7,
+            theta.mu0,
+            theta.sigma0_sq,
+            sigma=(theta.a_sigma, theta.b_sigma),
+            lam=(theta.alpha_lambda, theta.beta_lambda),
         )
-        recovered = m_step(stats)
+        recovered = m_step(q)
         assert rel_delta(theta, recovered) < 1e-6
 
     def test_tiny_posterior_variance_far_from_zero_keeps_its_digits(self):
         # (E[m]^2 + Var[m]) - E[m]^2 at E[m] = 3 loses ~4 of Var[m]'s digits to cancellation
-        t = 4
-        stats = SufficientStats(
-            m_mean=np.full(t, 3.0),
-            m_var=np.full(t, 2e-12),
-            inv_sigma=np.full(t, 1.5),
-            log_sigma=np.full(t, math.log(2.0) - float(digamma(3.0))),
-            lam_mean=np.full(t, 2.0),
-            log_lam=np.full(t, float(digamma(2.0)) - math.log(1.0)),
-            pair_mean=np.array([]),
-        )
-        assert m_step(stats).sigma0_sq == pytest.approx(2e-12, rel=1e-12)
+        q = target_factors(4, 3.0, 2e-12, sigma=(3.0, 2.0), lam=(2.0, 1.0))
+        assert m_step(q).sigma0_sq == pytest.approx(2e-12, rel=1e-12)
 
 
 class TestFit:
@@ -328,7 +314,7 @@ class TestFit:
         q = PosteriorFactors.from_prior(h, data)
         for _ in range(20_000):
             e_step(q, data, h)
-            h_next = m_step(sufficient_stats(q))
+            h_next = m_step(q)
             if rel_delta(h, h_next) < 1e-12:
                 h = h_next
                 break
@@ -336,7 +322,7 @@ class TestFit:
         else:
             pytest.fail("no parameter fixpoint reached")
         e_step(q, data, h)
-        assert rel_delta(h, m_step(sufficient_stats(q))) < 1e-10
+        assert rel_delta(h, m_step(q)) < 1e-10
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="cannot fit: the corpus has no targets"):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +106,14 @@ class TestEer:
         assert eer == 0.0 and not degenerate
         assert min_dcf_threshold(labeled, DcfParams(0.5, 1.0, 1.0))[:2] == (tau, 0.0)
 
+    def test_lowest_score_past_1e16_gets_a_sentinel_below_it(self):
+        # -1e300 - 1.0 rounds back to -1e300: without a step down, no candidate accepts every trial
+        tau, dcf, degenerate = min_dcf_threshold(LabeledScoreSet([-1e300], [0.0]), DcfParams(0.5, 10, 1))
+        assert dcf == 1.0 and not degenerate
+        assert math.isfinite(tau) and tau < -1e300
+        tau, _, _ = min_dcf_threshold(LabeledScoreSet([-sys.float_info.max], [0.0]), DcfParams(0.5, 10, 1))
+        assert math.isfinite(tau)
+
     def test_degenerate_flag(self):
         labeled = LabeledScoreSet(target_scores=[2.0, 2.0], nontarget_scores=[2.0])
         tau, eer, degenerate = eer_threshold(labeled)
@@ -202,3 +211,9 @@ class TestParamValidation:
             LabeledScoreSet([bad], [0.0])
         with pytest.raises(ValueError, match="nontarget_scores holds a score that is not finite"):
             LabeledScoreSet([0.0], [1.0, bad])
+
+    def test_labeled_scores_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="target_scores is empty"):
+            LabeledScoreSet([], [0.0])
+        with pytest.raises(ValueError, match="nontarget_scores is empty"):
+            LabeledScoreSet([0.0], [])

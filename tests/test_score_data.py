@@ -403,7 +403,7 @@ def _assert_matches_oracle(loaded, rows):
 
 
 class TestColumnPath:
-    """`csv.reader` rows of unquoted CSVs, as column blocks through `_validated`."""
+    """The CSV row reader `_csv_rows`: `csv.reader` rows of unquoted CSVs, as column blocks through `_validated`."""
 
     def test_hash_in_id(self, tmp_path):
         rows = [("a#1", "b", 0.5), ("a#1", "#c", 1.5), ("x", "b", 2.0)]
