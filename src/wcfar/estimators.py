@@ -67,19 +67,12 @@ def confidence_interval(values) -> tuple[float, float]:
     return max(mean - _Z99 * stderr, 0.0), min(mean + _Z99 * stderr, 1.0)
 
 
-def _validated(packed: PackedCorpus) -> PackedCorpus:
+def _require_pool(packed: PackedCorpus, n_impostors: int):
+    """Refuse a corpus without targets or with an empty pair, and an N that some target cannot draw."""
     if packed.n_targets < 1:
         raise ValueError("corpus has no targets")
-    pools = packed.pairs_per_target
-    if np.any(pools < 1):
-        bad = packed.target_ids[int(np.argmin(pools))]
-        raise ValueError(f"target {bad!r} has no impostor groups")
     if np.any(packed.pair_count < 1):
         raise ValueError("corpus contains a pair with no scores")
-    return packed
-
-
-def _require_pool(packed: PackedCorpus, n_impostors: int):
     if n_impostors < 1:
         raise ValueError(f"n_impostors must be >= 1, got {n_impostors}")
     pools = packed.pairs_per_target
@@ -136,12 +129,11 @@ def estimate_pfa_zero_effort(corpus: PackedCorpus, tau: float) -> EstimateWithCI
 
 def estimate_pfa_worst_case(corpus: PackedCorpus, tau: float, n_impostors: int) -> EstimateWithCI:
     """Probability of accepting the closest of `n_impostors` candidates."""
-    packed = _validated(corpus)
+    _require_pool(corpus, n_impostors)
     if math.isnan(tau):
         raise ValueError("tau must not be NaN")
-    _require_pool(packed, n_impostors)
-    weights = _rank_weights(packed, n_impostors)
-    return _estimate(_target_means(packed, weights, packed.pair_exceed_fraction(tau)))
+    weights = _rank_weights(corpus, n_impostors)
+    return _estimate(_target_means(corpus, weights, corpus.pair_exceed_fraction(tau)))
 
 
 @dataclass(frozen=True)
@@ -184,16 +176,15 @@ def diagnose(corpus: PackedCorpus, n_impostors: int) -> DiagnosticsReport:
     """
     from .score_data import sample_skewness
 
-    packed = _validated(corpus)
-    _require_pool(packed, n_impostors)
-    pair_var = packed.pair_variances()
-    skews = packed.pair_skewness()
+    _require_pool(corpus, n_impostors)
+    pair_var = corpus.pair_variances()
+    skews = corpus.pair_skewness()
     kept = skews[~np.isnan(skews)]
-    closest_sd, closest_share = _selected_stdev(pair_var, _rank_weights(packed, n_impostors))
-    random_sd, random_share = _selected_stdev(pair_var, _rank_weights(packed, 1))
+    closest_sd, closest_share = _selected_stdev(pair_var, _rank_weights(corpus, n_impostors))
+    random_sd, random_share = _selected_stdev(pair_var, _rank_weights(corpus, 1))
     return DiagnosticsReport(
         avg_pairwise_skewness=float(kept.mean()) if kept.size else None,
-        pair_mean_skewness=sample_skewness(packed.pair_means()),
+        pair_mean_skewness=sample_skewness(corpus.pair_means()),
         skewness_excluded_pairs=int(skews.size - kept.size),
         closest_impostor_stdev=closest_sd,
         random_impostor_stdev=random_sd,

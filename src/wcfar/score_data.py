@@ -13,14 +13,17 @@ every pair refers to its target and impostor by index; scores keep input
 order within a pair.
 
 Every file is read once, front to back, as the UTF-8 lines that `_lines`
-decodes from it; a pipe is parsed as it streams.  `_lines` raises ParseError
-at the first line that holds a byte that is not UTF-8.  On these lines
-`_csv_rows` runs `csv.reader` and `_jsonl_rows` reads one object per line;
-both only tokenise.  They and `PackedCorpus.from_groups` hand blocks of
-columns to `_validated`, the only place where row rules run.  A reader's
-own fault, a bad byte's included, is raised after the rows before it are
-checked, so the first fault in a file wins.  Every fault names the
-physical line on which its row starts.
+decodes from it, less a leading byte-order mark; a pipe is parsed as it
+streams.  `_lines` raises ParseError at the first line that holds a byte
+that is not UTF-8.  On these lines `_csv_rows` runs `csv.reader` and
+`_jsonl_rows` reads one object per line; both only tokenise, yield one
+``(line, *ids, cell)`` tuple per row and raise ParseError at their own
+fault.  `_validated` batches these rows, and those of
+`PackedCorpus.from_groups`; it is the only place where row rules run and
+where the fault to report is chosen.  A reader's fault, a bad byte's
+included, is raised after the rows before it are checked, so the first
+fault in a file wins.  Every fault names the physical line on which its
+row starts.
 
 `_cached` saves the arrays of each successful load in
 ``$XDG_CACHE_HOME/wcfar`` (else ``$HOME/.cache/wcfar``), one ``.npz`` entry
@@ -47,6 +50,7 @@ from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -87,7 +91,7 @@ class LabeledScoreSet:
 
 
 _LABELS = ("target", "nontarget")
-_BLOCK_ROWS = 1 << 11  # rows per block from the row readers
+_BLOCK_ROWS = 1 << 11  # rows per batch that `_validated` checks
 
 
 def _intern(field: np.ndarray, index: dict[str, int]) -> np.ndarray:
@@ -111,18 +115,31 @@ def _cast(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, not_number
 
 
-def _validated(blocks, labels: bool = False):
-    """Intern, cast and check column blocks: ``(names, codes, scores)``.
+def _validated(rows, clean, labels: bool = False):
+    """Batch, intern, cast and check an iterator of ``(line, *ids, cell)`` rows: ``(names, codes, scores)``.
 
-    A block holds an id array per id column (the label, in a label file),
-    the score cells and each row's line.  The first row with an empty id,
-    the same target and impostor, a label not in `_LABELS`, a score that is
-    not a number or one that is not finite raises ParseError for the first
-    of these rules, in this order, that it breaks.
+    The ids are the target and impostor (the label, in a label file), each
+    passed through `clean`.  Rows are checked `_BLOCK_ROWS` at a time, as
+    columns.  The first row with an empty id, the same target and impostor,
+    a label not in `_LABELS`, a score that is not a number or one that is
+    not finite raises ParseError for the first of these rules, in this
+    order, that it breaks.  A ParseError that `rows` raises is raised after
+    the rows before it are checked, so the first fault in a file wins.
     """
     index = [{label: code for code, label in enumerate(_LABELS)}] if labels else [{}, {}]
     codes, scores = [array("q") for _ in index], array("d")
-    for fields, cells, lines in blocks:
+    fault = None
+    while fault is None:
+        batch = []
+        try:
+            batch.extend(islice(rows, _BLOCK_ROWS))  # keeps the rows read before a reader's fault
+        except ParseError as exc:
+            fault = exc
+        if not batch:
+            break
+        last = len(batch[0]) - 1  # the cell's place; the ids sit between the line and the cell
+        fields = [np.fromiter(map(clean, map(itemgetter(k), batch)), object, len(batch)) for k in range(1, last)]
+        cells = np.fromiter(map(itemgetter(last), batch), object, len(batch))
         block_codes = [_intern(field, seen) for field, seen in zip(fields, index)]
         values, not_number = _cast(cells)
         if labels:  # a label other than those in `_LABELS` has a higher code
@@ -137,10 +154,12 @@ def _validated(blocks, labels: bool = False):
             row = int(bad.argmax())
             id_, cell = (column[row : row + 1].tolist()[0] for column in (fields[0], cells))
             message = next(message for broken, message in rules if broken[row])
-            raise ParseError(message.format(id=id_, cell=cell), lines[row])
+            raise ParseError(message.format(id=id_, cell=cell), batch[row][0])
         for out, code in zip(codes, block_codes):
             out.frombytes(code.view(np.uint8))
         scores.frombytes(values.view(np.uint8))
+    if fault is not None:
+        raise fault
     return (
         [list(seen) for seen in index],
         [np.frombuffer(c, dtype=np.int64) for c in codes],
@@ -148,18 +167,13 @@ def _validated(blocks, labels: bool = False):
     )
 
 
-def _block(rows: list[tuple], lines: list, clean) -> tuple:
-    """A row reader's ``(*ids, cell)`` rows as a column block, each id passed through `clean`."""
-    *ids, cells = (list(map(itemgetter(k), rows)) for k in range(len(rows[0])))
-    return [np.array(list(map(clean, field)), dtype=object) for field in ids], np.array(cells, dtype=object), lines
-
-
 _ESCAPED = re.compile("[\udc80-\udcff]")  # what "surrogateescape" makes of a byte that is not UTF-8
 
 
 def _lines(fh, newline: str | None):
-    """The lines of binary file `fh` as UTF-8 text; ParseError at the first that holds a byte that is not."""
-    text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=newline)
+    """The lines of binary file `fh` as UTF-8 text, a leading byte-order mark dropped; ParseError at the
+    first that holds a byte that is not."""
+    text = io.TextIOWrapper(fh, encoding="utf-8-sig", errors="surrogateescape", newline=newline)
     try:
         for line, raw in enumerate(text, start=1):
             if not raw.isascii() and _ESCAPED.search(raw):
@@ -171,13 +185,12 @@ def _lines(fh, newline: str | None):
 
 
 def _csv_rows(fh, names: tuple[str, ...], header_fault: str):
-    """Column blocks of the fields `names` of the CSV rows of binary file `fh`.
+    """``(line, *fields)`` of the fields `names` of each CSV row of binary file `fh`.
 
     The first row is the header, whose fields are stripped and must include
     `names` (else `header_fault`).  Empty and whitespace-only lines are
     skipped; a quoted blank field is a row.  A row with another field count,
-    or that `csv.reader` cannot read, raises ParseError after the rows
-    before it are yielded.
+    or that `csv.reader` cannot read, raises ParseError.
     """
     raw = ""  # the last physical line read
 
@@ -188,69 +201,48 @@ def _csv_rows(fh, names: tuple[str, ...], header_fault: str):
 
     reader = csv.reader(track(_lines(fh, "")))
     line = 1  # the line on which the next row starts
-    rows, lines, fault = [], [], None
     try:
         if (header := next(reader, None)) is None:
             raise ParseError("empty file", 1)
         header, line = [field.strip() for field in header], reader.line_num + 1
         if missing := [name for name in names if name not in header]:
             raise ParseError(header_fault.format(missing=missing, header=header), 1)
-        get = itemgetter(*(header.index(name) for name in names))
+        width = len(header)  # at least the 2 or 3 `names`, so an empty line's row is never as wide
+        get = itemgetter(width, *(header.index(name) for name in names))  # the line, then `names`
         for row in reader:
             start, line = line, reader.line_num + 1
-            if len(row) < 2 and line - start == 1 and not raw.strip():
-                continue  # an empty or whitespace-only line
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", start)
-            rows.append(get(row))
-            lines.append(start)
-            if len(rows) == _BLOCK_ROWS:
-                yield _block(rows, lines, str.strip)
-                rows, lines = [], []
+            if len(row) != width:
+                if len(row) < 2 and line - start == 1 and not raw.strip():
+                    continue  # an empty or whitespace-only line
+                raise ParseError(f"expected {width} fields, got {len(row)}", start)
+            row.append(start)
+            yield get(row)
     except csv.Error as exc:  # a field beyond csv's size limit, say
-        fault = ParseError(str(exc), line)
-    except ParseError as exc:
-        fault = exc
-    if rows:
-        yield _block(rows, lines, str.strip)
-    if fault is not None:
-        raise fault
+        raise ParseError(str(exc), line) from None
 
 
 def _jsonl_rows(fh):
-    """Column blocks of JSONL binary file `fh`; a line's fault is raised after the rows before it."""
-    rows, lines, fault = [], [], None
-    try:
-        for line, raw in enumerate(_lines(fh, None), start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except ValueError as exc:  # an integer beyond int's digit limit is no JSONDecodeError
-                raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("row is not an object", line)
-            try:
-                row = obj["target"], obj["impostor"], obj["score"]
-            except KeyError:
-                missing = [k for k in ("target", "impostor", "score") if k not in obj]
-                raise ParseError(f"missing key(s) {missing}", line) from None
-            if type(row[2]) not in (int, float):  # JSON values are of exact types, so a bool fails
-                raise ParseError(f"score {row[2]!r} is not a number", line)
-            if type(row[0]) not in (str, int) or type(row[1]) not in (str, int):
-                speaker = row[1] if type(row[0]) in (str, int) else row[0]
-                raise ParseError(f"speaker identifier {speaker!r} is not a string or an integer", line)
-            rows.append(row)
-            lines.append(line)
-            if len(rows) == _BLOCK_ROWS:
-                yield _block(rows, lines, str)
-                rows, lines = [], []
-    except ParseError as exc:
-        fault = exc
-    if rows:
-        yield _block(rows, lines, str)
-    if fault is not None:
-        raise fault
+    """``(line, target, impostor, score)`` of each object of JSONL binary file `fh`; ParseError at a bad line."""
+    for line, raw in enumerate(_lines(fh, None), start=1):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except ValueError as exc:  # an integer beyond int's digit limit is no JSONDecodeError
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("row is not an object", line)
+        try:
+            row = line, obj["target"], obj["impostor"], obj["score"]
+        except KeyError:
+            missing = [k for k in ("target", "impostor", "score") if k not in obj]
+            raise ParseError(f"missing key(s) {missing}", line) from None
+        if type(row[3]) not in (int, float):  # JSON values are of exact types, so a bool fails
+            raise ParseError(f"score {row[3]!r} is not a number", line)
+        if type(row[1]) not in (str, int) or type(row[2]) not in (str, int):
+            speaker = row[2] if type(row[1]) in (str, int) else row[1]
+            raise ParseError(f"speaker identifier {speaker!r} is not a string or an integer", line)
+        yield row
 
 
 _CACHE_ENTRIES = 16
@@ -273,7 +265,9 @@ def _cache_key(fh, kind: str) -> str:
     digest = hashlib.sha256()
     for part in (kind.encode(), Path(__file__).read_bytes(), np.__version__.encode()):
         digest.update(len(part).to_bytes(8, "little") + part)
-    while chunk := fh.read(1 << 20):
+    # chunks under malloc's 128 KiB mmap threshold: freeing a larger one raises the threshold, so the
+    # parse's growing arrays then fragment the heap, which holds ~1 MB more of a cold load's peak RSS
+    while chunk := fh.read(1 << 16):
         digest.update(chunk)
     return digest.hexdigest()
 
@@ -412,10 +406,10 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
 
 def _parse_corpus(fh, format: str) -> PackedCorpus:
     if format == "csv":
-        blocks = _csv_rows(fh, ("target_id", "impostor_id", "score"), "missing column(s) {missing} in header {header}")
+        rows = _csv_rows(fh, ("target_id", "impostor_id", "score"), "missing column(s) {missing} in header {header}")
     else:
-        blocks = _jsonl_rows(fh)
-    (targets, impostors), (target_codes, impostor_codes), scores = _validated(blocks)
+        rows = _jsonl_rows(fh)
+    (targets, impostors), (target_codes, impostor_codes), scores = _validated(rows, str if format == "jsonl" else str.strip)
     if not scores.size:  # a JSONL file without rows has only blank lines
         raise ParseError("empty file" if format == "jsonl" else "file contains no data rows", 1)
     return PackedCorpus.from_codes(targets, impostors, target_codes, impostor_codes, scores)
@@ -433,8 +427,7 @@ def load_labeled_scores(path) -> LabeledScoreSet:
 
 def _parse_labels(fh) -> LabeledScoreSet:
     header_fault = "expected header with 'label' and 'score', got {header}"
-    blocks = _csv_rows(fh, ("label", "score"), header_fault)
-    _, [codes], scores = _validated(blocks, labels=True)
+    _, [codes], scores = _validated(_csv_rows(fh, ("label", "score"), header_fault), str.strip, labels=True)
     target, nontarget = (scores[codes == code] for code in range(len(_LABELS)))
     if not target.size or not nontarget.size:
         raise ParseError("file must contain at least one target and one nontarget score")
@@ -557,12 +550,9 @@ class PackedCorpus:
 
         A target may have no impostors; a pair without scores is left out.
         """
-        pairs = [(t, i, np.asarray(v, dtype=float).reshape(-1)) for t, by_i in groups.items() for i, v in by_i.items()]
-        counts = [values.size for *_, values in pairs]
-        fields = [np.repeat(np.array([pair[k] for pair in pairs], dtype=object), counts) for k in (0, 1)]
-        cells = np.concatenate([np.empty(0), *(values for *_, values in pairs)])
-        blocks = [(fields, cells, [None] * cells.size)] if cells.size else []
-        (targets, impostors), (target_codes, impostor_codes), scores = _validated(blocks)
+        rows = ((None, t, i, score) for t, by_i in groups.items() for i, v in by_i.items()
+                for score in np.asarray(v, dtype=float).reshape(-1).tolist())
+        (targets, impostors), (target_codes, impostor_codes), scores = _validated(rows, str)
         targets += groups.keys() - set(targets)
         return cls.from_codes(targets, impostors, target_codes, impostor_codes, scores)
 

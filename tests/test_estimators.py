@@ -107,7 +107,7 @@ class TestZeroEffort:
 
     def test_empty_impostor_list_rejected(self):
         corpus = PackedCorpus.from_groups({"t": {}})
-        with pytest.raises(ValueError, match="no impostor groups"):
+        with pytest.raises(ValueError, match="exceeds the 0 impostors available for target 't'"):
             estimate_pfa_zero_effort(corpus, 0.0)
 
     def test_matches_pooled_rate_for_equal_sizes(self):

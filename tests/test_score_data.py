@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -393,6 +394,57 @@ def test_jsonl_integer_beyond_the_digit_limit_names_its_line(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("name,content", [
+    pytest.param("c.csv", HEADER + b"a,b,0.5\na,c,1.5\n", id="csv"),
+    pytest.param("c.jsonl", _jsonl({"target": "a", "impostor": "b", "score": 0.5},
+                                   {"target": "a", "impostor": "c", "score": 1}), id="jsonl"),
+    pytest.param("l.csv", b"label,score\ntarget,1\nnontarget,0.5\n", id="labels"),
+])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, name, content):
+    """Spreadsheets save "CSV UTF-8" with a byte-order mark first; a later one stays part of its field."""
+    load = load_labeled_scores if name.startswith("l") else load_corpus
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_bytes(content)
+    marked.write_bytes(codecs.BOM_UTF8 + content)
+    assert load(marked) == load(plain)
+    marked.write_bytes(HEADER + codecs.BOM_UTF8 + b"a,b,0.5\n")
+    assert load_corpus(marked, format="csv").target_ids == ("\ufeffa",)
+
+
+# per file kind: header, good row k, a row that breaks a row rule and its
+# message, and a row the reader refuses and the start of its message
+_EDGE_FILES = {
+    "csv": ("target_id,impostor_id,score", "t{k},i{k},0.5", "a,a,0.5",
+            "target and impostor are the same speaker 'a'", "a,b", "expected 3 fields, got 2"),
+    "jsonl": (None, '{{"target": "t{k}", "impostor": "i{k}", "score": 0.5}}',
+              '{"target": "a", "impostor": "a", "score": 0.5}', "target and impostor are the same speaker 'a'",
+              '{"target": "a",', "invalid JSON: "),
+    "labels": ("label,score", "target,{k}", "a,0.5", "label 'a' is not 'target' or 'nontarget'",
+               "target,0.5,1", "expected 2 fields, got 3"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_EDGE_FILES))
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("rule_fault_before", [False, True])
+def test_a_reader_fault_at_a_batch_edge_is_raised_after_the_rows_before_it(tmp_path, kind, offset, rule_fault_before):
+    """The reader's fault sits on data row `_BLOCK_ROWS` + `offset`, counted from 1: the last row of a full
+    batch is `_BLOCK_ROWS`.  A row rule broken in the row before it is reported instead."""
+    header, good, rule_row, rule_message, reader_row, reader_message = _EDGE_FILES[kind]
+    at = score_data._BLOCK_ROWS + offset
+    rows = [good.format(k=k) for k in range(1, at)] + [reader_row, good.format(k=at + 1)]
+    if rule_fault_before:
+        rows[at - 2] = rule_row
+    path = tmp_path / ("c.jsonl" if kind == "jsonl" else "c.csv")
+    path.write_text("\n".join(([header] if header else []) + rows) + "\n")
+    load = load_labeled_scores if kind == "labels" else load_corpus
+    with pytest.raises(ParseError) as info:
+        load(path)
+    line = at - 1 if rule_fault_before else at  # data row k is on line k, after a header on line k + 1
+    want = f"line {line + bool(header)}: {rule_message if rule_fault_before else reader_message}"
+    assert str(info.value).startswith(want)
+
+
 def _assert_matches_oracle(loaded, rows):
     want, grouped = grouped_corpus(rows)
     assert (loaded.target_ids, loaded.impostor_ids) == want[:2]
@@ -403,7 +455,7 @@ def _assert_matches_oracle(loaded, rows):
 
 
 class TestColumnPath:
-    """The CSV row reader `_csv_rows`: `csv.reader` rows of unquoted CSVs, as column blocks through `_validated`."""
+    """The CSV row reader `_csv_rows`: `csv.reader` rows of unquoted CSVs, as row tuples that `_validated` batches."""
 
     def test_hash_in_id(self, tmp_path):
         rows = [("a#1", "b", 0.5), ("a#1", "#c", 1.5), ("x", "b", 2.0)]
