@@ -77,7 +77,10 @@ def _output(out_path: str | None):
         return
     path = os.path.realpath(out_path)
     temp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the mode `open` gives a new file
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the mode `open` gives a new file
+    except OSError as exc:  # named by the path given, not by the temporary file's
+        raise OSError(exc.errno, exc.strerror, out_path) from None
     try:
         with open(fd, "w") as fh:
             if mode is not None:
@@ -87,6 +90,16 @@ def _output(out_path: str | None):
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temp)
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths `a` and `b` name one file, through symbolic or hard links too."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return False
 
 
 def _write_text(text: str, out_path: str | None):
@@ -289,6 +302,8 @@ def cmd_simulate(args) -> int:
     else:
         raise ValueError(f"unknown simulation kind {kind!r}; expected 'model' or 'toy_asv'")
 
+    if args.out and args.labeled_out and _same_file(args.out, args.labeled_out):
+        raise ValueError(f"--out and --labeled-out name the same file: {args.out!r}, {args.labeled_out!r}")
     # generated ids hold only letters, digits and underscores: no cell needs CSV quoting or a % escape
     rows = (([f"{target_id},{i}," for i in impostor_ids], scores) for target_id, impostor_ids, scores in blocks)
     with contextlib.ExitStack() as outputs:

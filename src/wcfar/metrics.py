@@ -42,19 +42,32 @@ class DcfParams:
 
 
 def _scan(s: LabeledScoreSet):
-    """Candidate thresholds, (P_miss, P_fa) at each, and whether the pool holds one distinct score."""
+    """Candidate thresholds, (P_miss, P_fa) at each, and whether the pool holds one distinct score.
+
+    Every pooled-length array is built in place where it can be, so the
+    scan holds at most about five pooled lengths of floats at once.
+    """
     tar = np.sort(np.asarray(s.target_scores, dtype=float))
     non = np.sort(np.asarray(s.nontarget_scores, dtype=float))
-    pooled = np.sort(np.concatenate((tar, non)))
-    distinct = pooled[np.concatenate(([True], pooled[1:] != pooled[:-1]))]
+    pooled = np.concatenate((tar, non))
+    pooled.sort()
+    distinct = pooled[np.append(True, pooled[1:] != pooled[:-1])]
+    del pooled
     degenerate = distinct.size == 1
-    mids = 0.5 * distinct[:-1] + 0.5 * distinct[1:]
-    low = distinct[0] - 1.0
-    if low == distinct[0]:  # from about 1e16 in magnitude the step rounds away; take the next finite float down
-        low = np.nextafter(low, -np.finfo(float).max)
-    taus = distinct if degenerate else np.concatenate(([low], mids, [distinct[-1] + 1.0]))
+    if degenerate:
+        taus = distinct
+    else:
+        low = distinct[0] - 1.0
+        if low == distinct[0]:  # from about 1e16 in magnitude the step rounds away; take the next finite float down
+            low = np.nextafter(low, -np.finfo(float).max)
+        taus = np.empty(distinct.size + 1)
+        taus[0], taus[-1] = low, distinct[-1] + 1.0
+        distinct *= 0.5  # each midpoint is 0.5 * a + 0.5 * b
+        np.add(distinct[:-1], distinct[1:], out=taus[1:-1])
+    del distinct
     p_miss = np.searchsorted(tar, taus, side="right") / len(tar)
-    p_fa = 1.0 - np.searchsorted(non, taus, side="right") / len(non)
+    p_fa = np.searchsorted(non, taus, side="right") / len(non)
+    np.subtract(1.0, p_fa, out=p_fa)
     return taus, p_miss, p_fa, degenerate
 
 
@@ -66,7 +79,8 @@ def eer_threshold(s: LabeledScoreSet) -> tuple[float, float, bool]:
     degenerates to that value and is flagged.
     """
     taus, p_miss, p_fa, degenerate = _scan(s)
-    k = int(np.argmin(np.abs(p_fa - p_miss)))
+    gap = p_fa - p_miss
+    k = int(np.argmin(np.abs(gap, out=gap)))
     return float(taus[k]), float(0.5 * (p_fa[k] + p_miss[k])), degenerate
 
 
@@ -78,6 +92,10 @@ def min_dcf_threshold(s: LabeledScoreSet, p: DcfParams) -> tuple[float, float, b
     """
     taus, p_miss, p_fa, degenerate = _scan(s)
     norm = min(p.p_target * p.c_miss, (1.0 - p.p_target) * p.c_fa)
-    dcf = (p.p_target * p.c_miss * p_miss + (1.0 - p.p_target) * p.c_fa * p_fa) / norm
+    dcf = p_miss  # p_target*c_miss*P_miss + (1-p_target)*c_fa*P_fa, accumulated in place
+    dcf *= p.p_target * p.c_miss
+    p_fa *= (1.0 - p.p_target) * p.c_fa
+    dcf += p_fa
+    dcf /= norm
     k = int(np.argmin(dcf))
     return float(taus[k]), float(dcf[k]), degenerate

@@ -97,7 +97,7 @@ _BLOCK_ROWS = 1 << 11  # rows per batch that `_validated` checks
 def _intern(field: np.ndarray, index: dict[str, int]) -> np.ndarray:
     """Codes of `field`'s ids in `index`, which gains the new ones; runs of one id are looked up once."""
     head = np.flatnonzero(np.concatenate(([True], field[1:] != field[:-1])))
-    code = np.array([index.setdefault(name, len(index)) for name in field[head].tolist()], dtype=np.int64)
+    code = np.array([index.setdefault(name, len(index)) for name in field[head].tolist()], dtype=np.intc)
     return np.repeat(code, np.diff(np.append(head, field.size)))
 
 
@@ -115,8 +115,24 @@ def _cast(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, not_number
 
 
+def _extend_runs(codes: list[array], counts: array, block_codes: list[np.ndarray]) -> None:
+    """Append the runs of one batch's per-row id codes: each run's codes to `codes`, its rows to `counts`.
+
+    A run that goes on from the last batch's last run extends it.  What this
+    builds is freed on return, before the next batch is read.
+    """
+    heads = np.flatnonzero(np.logical_or.reduce([np.append(True, code[1:] != code[:-1]) for code in block_codes]))
+    runs = np.diff(np.append(heads, block_codes[0].size))
+    if counts and all(out[-1] == code[0] for out, code in zip(codes, block_codes)):
+        counts[-1] += int(runs[0])
+        heads, runs = heads[1:], runs[1:]
+    for out, code in zip(codes, block_codes):
+        out.frombytes(code[heads].view(np.uint8))
+    counts.frombytes(runs.view(np.uint8))
+
+
 def _validated(rows, clean, labels: bool = False):
-    """Batch, intern, cast and check an iterator of ``(line, *ids, cell)`` rows: ``(names, codes, scores)``.
+    """Batch, intern, cast and check an iterator of ``(line, *ids, cell)`` rows: ``(names, codes, counts, scores)``.
 
     The ids are the target and impostor (the label, in a label file), each
     passed through `clean`.  Rows are checked `_BLOCK_ROWS` at a time, as
@@ -125,9 +141,14 @@ def _validated(rows, clean, labels: bool = False):
     not finite raises ParseError for the first of these rules, in this
     order, that it breaks.  A ParseError that `rows` raises is raised after
     the rows before it are checked, so the first fault in a file wins.
+
+    Ids are kept once per run, a maximal stretch of consecutive rows with
+    the same ids: `codes` holds each run's code per id column and `counts`
+    its rows, so only `scores` has one entry per row.
     """
     index = [{label: code for code, label in enumerate(_LABELS)}] if labels else [{}, {}]
-    codes, scores = [array("q") for _ in index], array("d")
+    # a code is a C int, as no process holds 2**31 distinct ids; a run may exceed 2**31 rows
+    codes, counts, scores = [array("i") for _ in index], array("q"), array("d")
     fault = None
     while fault is None:
         batch = []
@@ -155,14 +176,14 @@ def _validated(rows, clean, labels: bool = False):
             id_, cell = (column[row : row + 1].tolist()[0] for column in (fields[0], cells))
             message = next(message for broken, message in rules if broken[row])
             raise ParseError(message.format(id=id_, cell=cell), batch[row][0])
-        for out, code in zip(codes, block_codes):
-            out.frombytes(code.view(np.uint8))
+        _extend_runs(codes, counts, block_codes)
         scores.frombytes(values.view(np.uint8))
     if fault is not None:
         raise fault
     return (
         [list(seen) for seen in index],
-        [np.frombuffer(c, dtype=np.int64) for c in codes],
+        [np.frombuffer(c, dtype=np.intc) for c in codes],
+        np.frombuffer(counts, dtype=np.int64),
         np.frombuffer(scores, dtype=float),
     )
 
@@ -409,10 +430,12 @@ def _parse_corpus(fh, format: str) -> PackedCorpus:
         rows = _csv_rows(fh, ("target_id", "impostor_id", "score"), "missing column(s) {missing} in header {header}")
     else:
         rows = _jsonl_rows(fh)
-    (targets, impostors), (target_codes, impostor_codes), scores = _validated(rows, str if format == "jsonl" else str.strip)
+    (targets, impostors), (target_codes, impostor_codes), counts, scores = _validated(
+        rows, str if format == "jsonl" else str.strip
+    )
     if not scores.size:  # a JSONL file without rows has only blank lines
         raise ParseError("empty file" if format == "jsonl" else "file contains no data rows", 1)
-    return PackedCorpus.from_codes(targets, impostors, target_codes, impostor_codes, scores)
+    return PackedCorpus.from_codes(targets, impostors, target_codes, impostor_codes, counts, scores)
 
 
 def load_labeled_scores(path) -> LabeledScoreSet:
@@ -427,8 +450,8 @@ def load_labeled_scores(path) -> LabeledScoreSet:
 
 def _parse_labels(fh) -> LabeledScoreSet:
     header_fault = "expected header with 'label' and 'score', got {header}"
-    _, [codes], scores = _validated(_csv_rows(fh, ("label", "score"), header_fault), str.strip, labels=True)
-    target, nontarget = (scores[codes == code] for code in range(len(_LABELS)))
+    _, [codes], counts, scores = _validated(_csv_rows(fh, ("label", "score"), header_fault), str.strip, labels=True)
+    target, nontarget = (scores[np.repeat(codes == code, counts)] for code in range(len(_LABELS)))
     if not target.size or not nontarget.size:
         raise ParseError("file must contain at least one target and one nontarget score")
     return LabeledScoreSet(target_scores=target, nontarget_scores=nontarget)
@@ -516,9 +539,10 @@ class PackedCorpus:
         impostor_names: Sequence[str],
         target_codes: np.ndarray,
         impostor_codes: np.ndarray,
+        counts: np.ndarray,
         scores: np.ndarray,
     ) -> PackedCorpus:
-        """Pack rows given as indices into the two name lists.
+        """Pack runs of rows, each given as indices into the two name lists and its count of `scores`.
 
         Targets, impostors, and the pairs within a target are ordered by id
         in code point order; rows of one pair keep their order.  Every name
@@ -529,18 +553,24 @@ class PackedCorpus:
         impostor_rank, impostor_sorted = _rank(impostor_names)
         width = max(len(impostor_names), 1)
         key = target_rank[target_codes] * width + impostor_rank[impostor_codes]
-        if np.any(key[1:] < key[:-1]):  # rows already in id order, as generated ones are, need no sort
+        if np.any(key[1:] < key[:-1]):  # runs out of id order are sorted as rows, stably
+            key = np.repeat(key, counts)
             order = np.argsort(key, kind="stable")
-            key, scores = key[order], scores[order]
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        pair_key = key[first]
+            key = key[order]  # the unsorted keys are freed before `scores[order]` is built
+            scores = scores[order]
+            ends = None
+        else:  # runs in id order, as generated ones are, need no sort
+            ends = np.cumsum(counts)  # where each run's rows end in `scores`
+        last = np.ones(key.size, dtype=bool)
+        last[:-1] = key[1:] != key[:-1]
+        pair_key = key[last]
+        pair_ends = np.flatnonzero(last) + 1 if ends is None else ends[last]
         return cls(
             target_ids=target_ids,
             impostor_ids=impostor_sorted,
             target_offsets=np.searchsorted(pair_key // width, np.arange(len(target_ids) + 1)),
             pair_impostor=pair_key % width,
-            pair_offsets=np.append(np.flatnonzero(first), key.size),
+            pair_offsets=np.append(0, pair_ends),
             scores=scores,
         )
 
@@ -552,9 +582,9 @@ class PackedCorpus:
         """
         rows = ((None, t, i, score) for t, by_i in groups.items() for i, v in by_i.items()
                 for score in np.asarray(v, dtype=float).reshape(-1).tolist())
-        (targets, impostors), (target_codes, impostor_codes), scores = _validated(rows, str)
+        (targets, impostors), (target_codes, impostor_codes), counts, scores = _validated(rows, str)
         targets += groups.keys() - set(targets)
-        return cls.from_codes(targets, impostors, target_codes, impostor_codes, scores)
+        return cls.from_codes(targets, impostors, target_codes, impostor_codes, counts, scores)
 
     @property
     def n_targets(self) -> int:

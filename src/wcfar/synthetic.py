@@ -162,17 +162,19 @@ def _pack(blocks: Iterator[Block]) -> PackedCorpus:
     """The corpus of `blocks`, packed as `load_corpus` packs the rows they write."""
     from .score_data import PackedCorpus
 
-    target_ids, impostors, impostor_codes, scores = [], {}, [], []
-    for target_id, impostor_ids, block in blocks:
+    target_ids, pairs, impostors, impostor_codes, counts, scores = [], [], {}, [], [], []
+    for target_id, impostor_ids, block in blocks:  # one run of rows per pair
         target_ids.append(target_id)
-        codes = [impostors.setdefault(name, len(impostors)) for name in impostor_ids]
-        impostor_codes.append(np.repeat(codes, block.shape[1]))
+        pairs.append(len(impostor_ids))
+        impostor_codes += [impostors.setdefault(name, len(impostors)) for name in impostor_ids]
+        counts += [block.shape[1]] * block.shape[0]
         scores.append(block.reshape(-1))
     return PackedCorpus.from_codes(
         target_ids,
         list(impostors),
-        np.repeat(np.arange(len(target_ids)), [block.size for block in scores]),
-        np.concatenate(impostor_codes),
+        np.repeat(np.arange(len(target_ids)), pairs),
+        np.array(impostor_codes, dtype=np.int64),
+        np.array(counts, dtype=np.int64),
         np.concatenate(scores),
     )
 

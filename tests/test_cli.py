@@ -482,6 +482,41 @@ class TestSimulateCommand:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert hashlib.sha256(data).hexdigest() == self.PINNED["model"]["sim.csv"]
 
+    @pytest.mark.parametrize(
+        "alias,existing", [("same", False), ("same", True), ("symlink", False), ("symlink", True), ("hardlink", True)]
+    )
+    def test_out_and_labeled_out_naming_one_file_are_refused(self, tmp_path, capsys, alias, existing):
+        # else the labelled file replaces the corpus, and the run exits 0
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.SPECS["toy_asv"]))
+        out = tmp_path / "x.csv"
+        if existing:
+            out.write_bytes(b"kept")
+        other = {"same": out, "symlink": tmp_path / "link.csv", "hardlink": tmp_path / "hard.csv"}[alias]
+        if alias == "symlink":
+            other.symlink_to(out.name)
+        elif alias == "hardlink":
+            os.link(out, other)
+        before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.exists()}
+        assert run(["simulate", "--spec", spec_path, "--out", out, "--labeled-out", other]) == 1
+        want = f"error: --out and --labeled-out name the same file: {str(out)!r}, {str(other)!r}"
+        assert error_lines(capsys) == [want]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.exists()} == before
+
+    @pytest.mark.parametrize("command", ["simulate", "threshold"])
+    def test_out_in_a_missing_directory_names_the_path_given(self, tmp_path, labels_csv, capsys, command):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.SPECS["model"]))
+        out = tmp_path / "missing" / "out.csv"
+        if command == "simulate":
+            args = ["simulate", "--spec", spec_path]
+        else:
+            args = ["threshold", "--labels", labels_csv, "--eer"]
+        assert run([*args, "--out", out]) == 1
+        [error] = error_lines(capsys)
+        assert error == f"error: [Errno 2] No such file or directory: {str(out)!r}"
+        assert ".tmp" not in error
+
     def test_spec_not_an_object(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("[1, 2]")

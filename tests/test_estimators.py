@@ -405,6 +405,7 @@ class TestExactProperties:
             impostors,
             np.array([targets.index(t) for t, _, _ in shuffled]),
             np.array([impostors.index(i) for _, i, _ in shuffled]),
+            np.ones(len(shuffled), dtype=np.int64),
             np.array([s for _, _, s in shuffled]),
         )
         n = min(n, int(corpus.pairs_per_target.min()))

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def pair_fa(scores, tau: float) -> float:
     """`PackedCorpus.pair_exceed_fraction` of a one-pair corpus holding `scores`."""
     scores = np.asarray(scores, dtype=float)
     codes = np.zeros(scores.size, dtype=np.int64)
-    [fraction] = PackedCorpus.from_codes(["t"], ["i"], codes, codes, scores).pair_exceed_fraction(tau)
+    [fraction] = PackedCorpus.from_codes(["t"], ["i"], codes, codes, codes + 1, scores).pair_exceed_fraction(tau)
     return float(fraction)
 
 
@@ -197,6 +198,56 @@ class TestMinDcf:
         assert degenerate
         assert tau == 1.0
         assert dcf == 1.0
+
+
+def scan_out_of_place(labeled):
+    """The candidate thresholds and the rates at them, each array built by its own expression."""
+    tar, non = np.sort(labeled.target_scores), np.sort(labeled.nontarget_scores)
+    pooled = np.sort(np.concatenate((tar, non)))
+    distinct = pooled[np.concatenate(([True], pooled[1:] != pooled[:-1]))]
+    if distinct.size == 1:
+        taus = distinct
+    else:
+        low = distinct[0] - 1.0
+        if low == distinct[0]:
+            low = np.nextafter(low, -np.inf)
+        taus = np.concatenate(([low], 0.5 * distinct[:-1] + 0.5 * distinct[1:], [distinct[-1] + 1.0]))
+    p_miss = np.searchsorted(tar, taus, side="right") / tar.size
+    p_fa = 1.0 - np.searchsorted(non, taus, side="right") / non.size
+    return taus, p_miss, p_fa, distinct.size == 1
+
+
+class TestInPlaceScan:
+    @pytest.mark.parametrize(
+        "scale", [1.0, 5e-324, 1e300, 0.0], ids=["normal", "subnormal", "near-the-float-range", "one-score"]
+    )
+    def test_results_equal_the_out_of_place_scan_bit_for_bit(self, scale):
+        g = np.random.default_rng(21)
+        tar = np.round(g.normal(1.0, 1.0, 300) * 8) * scale  # ties within and across the classes
+        non = np.round(g.normal(-1.0, 1.0, 2000) * 8) * scale
+        labeled = LabeledScoreSet(tar, non)
+        taus, p_miss, p_fa, degenerate = scan_out_of_place(labeled)
+        k = int(np.argmin(np.abs(p_fa - p_miss)))
+        assert eer_threshold(labeled) == (float(taus[k]), float(0.5 * (p_fa[k] + p_miss[k])), degenerate)
+        p = DcfParams(0.01, 1.0, 3.0)
+        norm = min(p.p_target * p.c_miss, (1.0 - p.p_target) * p.c_fa)
+        dcf = (p.p_target * p.c_miss * p_miss + (1.0 - p.p_target) * p.c_fa * p_fa) / norm
+        k = int(np.argmin(dcf))
+        assert min_dcf_threshold(labeled, p) == (float(taus[k]), float(dcf[k]), degenerate)
+
+    def test_peak_memory_stays_within_five_and_a_half_pooled_lengths(self):
+        # a new array per step peaked at 8.2 pooled lengths; sorting, halving and accumulating in place, 5.2
+        g = np.random.default_rng(5)
+        labeled = LabeledScoreSet(g.normal(1.0, 1.0, 5000), g.normal(-1.0, 1.0, 40_000))
+        pooled_bytes = labeled.target_scores.nbytes + labeled.nontarget_scores.nbytes
+        for scan in (eer_threshold, lambda s: min_dcf_threshold(s, DcfParams(0.01, 1.0, 1.0))):
+            tracemalloc.start()
+            try:
+                scan(labeled)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5.5 * pooled_bytes
 
 
 class TestParamValidation:

@@ -562,6 +562,103 @@ def test_row_readers_stay_within_three_file_sizes(tmp_path, fmt):
     assert _load_peak(path, lambda _: _load_from_pipe(content, fmt)) <= 3 * len(content)
 
 
+def _runs_of(path, fmt: str):
+    """The run codes and run counts that `_validated` keeps of corpus file `path`."""
+    with open(path, "rb") as fh:
+        if fmt == "csv":
+            rows = score_data._csv_rows(fh, ("target_id", "impostor_id", "score"), "{missing}")
+        else:
+            rows = score_data._jsonl_rows(fh)
+        _, codes, counts, _ = score_data._validated(rows, str.strip if fmt == "csv" else str)
+    return [code.tolist() for code in codes], counts.tolist()
+
+
+def _interleaved(rows, seed: int) -> list:
+    """`rows` in a random order that keeps each pair's rows in their order."""
+    by_pair = {}
+    for t, i, score in rows:
+        by_pair.setdefault((t, i), []).append(score)
+    return [(t, i, by_pair[t, i].pop(0)) for t, i, _ in random.Random(seed).sample(rows, len(rows))]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+class TestRuns:
+    """Consecutive rows with the same ids are kept as one run; `grouped_corpus` is the oracle."""
+
+    def test_a_pair_straddling_a_batch_edge_is_one_run(self, tmp_path, fmt):
+        edge = score_data._BLOCK_ROWS
+        # the second pair straddles the first batch edge; the third fills a whole batch and straddles two edges
+        lengths = [edge - 3, 7, 2 * edge, 5]
+        pairs = [("a", "b"), ("a", "c"), ("d", "b"), ("d", "c")]
+        rows = [(t, i, k / 8) for (t, i), n in zip(pairs, lengths) for k in range(n)]
+        path = tmp_path / f"c.{fmt}"
+        path.write_text(_corpus_text(rows, fmt, [], random.Random(0)))
+        _assert_matches_oracle(load_corpus(path), rows)
+        assert _runs_of(path, fmt) == ([[0, 0, 1, 1], [0, 1, 0, 1]], lengths)
+
+    def test_a_pair_in_two_runs_merges_in_file_order(self, tmp_path, fmt):
+        rows = [("a", "b", 1.0), ("a", "b", 2.0), ("a", "c", 3.0), ("b", "a", 4.0), ("a", "b", 5.0), ("a", "c", 6.0)]
+        path = tmp_path / f"c.{fmt}"
+        path.write_text(_corpus_text(rows, fmt, [], random.Random(0)))
+        corpus = load_corpus(path)
+        _assert_matches_oracle(corpus, rows)
+        assert corpus.scores.tolist() == [1.0, 2.0, 5.0, 3.0, 6.0, 4.0]
+        assert _runs_of(path, fmt)[1] == [2, 1, 1, 1, 1]
+
+    def test_a_row_shuffled_corpus_equals_the_grouped_one(self, tmp_path, fmt):
+        scores = np.random.default_rng(11).normal(size=(5, 6, 90)).tolist()  # 2700 rows: two batches
+        rows = [(f"t{t}", f"i{i}", v) for t in range(5) for i in range(6) for v in scores[t][i]]
+        shuffled = _interleaved(rows, seed=12)
+        grouped_path, shuffled_path = tmp_path / f"g.{fmt}", tmp_path / f"s.{fmt}"
+        grouped_path.write_text(_corpus_text(rows, fmt, [], random.Random(0)))
+        shuffled_path.write_text(_corpus_text(shuffled, fmt, [], random.Random(0)))
+        loaded = load_corpus(shuffled_path)
+        _assert_matches_oracle(loaded, shuffled)
+        assert loaded == load_corpus(grouped_path)
+
+
+def test_labels_alternating_row_by_row(tmp_path):
+    rows = [("target" if k % 2 else "nontarget", k / 4) for k in range(2 * score_data._BLOCK_ROWS + 3)]
+    labeled = load_labeled_scores(write(tmp_path, "l.csv", ["label,score", *(f"{label},{v!r}" for label, v in rows)]))
+    assert labeled.target_scores.tolist() == [v for label, v in rows if label == "target"]
+    assert labeled.nontarget_scores.tolist() == [v for label, v in rows if label == "nontarget"]
+
+
+def _parse_peak_ratio(path) -> float:
+    """Peak traced memory of `load_corpus(path)`, over the bytes of its scores."""
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / corpus.scores.nbytes
+
+
+class TestParseMemory:
+    """Cold parse peaks of a 10 x 10 x 144 corpus (14,400 rows).  Batches of 256 rows keep a batch's
+    Python objects below the corpus's arrays, which then set the peak."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        monkeypatch.setattr(score_data, "_BLOCK_ROWS", 256)
+        monkeypatch.setenv("XDG_CACHE_HOME", "")
+        monkeypatch.setenv("HOME", "")
+        scores = np.random.default_rng(7).normal(size=(10, 10, 144)).tolist()
+        return [(f"t{t:03d}", f"i{i:03d}", v) for t in range(10) for i in range(10) for v in scores[t][i]]
+
+    def test_a_grouped_corpus_keeps_no_per_row_codes(self, tmp_path, rows):
+        # two per-row codes and a per-row sort key read 6.2x the score bytes; one record per run reads 2.4x
+        path = write(tmp_path, "c.csv", [CSV_ROWS[0], *(f"{t},{i},{v!r}" for t, i, v in rows)])
+        assert _parse_peak_ratio(path) <= 4
+
+    def test_a_shuffled_corpus_costs_no_more_than_per_row_codes(self, tmp_path, rows):
+        # per-row codes read 7.2x; sorting run keys expanded to rows reads 6.4x
+        random.Random(3).shuffle(rows)
+        path = write(tmp_path, "c.csv", [CSV_ROWS[0], *(f"{t},{i},{v!r}" for t, i, v in rows)])
+        assert _parse_peak_ratio(path) <= 7.2
+
+
 class TestLabeledScores:
     def test_round_trip(self, tmp_path):
         path = write(
