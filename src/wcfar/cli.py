@@ -128,7 +128,7 @@ def _score_lines(header: str, blocks):
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"  # NaN and Infinity are not JSON
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -145,9 +145,12 @@ def _parse_dcf(text: str) -> DcfParams:
     from .metrics import DcfParams
 
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected p_target,c_miss,c_fa, got {text!r}")
-    return DcfParams(p_target=float(parts[0]), c_miss=float(parts[1]), c_fa=float(parts[2]))
+    try:
+        if len(parts) != 3:
+            raise ValueError(f"expected p_target,c_miss,c_fa, got {text!r}")
+        return DcfParams(p_target=float(parts[0]), c_miss=float(parts[1]), c_fa=float(parts[2]))
+    except ValueError as exc:  # argparse shows the reason of an ArgumentTypeError only
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_json(path: str):
@@ -186,12 +189,13 @@ def _load_corpus(args):
 
 def _resolve_tau(args) -> float:
     """--tau, or the 'tau' of the --threshold file; argparse requires exactly one of them."""
-    if args.tau is not None:
-        return args.tau
     try:
-        return float(_read_json(args.threshold)["tau"])
+        tau = args.tau if args.tau is not None else float(_read_json(args.threshold)["tau"])
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"threshold file {args.threshold} must hold a JSON object with a numeric 'tau'") from None
+    if math.isnan(tau):
+        raise ValueError("tau must not be NaN")
+    return tau
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -232,6 +236,8 @@ def cmd_threshold(args) -> int:
 def cmd_fit(args) -> int:
     from .inference import SHAPE_CAP, fit
 
+    if args.out and args.trace and _same_file(args.out, args.trace):
+        raise ValueError(f"--out and --trace name the same file: {args.out!r}, {args.trace!r}")
     corpus = _load_corpus(args)
     init = _load_theta(args.init) if args.init else None
     report = fit(corpus, init=init, tol=args.tol, max_iter=args.max_iter)

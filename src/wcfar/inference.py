@@ -349,8 +349,11 @@ def fit(
     `init` is omitted a method-of-moments start is used.
 
     A corpus with fewer than 2 targets, or without a pair of 2 or more
-    scores, does not identify the model and is refused with ValueError.
+    scores, does not identify the model and is refused with ValueError, as
+    are a `max_iter` below 1 and a `tol` that is NaN or negative.
     """
+    if max_iter < 1 or not tol >= 0:
+        raise ValueError(f"max_iter must be >= 1 and tol a number >= 0, got max_iter={max_iter}, tol={tol}")
     if data.n_targets < 2:
         count = "one target" if data.n_targets else "no targets"
         raise ValueError(f"cannot fit: the corpus has {count}; the prior over targets needs 2 or more")

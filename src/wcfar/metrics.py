@@ -37,8 +37,8 @@ class DcfParams:
     def __post_init__(self):
         if not (0.0 < self.p_target < 1.0):
             raise ValueError(f"p_target must be in (0, 1), got {self.p_target}")
-        if not (self.c_miss > 0 and self.c_fa > 0):
-            raise ValueError(f"costs must be positive, got {self.c_miss}, {self.c_fa}")
+        if not (0.0 < self.c_miss < np.inf and 0.0 < self.c_fa < np.inf):
+            raise ValueError(f"costs must be finite and positive, got {self.c_miss}, {self.c_fa}")
 
 
 def _scan(s: LabeledScoreSet):

@@ -20,10 +20,11 @@ that is not UTF-8.  On these lines `_csv_rows` runs `csv.reader` and
 ``(line, *ids, cell)`` tuple per row and raise ParseError at their own
 fault.  `_validated` batches these rows, and those of
 `PackedCorpus.from_groups`; it is the only place where row rules run and
-where the fault to report is chosen.  A reader's fault, a bad byte's
-included, is raised after the rows before it are checked, so the first
-fault in a file wins.  Every fault names the physical line on which its
-row starts.
+where the fault to report is chosen.  It finds each batch's runs of rows
+with the same ids in one pass, and checks the ids once per run and the
+score of every row.  A reader's fault, a bad byte's included, is raised
+after the rows before it are checked, so the first fault in a file wins.
+Every fault names the physical line on which its row starts.
 
 `_cached` saves the arrays of each successful load in
 ``$XDG_CACHE_HOME/wcfar`` (else ``$HOME/.cache/wcfar``), one ``.npz`` entry
@@ -94,13 +95,6 @@ _LABELS = ("target", "nontarget")
 _BLOCK_ROWS = 1 << 11  # rows per batch that `_validated` checks
 
 
-def _intern(field: np.ndarray, index: dict[str, int]) -> np.ndarray:
-    """Codes of `field`'s ids in `index`, which gains the new ones; runs of one id are looked up once."""
-    head = np.flatnonzero(np.concatenate(([True], field[1:] != field[:-1])))
-    code = np.array([index.setdefault(name, len(index)) for name in field[head].tolist()], dtype=np.intc)
-    return np.repeat(code, np.diff(np.append(head, field.size)))
-
-
 def _cast(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`cells` read as `float` reads them, and which of them are not a number (they read 0)."""
     try:
@@ -115,36 +109,21 @@ def _cast(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, not_number
 
 
-def _extend_runs(codes: list[array], counts: array, block_codes: list[np.ndarray]) -> None:
-    """Append the runs of one batch's per-row id codes: each run's codes to `codes`, its rows to `counts`.
-
-    A run that goes on from the last batch's last run extends it.  What this
-    builds is freed on return, before the next batch is read.
-    """
-    heads = np.flatnonzero(np.logical_or.reduce([np.append(True, code[1:] != code[:-1]) for code in block_codes]))
-    runs = np.diff(np.append(heads, block_codes[0].size))
-    if counts and all(out[-1] == code[0] for out, code in zip(codes, block_codes)):
-        counts[-1] += int(runs[0])
-        heads, runs = heads[1:], runs[1:]
-    for out, code in zip(codes, block_codes):
-        out.frombytes(code[heads].view(np.uint8))
-    counts.frombytes(runs.view(np.uint8))
-
-
 def _validated(rows, clean, labels: bool = False):
     """Batch, intern, cast and check an iterator of ``(line, *ids, cell)`` rows: ``(names, codes, counts, scores)``.
 
     The ids are the target and impostor (the label, in a label file), each
-    passed through `clean`.  Rows are checked `_BLOCK_ROWS` at a time, as
-    columns.  The first row with an empty id, the same target and impostor,
-    a label not in `_LABELS`, a score that is not a number or one that is
-    not finite raises ParseError for the first of these rules, in this
-    order, that it breaks.  A ParseError that `rows` raises is raised after
-    the rows before it are checked, so the first fault in a file wins.
-
-    Ids are kept once per run, a maximal stretch of consecutive rows with
+    passed through `clean`.  Rows are read `_BLOCK_ROWS` at a time, and each
+    batch is cut once into runs, maximal stretches of consecutive rows with
     the same ids: `codes` holds each run's code per id column and `counts`
-    its rows, so only `scores` has one entry per row.
+    its rows, so only `scores` has one entry per row.  A run that goes on
+    from the last batch's last run extends it.  An id rule holds for every
+    row of a run or for none, so each run's ids are checked once.  The first
+    row with an empty id, the same target and impostor, a label not in
+    `_LABELS`, a score that is not a number or one that is not finite raises
+    ParseError for the first of these rules, in this order, that it breaks.
+    A ParseError that `rows` raises is raised after the rows before it are
+    checked, so the first fault in a file wins.
     """
     index = [{label: code for code, label in enumerate(_LABELS)}] if labels else [{}, {}]
     # a code is a C int, as no process holds 2**31 distinct ids; a run may exceed 2**31 rows
@@ -160,23 +139,33 @@ def _validated(rows, clean, labels: bool = False):
             break
         last = len(batch[0]) - 1  # the cell's place; the ids sit between the line and the cell
         fields = [np.fromiter(map(clean, map(itemgetter(k), batch)), object, len(batch)) for k in range(1, last)]
-        cells = np.fromiter(map(itemgetter(last), batch), object, len(batch))
-        block_codes = [_intern(field, seen) for field, seen in zip(fields, index)]
-        values, not_number = _cast(cells)
+        heads = np.flatnonzero(np.logical_or.reduce([np.append(True, f[1:] != f[:-1]) for f in fields]))
+        runs = np.diff(np.append(heads, len(batch)))
+        ids = [field[heads] for field in fields]  # each run's ids
+        run_codes = [np.array([seen.setdefault(name, len(seen)) for name in names.tolist()], dtype=np.intc)
+                     for names, seen in zip(ids, index)]
+        values, not_number = _cast(np.fromiter(map(itemgetter(last), batch), object, len(batch)))
         if labels:  # a label other than those in `_LABELS` has a higher code
-            rules = [(block_codes[0] >= len(_LABELS), "label {id!r} is not 'target' or 'nontarget'")]
+            run_rules = [(run_codes[0] >= len(_LABELS), "label {id!r} is not 'target' or 'nontarget'")]
         else:
-            empty = np.logical_or(*(code == seen.get("", -1) for code, seen in zip(block_codes, index)))
-            same = fields[0] == fields[1]
-            rules = [(empty, "empty speaker identifier"), (same, "target and impostor are the same speaker {id!r}")]
-        rules += [(not_number, "score {cell!r} is not a number"), (~np.isfinite(values), "score {cell!r} is not finite")]
-        bad = np.logical_or.reduce([broken for broken, _ in rules])
+            empty = np.logical_or(*(code == seen.get("", -1) for code, seen in zip(run_codes, index)))
+            same = ids[0] == ids[1]
+            run_rules = [(empty, "empty speaker identifier"), (same, "target and impostor are the same speaker {id!r}")]
+        row_rules = [(not_number, "score {cell!r} is not a number"),
+                     (~np.isfinite(values), "score {cell!r} is not finite")]
+        bad = np.logical_or.reduce([broken for broken, _ in row_rules])
+        bad |= np.repeat(np.logical_or.reduce([broken for broken, _ in run_rules]), runs)
         if bad.any():
             row = int(bad.argmax())
-            id_, cell = (column[row : row + 1].tolist()[0] for column in (fields[0], cells))
-            message = next(message for broken, message in rules if broken[row])
-            raise ParseError(message.format(id=id_, cell=cell), batch[row][0])
-        _extend_runs(codes, counts, block_codes)
+            run = int(np.searchsorted(heads, row, side="right")) - 1
+            message = next(m for rules, k in ((run_rules, run), (row_rules, row)) for broken, m in rules if broken[k])
+            raise ParseError(message.format(id=ids[0][run], cell=batch[row][last]), batch[row][0])
+        if counts and all(out[-1] == code[0] for out, code in zip(codes, run_codes)):
+            counts[-1] += int(runs[0])
+            run_codes, runs = [code[1:] for code in run_codes], runs[1:]
+        for out, code in zip(codes, run_codes):
+            out.frombytes(code.view(np.uint8))
+        counts.frombytes(runs.view(np.uint8))
         scores.frombytes(values.view(np.uint8))
     if fault is not None:
         raise fault

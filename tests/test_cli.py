@@ -101,6 +101,16 @@ class TestThresholdCommand:
     def test_bad_dcf_string(self, labels_csv, capsys):
         assert run(["threshold", "--labels", labels_csv, "--dcf", "0.5,1"]) == 1
 
+    @pytest.mark.parametrize("dcf", ["0.5,inf,1", "0.5,1,inf"], ids=["c_miss", "c_fa"])
+    def test_an_infinite_cost_is_refused_with_its_reason(self, labels_csv, tmp_path, capsys, dcf):
+        # it wrote "metric_value": NaN, which is not JSON, and exited 0
+        out = tmp_path / "thr.json"
+        assert run(["threshold", "--labels", labels_csv, "--dcf", dcf, "--out", out]) == 1
+        [line] = error_lines(capsys)
+        assert line.endswith("error: argument --dcf: costs must be finite and positive, got " + (
+            "inf, 1.0" if dcf == "0.5,inf,1" else "1.0, inf"))
+        assert not out.exists()
+
 
 class TestFitCommand:
     def test_writes_theta_and_trace(self, corpus_csv, tmp_path):
@@ -181,6 +191,34 @@ class TestFitCommand:
         assert run(["fit", "--corpus", corpus_csv, "--max-iter", "2"]) == 0
         assert capsys.readouterr().err.splitlines() == ["warning: EM stopped at max_iter=2 before converging"]
 
+    @pytest.mark.parametrize("option", ["--max-iter=0", "--max-iter=-5", "--tol=nan", "--tol=-1e-7"])
+    def test_iteration_settings_that_cannot_work_are_refused(self, corpus_csv, capsys, option):
+        # --max-iter 0 wrote the moment start as a fit; a NaN or negative --tol ran silently to the cap
+        assert run(["fit", "--corpus", corpus_csv, option]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: max_iter must be >= 1 and tol a number >= 0, got ")
+
+    @pytest.mark.parametrize(
+        "alias,existing", [("same", False), ("same", True), ("symlink", False), ("symlink", True), ("hardlink", True)]
+    )
+    def test_out_and_trace_naming_one_file_are_refused(self, tmp_path, capsys, alias, existing):
+        # else the trace replaces the fitted hyper-parameters, and the run exits 0
+        out = tmp_path / "x.out"
+        if existing:
+            out.write_bytes(b"kept")
+        other = {"same": out, "symlink": tmp_path / "link.out", "hardlink": tmp_path / "hard.out"}[alias]
+        if alias == "symlink":
+            other.symlink_to(out.name)
+        elif alias == "hardlink":
+            os.link(out, other)
+        before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.exists()}
+        # the corpus does not exist: the pair is refused before anything is loaded
+        assert run(["fit", "--corpus", tmp_path / "missing.csv", "--out", out, "--trace", other]) == 1
+        assert error_lines(capsys) == [f"error: --out and --trace name the same file: {str(out)!r}, {str(other)!r}"]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.exists()} == before
+
 
 class TestEmpiricalCommand:
     def test_csv_output(self, corpus_csv, capsys):
@@ -245,6 +283,14 @@ class TestEmpiricalCommand:
         )
         assert code == 1
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau, want", [("inf", 0.0), ("-inf", 1.0)])
+    def test_an_infinite_tau_gives_exact_rows(self, corpus_csv, capsys, tau, want):
+        assert run(["empirical", "--corpus", corpus_csv, f"--tau={tau}", "--n", "1,4"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [(r["N"], float(r["estimate"]), float(r["ci_low"]), float(r["ci_high"])) for r in rows] == [
+            (n, want, want, want) for n in ("1", "4")
+        ]
 
 
 class TestPredictCommand:
@@ -709,6 +755,24 @@ class TestDiagnoseCommand:
             "skewness_excluded_pairs", "closest_impostor_stdev", "random_impostor_stdev",
             "closest_excluded_share", "random_excluded_share",
         }
+
+
+    @pytest.mark.parametrize("option, tau, message", [
+        ("--tau", "nan", "tau must not be NaN"),
+        ("--threshold", "NaN", "tau must not be NaN"),
+        ("--tau", "inf", "Out of range float values are not JSON compliant"),
+    ], ids=["tau-nan", "threshold-file-nan", "tau-inf"])
+    def test_a_tau_that_json_cannot_hold_is_refused(self, corpus_csv, tmp_path, capsys, option, tau, message):
+        # each wrote "tau": NaN or "tau": Infinity, which are not JSON, and exited 0
+        if option == "--threshold":
+            thr = tmp_path / "thr.json"
+            thr.write_text(f'{{"tau": {tau}}}')
+            tau = thr
+        out = tmp_path / "diag.json"
+        assert run(["diagnose", "--corpus", corpus_csv, option, tau, "--n-impostors", "4", "--out", out]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {message}")  # json's own message may name the value
+        assert not out.exists() and not list(tmp_path.glob(".diag.json.*"))
 
 
 class TestScoreFiles:

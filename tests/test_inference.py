@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -343,6 +345,16 @@ class TestFit:
         monkeypatch.setattr("wcfar.inference.e_step", no_sweep)
         with pytest.raises(ValueError, match=f"cannot fit: .*{reason}"):
             fit(PackedCorpus.from_groups(groups))
+
+    @pytest.mark.parametrize(
+        "settings", [{"max_iter": 0}, {"max_iter": -5}, {"tol": math.nan}, {"tol": -1e-7}],
+        ids=["max_iter-0", "max_iter-negative", "tol-nan", "tol-negative"],
+    )
+    def test_iteration_settings_that_cannot_work_are_refused(self, settings, monkeypatch):
+        # max_iter 0 returned the moment start as a fit; a NaN or negative tol ran silently to the cap
+        monkeypatch.setattr("wcfar.inference.moment_init", lambda data: pytest.fail("fit started"))
+        with pytest.raises(ValueError, match="max_iter must be >= 1 and tol a number >= 0"):
+            fit(small_corpus(seed=17, t=4, n=3, l=3), **settings)
 
     def test_numeric_errors_carry_iteration(self):
         data = small_corpus(seed=15, t=6, n=3, l=3)

@@ -256,6 +256,13 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             DcfParams(p, cm, cf)
 
+    @pytest.mark.parametrize("cost", ["c_miss", "c_fa"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_dcf_costs_must_be_finite(self, cost, bad):
+        # an infinite cost made the normalised cost inf / inf, NaN
+        with pytest.raises(ValueError, match="costs must be finite and positive"):
+            DcfParams(0.5, **{"c_miss": 1.0, "c_fa": 1.0, cost: bad})
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_labeled_scores_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="target_scores holds a score that is not finite"):

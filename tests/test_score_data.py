@@ -2,6 +2,7 @@ import codecs
 import csv
 import io
 import json
+import math
 import os
 import random
 import string
@@ -454,7 +455,7 @@ def _assert_matches_oracle(loaded, rows):
     assert PackedCorpus.from_groups(grouped) == loaded
 
 
-class TestColumnPath:
+class TestCsvRows:
     """The CSV row reader `_csv_rows`: `csv.reader` rows of unquoted CSVs, as row tuples that `_validated` batches."""
 
     def test_hash_in_id(self, tmp_path):
@@ -622,6 +623,73 @@ def test_labels_alternating_row_by_row(tmp_path):
     labeled = load_labeled_scores(write(tmp_path, "l.csv", ["label,score", *(f"{label},{v!r}" for label, v in rows)]))
     assert labeled.target_scores.tolist() == [v for label, v in rows if label == "target"]
     assert labeled.nontarget_scores.tolist() == [v for label, v in rows if label == "nontarget"]
+
+
+# a run's ids that break an id rule, and a score cell that breaks a score rule as CSV text and as JSON value
+_BAD_IDS = [("", "b"), ("a", ""), ("a", "a")]
+_BAD_CELLS = [("zz", "zz"), ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
+
+
+@st.composite
+def _faulty_runs(draw, where: str):
+    """Runs of 1-20 rows as ``[target, impostor, (csv cell, json cell)]`` rows, one of them with bad ids
+    unless `where` is "no bad id", and one row with a bad score: at a random row ("no bad id"), none
+    ("no bad score"), or "before", "on" or "after" the head of the run with bad ids."""
+    pairs = draw(st.lists(st.sampled_from([(t, i) for t in "abc" for i in "abc" if t != i]), min_size=2, max_size=8))
+    lengths = draw(st.lists(st.integers(1, 20), min_size=len(pairs), max_size=len(pairs)))
+    rows = [[t, i, (repr(k / 8), k / 8)] for (t, i), n in zip(pairs, lengths) for k in range(n)]
+    if where == "no bad id":
+        at = draw(st.integers(0, len(rows) - 1))
+    else:
+        run = draw(st.integers(1 if where == "before" else 0, len(pairs) - 1))
+        head = sum(lengths[:run])
+        bad_ids = draw(st.sampled_from(_BAD_IDS))
+        for row in rows[head : head + lengths[run]]:
+            row[:2] = bad_ids
+        if where != "no bad score":
+            step = {"before": -1, "on": 0, "after": 1}[where] * draw(st.integers(1, 20))
+            at = min(max(head + step, 0), len(rows) - 1)
+    if where != "no bad score":
+        rows[at][2] = draw(st.sampled_from(_BAD_CELLS))
+    return rows
+
+
+def _first_fault(rows, fmt: str) -> str:
+    """The fault of the first row that breaks a rule, the rules taken in their documented order, row by row."""
+    for line, (target, impostor, cells) in enumerate(rows, start=2 if fmt == "csv" else 1):
+        cell = cells[0] if fmt == "csv" else cells[1]
+        if fmt == "jsonl" and isinstance(cell, str):  # the JSONL reader refuses the row before any rule runs
+            return f"line {line}: score {cell!r} is not a number"
+        if not target or not impostor:
+            return f"line {line}: empty speaker identifier"
+        if target == impostor:
+            return f"line {line}: target and impostor are the same speaker {target!r}"
+        try:
+            finite = math.isfinite(float(cell))
+        except ValueError:
+            return f"line {line}: score {cell!r} is not a number"
+        if not finite:
+            return f"line {line}: score {cell!r} is not finite"
+    raise AssertionError("no row breaks a rule")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("where", ["before", "on", "after", "no bad id", "no bad score"])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), block_rows=st.integers(1, 8))
+def test_the_first_bad_row_wins_across_runs_and_batch_edges(tmp_path, monkeypatch, fmt, where, data, block_rows):
+    """Id rules are checked once per run and score rules once per row; batches of 1-8 rows cut the runs."""
+    rows = data.draw(_faulty_runs(where))
+    path = tmp_path / f"c.{fmt}"
+    if fmt == "csv":
+        path.write_text("target_id,impostor_id,score\n" + "".join(f"{t},{i},{cells[0]}\n" for t, i, cells in rows))
+    else:
+        objects = ({"target": t, "impostor": i, "score": cells[1]} for t, i, cells in rows)
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objects))
+    with monkeypatch.context() as patched, pytest.raises(ParseError) as info:
+        patched.setattr(score_data, "_BLOCK_ROWS", block_rows)
+        load_corpus(path)
+    assert str(info.value) == _first_fault(rows, fmt)
 
 
 def _parse_peak_ratio(path) -> float:
