@@ -19,7 +19,7 @@ _EXPORTS = {
     "score_data": ["PackedCorpus", "load_corpus", "load_labeled_scores"],
     "special_math": ["gamma_shape"],
     "streams": ["RngStream"],
-    "synthetic": ["SyntheticSpec", "ToyAsvSpec", "generate_model_corpus", "generate_toy_asv_corpus"],
+    "synthetic": ["SyntheticSpec", "ToyAsvSpec"],
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

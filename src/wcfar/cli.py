@@ -127,8 +127,12 @@ def _score_lines(header: str, blocks):
         yield "".join(formats) % tuple(values)
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"  # NaN and Infinity are not JSON
+def _json_dump(obj: dict) -> str:
+    """`obj` as JSON, or ValueError naming the first key, in key order, whose value is NaN or infinite."""
+    for key in sorted(obj):
+        if isinstance(obj[key], float) and not math.isfinite(obj[key]):
+            raise ValueError(f"{key} is {obj[key]}: JSON holds no NaN or Infinity")
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -350,10 +350,11 @@ def fit(
 
     A corpus with fewer than 2 targets, or without a pair of 2 or more
     scores, does not identify the model and is refused with ValueError, as
-    are a `max_iter` below 1 and a `tol` that is NaN or negative.
+    are a `max_iter` below 1 and a `tol` not in [0, 1), NaN included; at 1
+    or more the stop rule would pass without testing convergence.
     """
-    if max_iter < 1 or not tol >= 0:
-        raise ValueError(f"max_iter must be >= 1 and tol a number >= 0, got max_iter={max_iter}, tol={tol}")
+    if max_iter < 1 or not 0 <= tol < 1:
+        raise ValueError(f"max_iter must be >= 1 and tol in [0, 1), got max_iter={max_iter}, tol={tol}")
     if data.n_targets < 2:
         count = "one target" if data.n_targets else "no targets"
         raise ValueError(f"cannot fit: the corpus has {count}; the prior over targets needs 2 or more")

@@ -18,13 +18,13 @@ streams.  `_lines` raises ParseError at the first line that holds a byte
 that is not UTF-8.  On these lines `_csv_rows` runs `csv.reader` and
 `_jsonl_rows` reads one object per line; both only tokenise, yield one
 ``(line, *ids, cell)`` tuple per row and raise ParseError at their own
-fault.  `_validated` batches these rows, and those of
-`PackedCorpus.from_groups`; it is the only place where row rules run and
-where the fault to report is chosen.  It finds each batch's runs of rows
-with the same ids in one pass, and checks the ids once per run and the
-score of every row.  A reader's fault, a bad byte's included, is raised
-after the rows before it are checked, so the first fault in a file wins.
-Every fault names the physical line on which its row starts.
+fault.  `_validated` batches these rows; it is the only place where row
+rules run and where the fault to report is chosen.  It finds each batch's
+runs of rows with the same ids in one pass, and checks the ids once per
+run and the score of every row.  A reader's fault, a bad byte's
+included, is raised after the rows before it are checked, so the first
+fault in a file wins.  Every fault names the physical line on which its
+row starts.
 
 `_cached` saves the arrays of each successful load in
 ``$XDG_CACHE_HOME/wcfar`` (else ``$HOME/.cache/wcfar``), one ``.npz`` entry
@@ -48,7 +48,7 @@ import stat
 import tempfile
 import zipfile
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -496,9 +496,9 @@ class PackedCorpus:
     pair range ``target_offsets[i]:target_offsets[i+1]``; pair ``p`` owns the
     contiguous score range ``pair_offsets[p]:pair_offsets[p+1]`` and has
     impostor ``impostor_ids[pair_impostor[p]]``.  Each impostor id is held
-    once, however many targets it is paired with.  `from_codes`, which every
-    loader and generator goes through, orders targets, impostors, and the
-    pairs within a target by id.
+    once, however many targets it is paired with.  `from_codes`, which
+    `load_corpus` goes through, orders targets, impostors, and the pairs
+    within a target by id.
     """
 
     target_ids: tuple[str, ...]
@@ -562,18 +562,6 @@ class PackedCorpus:
             pair_offsets=np.append(0, pair_ends),
             scores=scores,
         )
-
-    @classmethod
-    def from_groups(cls, groups: Mapping[str, Mapping[str, Sequence[float]]]) -> PackedCorpus:
-        """Pack ``{target_id: {impostor_id: scores}}`` as `load_corpus` would.
-
-        A target may have no impostors; a pair without scores is left out.
-        """
-        rows = ((None, t, i, score) for t, by_i in groups.items() for i, v in by_i.items()
-                for score in np.asarray(v, dtype=float).reshape(-1).tolist())
-        (targets, impostors), (target_codes, impostor_codes), counts, scores = _validated(rows, str)
-        targets += groups.keys() - set(targets)
-        return cls.from_codes(targets, impostors, target_codes, impostor_codes, counts, scores)
 
     @property
     def n_targets(self) -> int:

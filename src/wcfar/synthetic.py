@@ -1,17 +1,18 @@
 """Synthetic score corpora with known ground truth.
 
-Two generators back the validation loop without any real recordings:
+Two block generators back the validation loop without any real recordings;
+`wcfar simulate` writes their blocks as corpus rows:
 
-  * `generate_model_corpus` draws a corpus directly from the hierarchical
-    score model, so inference can be checked against the exact
-    hyper-parameters that produced the data.
+  * `model_blocks` draws a corpus directly from the hierarchical score
+    model, so inference can be checked against the exact hyper-parameters
+    that produced the data.
 
-  * `generate_toy_asv_corpus` builds a miniature verification pipeline:
-    speaker identities are isotropic Gaussians in an embedding space,
-    utterances are noisy observations of the identity, and the score of an
-    utterance pair is a distance-based similarity.  This produces both a
-    non-target corpus and labelled target/non-target scores for threshold
-    calibration, with approximately Gaussian per-pair score distributions.
+  * `toy_asv_blocks` runs a miniature verification pipeline: speaker
+    identities are isotropic Gaussians in an embedding space, utterances
+    are noisy observations of the identity, and the score of an utterance
+    pair is a distance-based similarity.  This gives both a non-target
+    corpus and labelled target/non-target scores for threshold calibration,
+    with approximately Gaussian per-pair score distributions.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ import math
 import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import Hyperparameters, _sample_targets
 from .streams import RngStream
-
-if TYPE_CHECKING:  # `simulate` writes the blocks and packs no corpus
-    from .score_data import LabeledScoreSet, PackedCorpus
 
 
 def _require(kind: type, spec, names: tuple[str, ...]) -> None:
@@ -157,41 +154,3 @@ def toy_asv_blocks(spec: ToyAsvSpec) -> tuple[Iterator[Block], Iterator[tuple[st
 
     return corpus(), labels()
 
-
-def _pack(blocks: Iterator[Block]) -> PackedCorpus:
-    """The corpus of `blocks`, packed as `load_corpus` packs the rows they write."""
-    from .score_data import PackedCorpus
-
-    target_ids, pairs, impostors, impostor_codes, counts, scores = [], [], {}, [], [], []
-    for target_id, impostor_ids, block in blocks:  # one run of rows per pair
-        target_ids.append(target_id)
-        pairs.append(len(impostor_ids))
-        impostor_codes += [impostors.setdefault(name, len(impostors)) for name in impostor_ids]
-        counts += [block.shape[1]] * block.shape[0]
-        scores.append(block.reshape(-1))
-    return PackedCorpus.from_codes(
-        target_ids,
-        list(impostors),
-        np.repeat(np.arange(len(target_ids)), pairs),
-        np.array(impostor_codes, dtype=np.int64),
-        np.array(counts, dtype=np.int64),
-        np.concatenate(scores),
-    )
-
-
-def generate_model_corpus(spec: SyntheticSpec) -> PackedCorpus:
-    """Sample a corpus from the hierarchical model: the blocks of `model_blocks`."""
-    return _pack(model_blocks(spec))
-
-
-def generate_toy_asv_corpus(spec: ToyAsvSpec) -> tuple[PackedCorpus, LabeledScoreSet]:
-    """Non-target trials plus labelled scores from the toy pipeline: the blocks of `toy_asv_blocks`."""
-    from .score_data import LabeledScoreSet
-
-    corpus, labels = toy_asv_blocks(spec)
-    packed, scores = _pack(corpus), {"target": [], "nontarget": []}
-    for label, block in labels:
-        scores[label].append(block)
-    return packed, LabeledScoreSet(
-        target_scores=np.concatenate(scores["target"]), nontarget_scores=np.concatenate(scores["nontarget"])
-    )

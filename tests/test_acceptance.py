@@ -16,11 +16,11 @@ from scipy.special import ndtri
 from wcfar.estimators import estimate_pfa_worst_case, estimate_pfa_zero_effort
 from wcfar.inference import PosteriorFactors, e_step, fit
 from wcfar.model import Hyperparameters, predict_pfa
-from wcfar.score_data import PackedCorpus
 from wcfar.special_math import gamma_shape
 from wcfar.streams import RngStream
-from wcfar.synthetic import SyntheticSpec, generate_model_corpus
+from wcfar.synthetic import SyntheticSpec, model_blocks
 
+import corpora
 from oracles import (
     closest_of_n_quadrature,
     gamma_fit_objective,
@@ -46,7 +46,7 @@ def report(number, name, ok, detail):
 
 def test_acceptance_1_zero_effort_reduction():
     started = time.perf_counter()
-    corpus = generate_model_corpus(
+    corpus = corpora.pack(model_blocks(
         SyntheticSpec(
             theta=Hyperparameters(0.5, 1.0, 4.0, 3.0, 4.0, 4.0),
             t_targets=500,
@@ -54,7 +54,7 @@ def test_acceptance_1_zero_effort_reduction():
             l_scores_per_pair=20,
             seed=223,
         )
-    )
+    ))
     tau = 1.5
     worst = estimate_pfa_worst_case(corpus, tau, 1)
     zero = estimate_pfa_zero_effort(corpus, tau)
@@ -69,7 +69,7 @@ def test_acceptance_1_zero_effort_reduction():
 
 
 def test_acceptance_2_monotone_in_population_size():
-    corpus = generate_model_corpus(
+    corpus = corpora.pack(model_blocks(
         SyntheticSpec(
             theta=THETA,
             t_targets=40,
@@ -77,7 +77,7 @@ def test_acceptance_2_monotone_in_population_size():
             l_scores_per_pair=4,
             seed=81,
         )
-    )
+    ))
     tau = 2.0
     sizes = [2**k for k in range(11)]  # 1 .. 1024
     empirical = [estimate_pfa_worst_case(corpus, tau, n) for n in sizes]
@@ -120,7 +120,7 @@ def test_acceptance_3_inference_bound_and_oracle():
             l_scores_per_pair=int(rng.integers(2, 12)),
             seed=int(rng.integers(0, 2**31)),
         )
-        trace = fit(generate_model_corpus(spec), max_iter=60, tol=0.0).elbo_trace
+        trace = fit(corpora.pack(model_blocks(spec)), max_iter=60, tol=0.0).elbo_trace
         if len(trace) > 1:
             worst_step = min(worst_step, float(np.diff(trace).min()))
 
@@ -162,12 +162,12 @@ def test_acceptance_3_inference_bound_and_oracle():
 def test_acceptance_4_hyperparameter_recovery():
     started = time.perf_counter()
     truth = Hyperparameters(0.5, 1.0, 4.0, 3.0, 4.0, 4.0)
-    corpus = generate_model_corpus(
+    corpus = corpora.pack(model_blocks(
         SyntheticSpec(
             theta=truth, t_targets=500, n_impostors_per_target=50,
             l_scores_per_pair=20, seed=223,
         )
-    )
+    ))
     h = fit(corpus).hyperparameters
     elapsed = time.perf_counter() - started
     mu_err = abs(h.mu0 - truth.mu0)
@@ -210,7 +210,7 @@ def test_acceptance_5_sampling_vs_closed_form():
 
 
 def test_acceptance_6_exhaustive_micro_oracle():
-    corpus = PackedCorpus.from_groups({"t": {"A": [0.0, 0.0], "B": [1.0, 1.0], "C": [2.0, 2.0]}})
+    corpus = corpora.groups({"t": {"A": [0.0, 0.0], "B": [1.0, 1.0], "C": [2.0, 2.0]}})
     est = estimate_pfa_worst_case(corpus, 1.5, 2)
     diff = abs(est.value - 2.0 / 3.0)
     report(

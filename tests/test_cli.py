@@ -18,7 +18,9 @@ from wcfar.cli import main
 from wcfar.errors import NumericError
 from wcfar.model import DEFAULT_SCORES_PER_PAIR, Hyperparameters
 from wcfar.score_data import load_corpus, load_labeled_scores
-from wcfar.synthetic import SyntheticSpec, ToyAsvSpec, generate_model_corpus, generate_toy_asv_corpus
+from wcfar.synthetic import SyntheticSpec, ToyAsvSpec, model_blocks, toy_asv_blocks
+
+import corpora
 
 THETA = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
 
@@ -28,7 +30,7 @@ def corpus_csv(tmp_path):
     spec = SyntheticSpec(
         theta=THETA, t_targets=12, n_impostors_per_target=8, l_scores_per_pair=6, seed=61
     )
-    corpus = generate_model_corpus(spec)
+    corpus = corpora.pack(model_blocks(spec))
     path = tmp_path / "corpus.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -191,14 +193,16 @@ class TestFitCommand:
         assert run(["fit", "--corpus", corpus_csv, "--max-iter", "2"]) == 0
         assert capsys.readouterr().err.splitlines() == ["warning: EM stopped at max_iter=2 before converging"]
 
-    @pytest.mark.parametrize("option", ["--max-iter=0", "--max-iter=-5", "--tol=nan", "--tol=-1e-7"])
+    @pytest.mark.parametrize(
+        "option", ["--max-iter=0", "--max-iter=-5", *(f"--tol={t}" for t in ("nan", "-1e-7", "inf", "1e300", "1"))]
+    )
     def test_iteration_settings_that_cannot_work_are_refused(self, corpus_csv, capsys, option):
-        # --max-iter 0 wrote the moment start as a fit; a NaN or negative --tol ran silently to the cap
+        # --max-iter 0 wrote the moment start as a fit; a --tol < 0 or NaN ran to the cap, one >= 1 claimed convergence
         assert run(["fit", "--corpus", corpus_csv, option]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert line.startswith("error: max_iter must be >= 1 and tol a number >= 0, got ")
+        assert line.startswith("error: max_iter must be >= 1 and tol in [0, 1), got ")
 
     @pytest.mark.parametrize(
         "alias,existing", [("same", False), ("same", True), ("symlink", False), ("symlink", True), ("hardlink", True)]
@@ -415,11 +419,11 @@ class TestSimulateCommand:
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "sim.csv"
         assert run(["simulate", "--spec", spec_path, "--out", out]) == 0
-        direct = generate_model_corpus(
+        direct = corpora.pack(model_blocks(
             SyntheticSpec(
                 theta=THETA, t_targets=3, n_impostors_per_target=2, l_scores_per_pair=4, seed=5,
             )
-        )
+        ))
         assert load_corpus(out) == direct  # lossless round trip
 
     def test_toy_asv_with_labels(self, tmp_path):
@@ -440,7 +444,8 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(fh))
         assert {r["label"] for r in rows} == {"target", "nontarget"}
         del spec["kind"]
-        assert (load_corpus(out), load_labeled_scores(labeled)) == generate_toy_asv_corpus(ToyAsvSpec(**spec))
+        blocks, labels = toy_asv_blocks(ToyAsvSpec(**spec))
+        assert (load_corpus(out), load_labeled_scores(labeled)) == (corpora.pack(blocks), corpora.labeled(labels))
 
     def test_labeled_out_rejected_for_model_kind(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -468,7 +473,7 @@ class TestSimulateCommand:
         spec_path.write_text(json.dumps({**vars(spec), "kind": "model", "theta": THETA.to_json()}))
         out = tmp_path / "sim.csv"
         assert run(["simulate", "--spec", spec_path, "--out", out]) == 0
-        assert load_corpus(out) == generate_model_corpus(spec)
+        assert load_corpus(out) == corpora.pack(model_blocks(spec))
         with open(out) as fh:
             pairs = [tuple(row[:2]) for row in csv.reader(fh)][1:]
         assert pairs == sorted(pairs)
@@ -760,8 +765,9 @@ class TestDiagnoseCommand:
     @pytest.mark.parametrize("option, tau, message", [
         ("--tau", "nan", "tau must not be NaN"),
         ("--threshold", "NaN", "tau must not be NaN"),
-        ("--tau", "inf", "Out of range float values are not JSON compliant"),
-    ], ids=["tau-nan", "threshold-file-nan", "tau-inf"])
+        ("--tau", "inf", "tau is inf: JSON holds no NaN or Infinity"),
+        ("--threshold", "-Infinity", "tau is -inf: JSON holds no NaN or Infinity"),
+    ], ids=["tau-nan", "threshold-file-nan", "tau-inf", "threshold-file-minus-inf"])
     def test_a_tau_that_json_cannot_hold_is_refused(self, corpus_csv, tmp_path, capsys, option, tau, message):
         # each wrote "tau": NaN or "tau": Infinity, which are not JSON, and exited 0
         if option == "--threshold":
@@ -771,7 +777,7 @@ class TestDiagnoseCommand:
         out = tmp_path / "diag.json"
         assert run(["diagnose", "--corpus", corpus_csv, option, tau, "--n-impostors", "4", "--out", out]) == 1
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"error: {message}")  # json's own message may name the value
+        assert line.startswith(f"error: {message}")
         assert not out.exists() and not list(tmp_path.glob(".diag.json.*"))
 
 

@@ -21,8 +21,9 @@ from wcfar.model import Hyperparameters, predict_pfa
 from wcfar.score_data import PackedCorpus, sample_skewness
 from wcfar.special_math import ndtri as wcfar_ndtri
 from wcfar.streams import RngStream
-from wcfar.synthetic import SyntheticSpec, generate_model_corpus
+from wcfar.synthetic import SyntheticSpec, model_blocks
 
+import corpora
 from oracles import comb_worst_case, loop_diagnose_variances, loop_estimate_pfa_worst_case
 
 Z99 = float(ndtri(0.995))
@@ -72,19 +73,19 @@ class TestConfidenceInterval:
 
 class TestZeroEffort:
     def test_all_below_threshold(self):
-        corpus = PackedCorpus.from_groups({"t": {"a": [0.0, 0.1], "b": [-1.0]}})
+        corpus = corpora.groups({"t": {"a": [0.0, 0.1], "b": [-1.0]}})
         est = estimate_pfa_zero_effort(corpus, 5.0)
         assert est.value == 0.0
         assert (est.ci_low, est.ci_high) == (0.0, 0.0)
 
     def test_single_pair_exact(self):
-        corpus = PackedCorpus.from_groups({"t": {"a": [-1.0, 1.0]}})
+        corpus = corpora.groups({"t": {"a": [-1.0, 1.0]}})
         est = estimate_pfa_zero_effort(corpus, 0.0)
         assert est.value == 0.5
 
     def test_iid_gaussian_corpus(self):
         g = RngStream(8).generator()
-        corpus = PackedCorpus.from_groups(
+        corpus = corpora.groups(
             {
                 f"t{i}": {f"i{j}": g.standard_normal(100) for j in range(20)}
                 for i in range(50)
@@ -101,12 +102,12 @@ class TestZeroEffort:
         assert est.ci_low < pooled < est.ci_high
 
     def test_infinite_thresholds(self):
-        corpus = PackedCorpus.from_groups({"t": {"a": [0.0, 1.0], "b": [2.0]}})
+        corpus = corpora.groups({"t": {"a": [0.0, 1.0], "b": [2.0]}})
         assert estimate_pfa_zero_effort(corpus, -math.inf).value == 1.0
         assert estimate_pfa_zero_effort(corpus, math.inf).value == 0.0
 
     def test_empty_impostor_list_rejected(self):
-        corpus = PackedCorpus.from_groups({"t": {}})
+        corpus = corpora.groups({"t": {}})
         with pytest.raises(ValueError, match="exceeds the 0 impostors available for target 't'"):
             estimate_pfa_zero_effort(corpus, 0.0)
 
@@ -114,7 +115,7 @@ class TestZeroEffort:
         # with equal scores per pair the estimator's expectation is the
         # flat fraction of all scores above tau
         g = RngStream(10).generator()
-        corpus = PackedCorpus.from_groups(
+        corpus = corpora.groups(
             {f"t{i}": {f"i{j}": g.standard_normal(10) for j in range(5)} for i in range(40)}
         )
         pooled = float(np.mean(corpus.scores > 0.5))
@@ -126,7 +127,7 @@ class TestRankWeights:
     @pytest.mark.parametrize("p", [1, 2, 5, 250, 3000])
     def test_match_exact_rationals(self, p):
         # w_k = C(P-1-k, N-1) / C(P, N) for the rank-k pair of a pool of P
-        corpus = PackedCorpus.from_groups({"t": {f"i{j}": [float(j)] for j in range(p)}})
+        corpus = corpora.groups({"t": {f"i{j}": [float(j)] for j in range(p)}})
         by_rank = np.argsort(corpus.pair_rank)
         for n in sorted({1, 2, 3, 64, p} & set(range(1, p + 1))):
             weights = _rank_weights(corpus, n)[by_rank].tolist()
@@ -141,12 +142,12 @@ class TestWorstCase:
     def test_three_impostor_enumeration(self):
         # candidate pairs at N=2 out of {A, B, C}: (A,B) picks B with rate 0,
         # (A,C) and (B,C) pick C with rate 1, so the expectation is 2/3
-        corpus = PackedCorpus.from_groups({"t": {"A": [0.0, 0.0], "B": [1.0, 1.0], "C": [2.0, 2.0]}})
+        corpus = corpora.groups({"t": {"A": [0.0, 0.0], "B": [1.0, 1.0], "C": [2.0, 2.0]}})
         est = estimate_pfa_worst_case(corpus, 1.5, 2)
         assert abs(est.value - 2.0 / 3.0) <= 1e-12
 
     def test_reduces_to_zero_effort_at_n1(self):
-        corpus = generate_model_corpus(
+        corpus = corpora.pack(model_blocks(
             SyntheticSpec(
                 theta=Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0),
                 t_targets=100,
@@ -154,13 +155,13 @@ class TestWorstCase:
                 l_scores_per_pair=10,
                 seed=31,
             )
-        )
+        ))
         worst = estimate_pfa_worst_case(corpus, 1.0, 1)
         zero = estimate_pfa_zero_effort(corpus, 1.0)
         assert worst == zero
 
     def test_non_decreasing_in_population_size(self):
-        corpus = generate_model_corpus(
+        corpus = corpora.pack(model_blocks(
             SyntheticSpec(
                 theta=Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0),
                 t_targets=60,
@@ -168,7 +169,7 @@ class TestWorstCase:
                 l_scores_per_pair=8,
                 seed=33,
             )
-        )
+        ))
         est2 = estimate_pfa_worst_case(corpus, 1.5, 2)
         est8 = estimate_pfa_worst_case(corpus, 1.5, 8)
         assert est8.value >= est2.value
@@ -177,36 +178,36 @@ class TestWorstCase:
         # all three pairs tie on mean 0, and only pair "a" has a score above
         # 0.5: it wins every candidate set it is in only if ties go to the
         # first impostor in sorted-id order
-        corpus = PackedCorpus.from_groups({"t": {"a": [1.0, -1.0], "b": [0.0, 0.0], "c": [-0.5, 0.5]}})
+        corpus = corpora.groups({"t": {"a": [1.0, -1.0], "b": [0.0, 0.0], "c": [-0.5, 0.5]}})
         for n, expected in ((1, 1.0 / 6.0), (2, 1.0 / 3.0), (3, 0.5)):
             est = estimate_pfa_worst_case(corpus, 0.5, n)
             assert abs(est.value - expected) <= 1e-12, n
 
     def test_seed_determinism(self):
         # nothing is drawn: a repeated call gives the same estimate
-        corpus = PackedCorpus.from_groups(
+        corpus = corpora.groups(
             {f"t{i}": {f"i{j}": [float(i + j), float(i - j)] for j in range(6)} for i in range(4)}
         )
         assert estimate_pfa_worst_case(corpus, 0.5, 3) == estimate_pfa_worst_case(corpus, 0.5, 3)
 
     def test_infinite_thresholds(self):
-        corpus = PackedCorpus.from_groups({"t": {"a": [0.0, 1.0], "b": [2.0, 3.0]}})
+        corpus = corpora.groups({"t": {"a": [0.0, 1.0], "b": [2.0, 3.0]}})
         assert estimate_pfa_worst_case(corpus, -math.inf, 2).value == 1.0
         assert estimate_pfa_worst_case(corpus, math.inf, 2).value == 0.0
         # pools whose rank weights, summed in rank order, do not add up to exactly 1
         for pool in (5, 9, 10, 12):
-            corpus = PackedCorpus.from_groups({"t": {f"i{j:02d}": [-float(j)] for j in range(pool)}})
+            corpus = corpora.groups({"t": {f"i{j:02d}": [-float(j)] for j in range(pool)}})
             for n in (1, 2, 3):
                 assert estimate_pfa_worst_case(corpus, -math.inf, n).value == 1.0, (pool, n)
                 assert estimate_pfa_worst_case(corpus, math.inf, n).value == 0.0, (pool, n)
 
     def test_pool_too_small(self):
-        corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0]}})
+        corpus = corpora.groups({"t": {"a": [0.0], "b": [1.0]}})
         with pytest.raises(ConfigError, match="exceeds"):
             estimate_pfa_worst_case(corpus, 0.0, 3)
 
     def test_values_within_unit_interval(self):
-        corpus = PackedCorpus.from_groups({"t": {"a": [0.4, 0.6], "b": [0.2, 0.8], "c": [0.5, 0.5]}})
+        corpus = corpora.groups({"t": {"a": [0.4, 0.6], "b": [0.2, 0.8], "c": [0.5, 0.5]}})
         est = estimate_pfa_worst_case(corpus, 0.45, 2)
         assert 0.0 <= est.ci_low <= est.value <= est.ci_high <= 1.0
 
@@ -220,7 +221,7 @@ class TestConfigValidation:
             predict_pfa(THETA, 0.0, [1], seed=1, t_outer=0)
 
     def test_bad_n(self):
-        corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0]}})
+        corpus = corpora.groups({"t": {"a": [0.0], "b": [1.0]}})
         for n in (0, -3):
             with pytest.raises(ValueError, match=f"n_impostors must be >= 1, got {n}"):
                 predict_pfa(THETA, 0.0, [n], seed=1)
@@ -232,7 +233,7 @@ class TestConfigValidation:
             predict_pfa(THETA, 0.0, [10**400], seed=1)
 
     def test_nan_tau(self):
-        corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0]}})
+        corpus = corpora.groups({"t": {"a": [0.0], "b": [1.0]}})
         with pytest.raises(ValueError, match="tau must not be NaN"):
             estimate_pfa_worst_case(corpus, math.nan, 1)
 
@@ -245,7 +246,7 @@ class TestConfigValidation:
 
 class TestDiagnose:
     def test_symmetric_corpus_small_mean_skewness(self):
-        corpus = generate_model_corpus(
+        corpus = corpora.pack(model_blocks(
             SyntheticSpec(
                 theta=Hyperparameters(0.0, 1.0, 5.0, 4.0, 4.0, 4.0),
                 t_targets=2000,
@@ -253,7 +254,7 @@ class TestDiagnose:
                 l_scores_per_pair=4,
                 seed=41,
             )
-        )
+        ))
         report = diagnose(corpus, 1)
         assert abs(report.pair_mean_skewness) < 4.0 * math.sqrt(6.0 / 2000)
 
@@ -266,16 +267,16 @@ class TestDiagnose:
             mean = float(j)
             sd = 0.5 if j >= 20 else 2.0
             groups[f"i{j:02d}"] = mean + sd * g.standard_normal(40)
-        corpus = PackedCorpus.from_groups({"t": groups})
+        corpus = corpora.groups({"t": groups})
         report = diagnose(corpus, 10)
         assert report.closest_impostor_stdev < report.random_impostor_stdev
 
     def test_short_pairs_are_counted(self):
-        corpus = PackedCorpus.from_groups({"t": {"a": [0.5], "b": [0.1, 0.9, 0.2], "c": [0.4, 0.6, 0.8]}})
+        corpus = corpora.groups({"t": {"a": [0.5], "b": [0.1, 0.9, 0.2], "c": [0.4, 0.6, 0.8]}})
         report = diagnose(corpus, 1)
         assert report.skewness_excluded_pairs == 1
         # a constant pair has no skewness, even where its mean is off by an ulp
-        constant = PackedCorpus.from_groups({"t": {"a": [0.1] * 3, "b": [0.2, 0.5, 0.9]}})
+        constant = corpora.groups({"t": {"a": [0.1] * 3, "b": [0.2, 0.5, 0.9]}})
         report_constant = diagnose(constant, 1)
         assert report_constant.skewness_excluded_pairs == 1
         assert report_constant.avg_pairwise_skewness == pytest.approx(
@@ -289,7 +290,7 @@ class TestDiagnose:
         assert set(total) >= {"avg_pairwise_skewness", "closest_impostor_stdev"}
 
     def test_single_score_pairs_have_no_spread(self):
-        corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0]}, "u": {"a": [2.0], "b": [0.5]}})
+        corpus = corpora.groups({"t": {"a": [0.0], "b": [1.0]}, "u": {"a": [2.0], "b": [0.5]}})
         report = diagnose(corpus, 2)
         assert report.closest_impostor_stdev is None and report.random_impostor_stdev is None
         assert report.closest_excluded_share == 1.0 and report.random_excluded_share == 1.0
@@ -298,7 +299,7 @@ class TestDiagnose:
     def test_spreads_are_selection_weighted(self):
         # ranks by mean: c, b, a.  At N = 2, c wins with probability 2/3 and
         # b with 1/3; a random pick takes each pair with probability 1/3
-        corpus = PackedCorpus.from_groups({"t": {"a": [0.0], "b": [1.0, 3.0], "c": [3.0, 7.0]}})
+        corpus = corpora.groups({"t": {"a": [0.0], "b": [1.0, 3.0], "c": [3.0, 7.0]}})
         report = diagnose(corpus, 2)
         assert report.closest_impostor_stdev == pytest.approx(math.sqrt((2 * 8.0 + 2.0) / 3.0), rel=1e-12)
         assert report.closest_excluded_share == 0.0
@@ -335,7 +336,7 @@ class TestExactOracles:
     @pytest.mark.parametrize("tau", [-1.0, 0.0, 0.5, 1.5])
     def test_matches_comb_oracle_with_ties_and_unequal_pools(self, tau):
         groups = unequal_pools_with_ties()
-        corpus = PackedCorpus.from_groups(groups)
+        corpus = corpora.groups(groups)
         for n in (1, 2, 3):
             est = estimate_pfa_worst_case(corpus, tau, n)
             assert abs(est.value - comb_worst_case(groups, tau, n)) <= 1e-12, n
@@ -343,21 +344,21 @@ class TestExactOracles:
     def test_matches_comb_oracle_on_model_corpus(self):
         model = unequal_model_groups(3)
         groups = {t: {i: v.tolist() for i, v in pairs.items()} for t, pairs in model.items()}
-        corpus = PackedCorpus.from_groups(groups)
+        corpus = corpora.groups(groups)
         for n in (1, 2, 5):
             est = estimate_pfa_worst_case(corpus, 0.8, n)
             assert abs(est.value - comb_worst_case(groups, 0.8, n)) <= 1e-12
 
     @pytest.mark.parametrize("n, seed", [(1, 21), (2, 22), (5, 23)])
     def test_within_loop_oracle_halfwidth(self, n, seed):
-        corpus = PackedCorpus.from_groups(unequal_model_groups(4))
+        corpus = corpora.groups(unequal_model_groups(4))
         exact = estimate_pfa_worst_case(corpus, 0.8, n)
         loop = loop_estimate_pfa_worst_case(corpus, 0.8, n, seed=seed, t_outer=20_000)
         assert abs(exact.value - loop.value) <= max(loop.value - loop.ci_low, loop.ci_high - loop.value)
 
     @pytest.mark.parametrize("n, seed", [(1, 24), (5, 25)])
     def test_diagnose_within_loop_oracle_halfwidth(self, n, seed):
-        corpus = PackedCorpus.from_groups(unequal_model_groups(5))
+        corpus = corpora.groups(unequal_model_groups(5))
         t_outer = 20_000
         report = diagnose(corpus, n)
         loop = loop_diagnose_variances(corpus, n, seed=seed, t_outer=t_outer)
@@ -389,7 +390,7 @@ class TestExactProperties:
     @settings(max_examples=150, deadline=None)
     @given(groups=half_grid_corpora(), tau=TAUS, n=st.integers(1, 6))
     def test_matches_comb_oracle(self, groups, tau, n):
-        corpus = PackedCorpus.from_groups(groups)
+        corpus = corpora.groups(groups)
         n = min(n, int(corpus.pairs_per_target.min()))
         est = estimate_pfa_worst_case(corpus, tau, n)
         assert abs(est.value - comb_worst_case(groups, tau, n)) <= 1e-12
@@ -409,13 +410,13 @@ class TestExactProperties:
             np.array([s for _, _, s in shuffled]),
         )
         n = min(n, int(corpus.pairs_per_target.min()))
-        ordered = PackedCorpus.from_groups(groups)
+        ordered = corpora.groups(groups)
         assert estimate_pfa_worst_case(corpus, tau, n) == estimate_pfa_worst_case(ordered, tau, n)
 
     @settings(max_examples=100, deadline=None)
     @given(groups=half_grid_corpora(), taus=st.lists(TAUS, min_size=2, max_size=5), n=st.integers(1, 6))
     def test_non_increasing_in_tau(self, groups, taus, n):
-        corpus = PackedCorpus.from_groups(groups)
+        corpus = corpora.groups(groups)
         n = min(n, int(corpus.pairs_per_target.min()))
         values = [estimate_pfa_worst_case(corpus, tau, n).value for tau in sorted(taus)]
         assert all(b <= a for a, b in zip(values, values[1:]))
@@ -425,7 +426,7 @@ class TestExactProperties:
     def test_non_decreasing_in_n_where_exceedance_falls_with_rank(self, groups, tau):
         # a larger N moves selection weight towards lower ranks, so it can
         # only raise the rate where lower ranks exceed tau no less often
-        corpus = PackedCorpus.from_groups(groups)
+        corpus = corpora.groups(groups)
         order = np.lexsort((corpus.pair_rank, corpus.pair_target))
         fraction, target = corpus.pair_exceed_fraction(tau)[order], corpus.pair_target[order]
         assume(not np.any((fraction[1:] > fraction[:-1]) & (target[1:] == target[:-1])))
@@ -436,7 +437,7 @@ class TestExactProperties:
     @settings(max_examples=100, deadline=None)
     @given(groups=half_grid_corpora(), tau=TAUS)
     def test_closest_of_one_is_zero_effort(self, groups, tau):
-        corpus = PackedCorpus.from_groups(groups)
+        corpus = corpora.groups(groups)
         worst = estimate_pfa_worst_case(corpus, tau, 1)
         zero = estimate_pfa_zero_effort(corpus, tau)
         assert worst == zero

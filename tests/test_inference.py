@@ -18,10 +18,10 @@ from wcfar.inference import (
     VARIANCE_FLOOR,
 )
 from wcfar.model import Hyperparameters
-from wcfar.score_data import PackedCorpus
 from wcfar.streams import RngStream
-from wcfar.synthetic import SyntheticSpec, generate_model_corpus
+from wcfar.synthetic import SyntheticSpec, model_blocks
 
+import corpora
 from oracles import importance_log_evidence, quadrature_posterior
 
 H = Hyperparameters(1.0, 2.0, 3.0, 2.0, 2.0, 1.0)
@@ -30,11 +30,11 @@ THETA_FIELDS = ("mu0", "sigma0_sq", "a_sigma", "b_sigma", "alpha_lambda", "beta_
 
 def packed_single_target(pairs):
     # zero-padded ids, so that id order keeps the order of `pairs`
-    return PackedCorpus.from_groups({"t": {f"i{k:04d}": p for k, p in enumerate(pairs)}})
+    return corpora.groups({"t": {f"i{k:04d}": p for k, p in enumerate(pairs)}})
 
 
 def empty_packed(n_targets=1):
-    return PackedCorpus.from_groups({f"t{k}": {} for k in range(n_targets)})
+    return corpora.groups({f"t{k}": {} for k in range(n_targets)})
 
 
 def point_mass_gamma(value, concentration=1e12):
@@ -50,7 +50,7 @@ def small_corpus(seed=2, t=30, n=8, l=6, theta=None):
         l_scores_per_pair=l,
         seed=seed,
     )
-    return generate_model_corpus(spec)
+    return corpora.pack(model_blocks(spec))
 
 
 def rel_delta(a: Hyperparameters, b: Hyperparameters) -> float:
@@ -296,7 +296,7 @@ class TestFit:
         assert not report.converged
 
     def test_degenerate_corpus_floors_and_survives(self):
-        corpus = PackedCorpus.from_groups(
+        corpus = corpora.groups(
             {f"t{i}": {f"i{j}": [1.0, 1.0, 1.0] for j in range(3)} for i in range(4)}
         )
         # identical scores have no finite optimum; the fit must terminate
@@ -344,16 +344,16 @@ class TestFit:
 
         monkeypatch.setattr("wcfar.inference.e_step", no_sweep)
         with pytest.raises(ValueError, match=f"cannot fit: .*{reason}"):
-            fit(PackedCorpus.from_groups(groups))
+            fit(corpora.groups(groups))
 
     @pytest.mark.parametrize(
-        "settings", [{"max_iter": 0}, {"max_iter": -5}, {"tol": math.nan}, {"tol": -1e-7}],
-        ids=["max_iter-0", "max_iter-negative", "tol-nan", "tol-negative"],
+        "settings", [{"max_iter": 0}, {"max_iter": -5}, *({"tol": t} for t in (math.nan, -1e-7, math.inf, 1e300, 1))],
+        ids=["max_iter-0", "max_iter-negative", "tol-nan", "tol-negative", "tol-inf", "tol-1e300", "tol-1"],
     )
     def test_iteration_settings_that_cannot_work_are_refused(self, settings, monkeypatch):
-        # max_iter 0 returned the moment start as a fit; a NaN or negative tol ran silently to the cap
+        # max_iter 0 returned the moment start as a fit; a tol < 0 or NaN ran to the cap, one >= 1 claimed convergence
         monkeypatch.setattr("wcfar.inference.moment_init", lambda data: pytest.fail("fit started"))
-        with pytest.raises(ValueError, match="max_iter must be >= 1 and tol a number >= 0"):
+        with pytest.raises(ValueError, match=r"max_iter must be >= 1 and tol in \[0, 1\)"):
             fit(small_corpus(seed=17, t=4, n=3, l=3), **settings)
 
     def test_numeric_errors_carry_iteration(self):

@@ -11,6 +11,8 @@ from wcfar.metrics import DcfParams, eer_threshold, min_dcf_threshold
 from wcfar.score_data import LabeledScoreSet, PackedCorpus
 from wcfar.streams import RngStream
 
+import corpora
+
 
 def rates_at(tau, labeled):
     """Reference (P_miss, P_fa) at thresholds `tau` (accept iff score > tau).
@@ -60,17 +62,17 @@ class TestEmpiricalPfa:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no targets"):
-            estimate_pfa_zero_effort(PackedCorpus.from_groups({}), 0.0)
+            estimate_pfa_zero_effort(corpora.groups({}), 0.0)
 
     def test_nan_tau_rejected(self):
-        corpus = PackedCorpus.from_groups({"t": {"i": [1.0]}})
+        corpus = corpora.groups({"t": {"i": [1.0]}})
         with pytest.raises(ValueError, match="NaN"):
             estimate_pfa_zero_effort(corpus, math.nan)
 
     def test_non_increasing_in_tau(self):
         g = RngStream(4).generator()
         pairs = {f"i{j}": g.normal(0, 2, size=50 + j) for j in range(10)}
-        corpus = PackedCorpus.from_groups({"t": pairs})
+        corpus = corpora.groups({"t": pairs})
         values = np.array([corpus.pair_exceed_fraction(t) for t in np.linspace(-6, 6, 301)])
         assert np.all(np.diff(values, axis=0) <= 0.0)
 

@@ -11,8 +11,9 @@ from scipy.special import ndtr
 from wcfar import model
 from wcfar.model import Hyperparameters, _sample_targets, gaussian_tail, predict_pfa
 from wcfar.streams import RngStream
-from wcfar.synthetic import SyntheticSpec, generate_model_corpus
+from wcfar.synthetic import SyntheticSpec, model_blocks
 
+import corpora
 from oracles import (
     closest_of_n_quadrature,
     loop_predict_pfa_closed_form,
@@ -61,7 +62,7 @@ class TestHyperparameters:
         for field in ("alpha_lambda", "a_sigma"):
             h = BASE.replace(**{field: 0.002})
             with pytest.raises(ValueError, match="lam and sigma_sq must be positive"):
-                generate_model_corpus(model_spec(h, t=200, n=2, l=2, seed=1))
+                corpora.pack(model_blocks(model_spec(h, t=200, n=2, l=2, seed=1)))
 
 
 # a shape and rate this large pin a gamma-family draw to its mean within ~1e-4
@@ -78,7 +79,7 @@ def model_spec(h: Hyperparameters, t: int, n: int, l: int, seed: int) -> Synthet
 
 
 class TestHierarchySampling:
-    """The target draws every simulation shares, and `generate_model_corpus`'s pairs and scores."""
+    """The target draws every simulation shares, and `model_blocks`'s pairs and scores."""
 
     def test_tiny_prior_variance_pins_location(self):
         h = BASE.replace(sigma0_sq=1e-30)
@@ -94,26 +95,26 @@ class TestHierarchySampling:
         # Pinned draws share their standard gamma and normal variates, so the
         # scores of the two corpora differ only by the pair means' offsets from
         # m, of sd sqrt(sigma_sq / lam): 1e-6 at lam = 1e12, 1e-12 at lam = 1e24
-        a = generate_model_corpus(model_spec(pinned(1e12, 1.0), t=1, n=1000, l=2, seed=3))
-        b = generate_model_corpus(model_spec(pinned(1e24, 1.0), t=1, n=1000, l=2, seed=3))
+        a = corpora.pack(model_blocks(model_spec(pinned(1e12, 1.0), t=1, n=1000, l=2, seed=3)))
+        b = corpora.pack(model_blocks(model_spec(pinned(1e24, 1.0), t=1, n=1000, l=2, seed=3)))
         assert np.abs(a.scores - b.scores).max() <= 1e-4
 
     def test_pair_spread(self):
         # pair means have variance sigma_sq / lam + sigma_sq / L = 1 + 4 / L around m
-        corpus = generate_model_corpus(model_spec(pinned(4.0, 4.0), t=1, n=100_000, l=4, seed=4))
+        corpus = corpora.pack(model_blocks(model_spec(pinned(4.0, 4.0), t=1, n=100_000, l=4, seed=4)))
         latent_var = corpus.pair_means().var() - corpus.pair_variances().mean() / 4
         assert math.sqrt(latent_var) == pytest.approx(1.0, rel=0.02)
 
     def test_scores_spread_and_degenerate_variance(self):
-        corpus = generate_model_corpus(model_spec(pinned(1.0, 1e-30), t=1, n=1, l=50, seed=5))
+        corpus = corpora.pack(model_blocks(model_spec(pinned(1.0, 1e-30), t=1, n=1, l=50, seed=5)))
         assert np.allclose(corpus.scores, corpus.scores[0])
-        corpus = generate_model_corpus(model_spec(pinned(1.0, 2.5), t=1, n=1, l=100_000, seed=6))
+        corpus = corpora.pack(model_blocks(model_spec(pinned(1.0, 2.5), t=1, n=1, l=100_000, seed=6)))
         assert corpus.scores.var() == pytest.approx(2.5, rel=0.05)
 
     def test_scores_deterministic(self):
         # each target draws from its own stream: adding targets leaves the first ones alone
-        few = generate_model_corpus(model_spec(BASE, t=2, n=3, l=4, seed=7))
-        more = generate_model_corpus(model_spec(BASE, t=5, n=3, l=4, seed=7))
+        few = corpora.pack(model_blocks(model_spec(BASE, t=2, n=3, l=4, seed=7)))
+        more = corpora.pack(model_blocks(model_spec(BASE, t=5, n=3, l=4, seed=7)))
         assert np.array_equal(few.scores, more.scores[: few.n_scores])
 
     def test_scores_count_validation(self):

@@ -21,8 +21,9 @@ from wcfar.errors import ParseError
 from wcfar.estimators import diagnose
 from wcfar.model import Hyperparameters
 from wcfar.score_data import PackedCorpus, load_corpus, load_labeled_scores, sample_skewness
-from wcfar.synthetic import SyntheticSpec, generate_model_corpus
+from wcfar.synthetic import SyntheticSpec, model_blocks
 
+import corpora
 from oracles import grouped_corpus, loop_pair_skewness
 
 CSV_ROWS = [
@@ -327,7 +328,7 @@ def test_jsonl_ids_are_strings_or_integers(tmp_path, speaker):
         load_corpus(path)
     # an integer id is the speaker named by its digits
     path.write_bytes(_jsonl({"target": 7, "impostor": "b", "score": 0.5}, {"target": "7", "impostor": "b", "score": 1}))
-    assert load_corpus(path) == PackedCorpus.from_groups({"7": {"b": [0.5, 1.0]}})
+    assert load_corpus(path) == corpora.groups({"7": {"b": [0.5, 1.0]}})
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -365,7 +366,7 @@ def _load_from_pipe(content: bytes, fmt: str):
 def test_quoted_csv_from_a_pipe_loads(tmp_path):
     content = HEADER + b'"a",b,0.5\na,"c",1.5\n'
     (tmp_path / "c.csv").write_bytes(content)
-    want = PackedCorpus.from_groups({"a": {"b": [0.5], "c": [1.5]}})
+    want = corpora.groups({"a": {"b": [0.5], "c": [1.5]}})
     assert load_corpus(tmp_path / "c.csv") == want
     assert _load_from_pipe(content, "csv") == want
 
@@ -452,7 +453,7 @@ def _assert_matches_oracle(loaded, rows):
     arrays = (loaded.target_offsets, loaded.pair_impostor, loaded.pair_offsets, loaded.scores)
     for got, expected in zip(arrays, want[2:]):
         assert np.array_equal(got, expected)
-    assert PackedCorpus.from_groups(grouped) == loaded
+    assert corpora.groups(grouped) == loaded
 
 
 class TestCsvRows:
@@ -802,7 +803,7 @@ class TestSkewness:
             for t in range(4)
         }
         groups["t0"].update({"c1": [0.1] * 3, "c2": [0.7] * 5, "c3": [2.0] * 2})
-        corpus = PackedCorpus.from_groups(groups)
+        corpus = corpora.groups(groups)
         got = corpus.pair_skewness()
         want = loop_pair_skewness(corpus.scores, corpus.pair_offsets)
         assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -813,7 +814,7 @@ class TestCorpusStats:
     """The per-pair moments and skewness summaries that `diagnose` reports."""
 
     def corpus(self):
-        return PackedCorpus.from_groups({"t1": {"i1": [0.0, 0.0, 0.0], "i2": [1.0, 2.0, 3.0]}})
+        return corpora.groups({"t1": {"i1": [0.0, 0.0, 0.0], "i2": [1.0, 2.0, 3.0]}})
 
     def test_trivial_moments(self):
         corpus = self.corpus()
@@ -840,7 +841,7 @@ class TestCorpusStats:
             l_scores_per_pair=7,
             seed=5,
         )
-        corpus = generate_model_corpus(spec)
+        corpus = corpora.pack(model_blocks(spec))
         means, variances = corpus.pair_means(), corpus.pair_variances()
         assert means.size == variances.size == 6 * 4
         for p in range(corpus.n_pairs):
@@ -858,7 +859,7 @@ class TestCorpusStats:
             l_scores_per_pair=3,
             seed=17,
         )
-        skew = sample_skewness(generate_model_corpus(spec).pair_means())
+        skew = sample_skewness(corpora.pack(model_blocks(spec)).pair_means())
         assert abs(skew) < 4.0 * np.sqrt(6.0 / 3000)
 
     def test_json_serialisable(self):
@@ -870,7 +871,7 @@ class TestCorpusStats:
 
 class TestPackCorpus:
     def test_layout_and_reductions(self):
-        corpus = PackedCorpus.from_groups(
+        corpus = corpora.groups(
             {"b": {"z": [4.0, 5.0, 6.0]}, "a": {"y": [3.0], "x": [1.0, 2.0]}}
         )
         assert corpus.n_targets == 2
@@ -889,7 +890,7 @@ class TestPackCorpus:
         assert np.allclose(corpus.pair_exceed_fraction(2.5), [0.0, 1.0, 1.0])
 
     def test_scores_immutable(self):
-        corpus = PackedCorpus.from_groups({"a": {"x": [1.0, 2.0]}})
+        corpus = corpora.groups({"a": {"x": [1.0, 2.0]}})
         arrays = (corpus.scores, corpus.pair_offsets, corpus.target_offsets, corpus.pair_impostor, corpus.pair_target)
         for array in arrays:
             with pytest.raises(ValueError):
@@ -907,7 +908,7 @@ class TestPackCorpus:
         assert parses[0] == 1
 
     def test_an_impostor_without_scores_gets_no_name(self):
-        corpus = PackedCorpus.from_groups({"a": {"x": [], "y": [1.0]}})
+        corpus = corpora.groups({"a": {"x": [], "y": [1.0]}})
         assert corpus.impostor_ids == ("y",)
         assert corpus.pair_impostor.tolist() == [0]
 
@@ -1198,12 +1199,12 @@ class TestCache:
         else:
             monkeypatch.delenv("XDG_CACHE_HOME")
             monkeypatch.delenv("HOME", raising=False)
-        want = PackedCorpus.from_groups({"a": {"b": [0.5], "c": [1.5]}})
+        want = corpora.groups({"a": {"b": [0.5], "c": [1.5]}})
         assert load_corpus(path) == want and load_corpus(path) == want
         assert capfd.readouterr() == ("", "")
         if where == "read-only" and os.geteuid() == 0:  # permissions do not bind root
             return
-        assert parses[0] == 3  # from_groups, then both loads
+        assert parses[0] == 2  # both loads
         assert where == "no-home" or _entries() == []
 
     def test_a_relative_xdg_cache_home_is_ignored(self, tmp_path, monkeypatch):
@@ -1224,9 +1225,9 @@ class TestCache:
         for _ in range(2):
             writer = threading.Thread(target=path.write_bytes, args=(content,), daemon=True)
             writer.start()
-            assert load_corpus(path) == PackedCorpus.from_groups({"a": {"b": [0.5], "c": [1.5]}})
+            assert load_corpus(path) == corpora.groups({"a": {"b": [0.5], "c": [1.5]}})
             writer.join(timeout=10)
-        assert parses[0] == 4 and _entries() == []
+        assert parses[0] == 2 and _entries() == []
 
     def test_the_least_recently_used_entry_beyond_16_is_deleted(self, tmp_path, parses):
         paths = [_small_corpus(tmp_path, f"c{k}.csv", score=k) for k in range(score_data._CACHE_ENTRIES + 1)]

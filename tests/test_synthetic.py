@@ -8,12 +8,9 @@ from wcfar.estimators import estimate_pfa_worst_case
 from wcfar.inference import fit
 from wcfar.metrics import eer_threshold
 from wcfar.model import Hyperparameters, predict_pfa
-from wcfar.synthetic import (
-    SyntheticSpec,
-    ToyAsvSpec,
-    generate_model_corpus,
-    generate_toy_asv_corpus,
-)
+from wcfar.synthetic import SyntheticSpec, ToyAsvSpec, model_blocks, toy_asv_blocks
+
+import corpora
 
 Z99 = float(ndtri(0.995))
 THETA = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
@@ -24,7 +21,7 @@ class TestModelCorpus:
         spec = SyntheticSpec(
             theta=THETA, t_targets=2, n_impostors_per_target=3, l_scores_per_pair=4, seed=1
         )
-        corpus = generate_model_corpus(spec)
+        corpus = corpora.pack(model_blocks(spec))
         assert corpus.n_scores == 2 * 3 * 4
         assert corpus.target_ids == ("t0001", "t0002")
         assert corpus.impostor_ids[corpus.pair_impostor[1]] == "i0001_0002"
@@ -33,18 +30,18 @@ class TestModelCorpus:
         spec = SyntheticSpec(
             theta=THETA, t_targets=3, n_impostors_per_target=2, l_scores_per_pair=5, seed=9
         )
-        assert generate_model_corpus(spec) == generate_model_corpus(spec)
+        assert corpora.pack(model_blocks(spec)) == corpora.pack(model_blocks(spec))
         other = SyntheticSpec(
             theta=THETA, t_targets=3, n_impostors_per_target=2, l_scores_per_pair=5, seed=10
         )
-        assert generate_model_corpus(other) != generate_model_corpus(spec)
+        assert corpora.pack(model_blocks(other)) != corpora.pack(model_blocks(spec))
 
     def test_grand_mean_tracks_location(self):
         theta = THETA.replace(mu0=3.0)
         spec = SyntheticSpec(
             theta=theta, t_targets=400, n_impostors_per_target=20, l_scores_per_pair=10, seed=2
         )
-        assert generate_model_corpus(spec).scores.mean() == pytest.approx(3.0, abs=0.1)
+        assert corpora.pack(model_blocks(spec)).scores.mean() == pytest.approx(3.0, abs=0.1)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -56,7 +53,7 @@ class TestModelCorpus:
         spec = SyntheticSpec(
             theta=THETA, t_targets=300, n_impostors_per_target=30, l_scores_per_pair=15, seed=23
         )
-        report = fit(generate_model_corpus(spec))
+        report = fit(corpora.pack(model_blocks(spec)))
         h = report.hyperparameters
         assert report.converged
         assert h.mu0 == pytest.approx(THETA.mu0, abs=0.15)
@@ -71,7 +68,7 @@ class TestModelCorpus:
         spec = SyntheticSpec(
             theta=THETA, t_targets=2000, n_impostors_per_target=100, l_scores_per_pair=20, seed=53
         )
-        packed = generate_model_corpus(spec)
+        packed = corpora.pack(model_blocks(spec))
         sizes = [1, 10, 50]
         models = predict_pfa(THETA, 1.5, sizes, seed=55, t_outer=5_000, scores_per_pair=20)
         for n, model in zip(sizes, models):
@@ -97,7 +94,8 @@ class TestToyAsv:
             embedding_dim=8, speaker_spread=1.0, utterance_noise=0.5,
             n_speakers=5, n_utts_per_speaker=3, seed=3,
         )
-        corpus, labeled = generate_toy_asv_corpus(small)
+        blocks, labels = toy_asv_blocks(small)
+        corpus, labeled = corpora.pack(blocks), corpora.labeled(labels)
         assert corpus.n_targets == 5
         assert corpus.pairs_per_target.tolist() == [4] * 5
         assert corpus.n_scores == 5 * 4 * 9
@@ -110,7 +108,7 @@ class TestToyAsv:
             embedding_dim=8, speaker_spread=1.0, utterance_noise=1e-12,
             n_speakers=4, n_utts_per_speaker=3, seed=4,
         )
-        _, labeled = generate_toy_asv_corpus(spec)
+        labeled = corpora.labeled(toy_asv_blocks(spec)[1])
         assert np.allclose(labeled.target_scores, 1.0, atol=1e-9)
 
     def test_indistinct_speakers_give_chance_eer(self):
@@ -118,20 +116,20 @@ class TestToyAsv:
             embedding_dim=16, speaker_spread=1e-9, utterance_noise=1.0,
             n_speakers=40, n_utts_per_speaker=8, seed=5,
         )
-        _, labeled = generate_toy_asv_corpus(spec)
+        labeled = corpora.labeled(toy_asv_blocks(spec)[1])
         _, eer, _ = eer_threshold(labeled)
         assert eer == pytest.approx(0.5, abs=0.03)
 
     def test_requires_two_utterances(self):
         with pytest.raises(ValueError, match="target trials"):
-            generate_toy_asv_corpus(
+            toy_asv_blocks(
                 ToyAsvSpec(embedding_dim=4, speaker_spread=1.0, utterance_noise=0.5,
                            n_speakers=3, n_utts_per_speaker=1, seed=1)
             )
 
     def test_requires_two_speakers(self):
         with pytest.raises(ValueError, match="non-target trials"):
-            generate_toy_asv_corpus(
+            toy_asv_blocks(
                 ToyAsvSpec(embedding_dim=4, speaker_spread=1.0, utterance_noise=0.5,
                            n_speakers=1, n_utts_per_speaker=3, seed=1)
             )
@@ -150,12 +148,13 @@ class TestToyAsv:
         # scales like 1/sqrt(d); raising the dimension must drive the
         # per-pair score distribution toward Gaussian
         def mean_skew(d):
-            corpus, _ = generate_toy_asv_corpus(
+            blocks, _ = toy_asv_blocks(
                 ToyAsvSpec(
                     embedding_dim=d, speaker_spread=1.0, utterance_noise=0.5,
                     n_speakers=60, n_utts_per_speaker=10, seed=51,
                 )
             )
+            corpus = corpora.pack(blocks)
             return float(np.nanmean(corpus.pair_skewness()))
 
         low_d, high_d = mean_skew(16), mean_skew(256)
@@ -163,7 +162,8 @@ class TestToyAsv:
         assert abs(high_d) < 0.1
 
     def test_worst_case_rate_grows_with_population(self):
-        corpus, labeled = generate_toy_asv_corpus(self.SPEC)
+        blocks, labels = toy_asv_blocks(self.SPEC)
+        corpus, labeled = corpora.pack(blocks), corpora.labeled(labels)
         tau, eer, _ = eer_threshold(labeled)
         assert 0.05 < eer < 0.35
         estimates = [
