@@ -1,8 +1,10 @@
+import ast
 import codecs
 import csv
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from wcfar.synthetic import SyntheticSpec, ToyAsvSpec, model_blocks, toy_asv_blo
 import corpora
 
 THETA = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
+SRC = Path(wcfar.__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -810,8 +813,7 @@ class TestScoreFiles:
             "import locale, sys; from wcfar.cli import main; code = main(sys.argv[1:]); "
             "print(locale.getpreferredencoding(False), file=sys.stderr); sys.exit(code)"
         )
-        src = str(Path(wcfar.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
         proc = subprocess.run(
             [sys.executable, "-X", "utf8=0", "-c", child, *args], capture_output=True, text=True, env=env
         )
@@ -849,3 +851,74 @@ class TestCliContract:
         assert run(["predict", "--theta", theta_json, "--tau", "1.0", "--n", "1"]) == 1
         errors = error_lines(capsys)
         assert len(errors) == 1 and "WCFAR_SEED" in errors[0]
+
+
+def cli_child(args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """`python -m wcfar.cli` on `args` with a block-buffered stdout, as a shell gives one that is no TTY."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "wcfar.cli", *map(str, args)], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+class TestProcessEntry:
+    """The process a command runs in: `run` flushes the outputs and ends it without teardown."""
+
+    @pytest.mark.parametrize(
+        "args, head", [(["--version"], "wcfar "), (["predict", "--help"], "usage: wcfar predict")]
+    )
+    def test_version_and_help_print_and_exit_zero(self, args, head):
+        proc = cli_child(args)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode().startswith(head)
+
+    @pytest.mark.parametrize("command", ["predict", "simulate"])
+    def test_stdout_holds_the_bytes_of_an_out_file(self, tmp_path, theta_json, command):
+        if command == "predict":
+            args = ["predict", "--theta", theta_json, "--tau", "1.5", "--n", "1,2,1000"]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(TestSimulateCommand.SPECS["toy_asv"]))
+            args = ["simulate", "--spec", spec, "--labeled-out", tmp_path / "child_labels.csv"]
+        proc = cli_child(args)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        if command == "simulate":
+            args[-1] = tmp_path / "labels.csv"
+        assert run([*args, "--out", tmp_path / "out"]) == 0
+        assert proc.stdout == (tmp_path / "out").read_bytes()
+        if command == "simulate":
+            assert (tmp_path / "child_labels.csv").read_bytes() == (tmp_path / "labels.csv").read_bytes()
+
+    def test_a_user_error_is_exit_one_and_one_line(self, tmp_path):
+        proc = cli_child(["predict", "--theta", tmp_path / "missing.json", "--tau", "1.0", "--n", "1"])
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith("error: ") and "missing.json" in line
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["predict", "threshold", "predict-long"])
+    def test_a_failed_stdout_write_is_exit_one_and_one_line(self, theta_json, labels_csv, command):
+        # short output stays in the buffer and fails at the final flush; output past the
+        # buffer fails inside the command, which keeps its own code and message
+        args = {
+            "predict": ["predict", "--theta", theta_json, "--tau", "1.5", "--n", "1,2"],
+            "threshold": ["threshold", "--labels", labels_csv, "--eer"],
+            "predict-long": [
+                "predict", "--theta", theta_json, "--tau", "1.5", "--n", ",".join(map(str, range(1, 401))),
+            ],
+        }[command]
+        with open("/dev/full", "w") as full:
+            proc = cli_child(args, stdout=full)
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
+
+    def test_the_script_runs_what_the_main_block_runs(self):
+        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        [target] = re.findall(r'^wcfar = "wcfar\.cli:(\w+)"$', pyproject, re.MULTILINE)
+        tree = ast.parse((SRC / "wcfar" / "cli.py").read_text())
+        [block] = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [ast.unparse(statement) for statement in block.body] == [f"{target}()"]
