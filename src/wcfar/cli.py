@@ -40,15 +40,6 @@ SEED_ENV_VAR = "WCFAR_SEED"
 _CHUNK_LINES = 1 << 12  # lines per string written by `_score_lines`, at least
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports usage problems with exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _fmt(x: float) -> str:
     """Serialise a float with enough digits to round-trip exactly."""
     return format(float(x), ".17g")
@@ -71,6 +62,8 @@ def _output(out_path: str | None):
     run leaves no output; a device or a pipe is written in place.
     """
     if out_path is None:
+        if sys.stdout is None:  # the process started with its stdout closed
+            raise ValueError("stdout is closed; name an output file with --out")
         yield sys.stdout
         return
     try:
@@ -285,6 +278,8 @@ def _predict(args, theta: Hyperparameters, tau: float, n_list: list[int]) -> lis
     """The model rows at each N of `n_list`: the closed form (L = inf) or the sampling method."""
     from .model import DEFAULT_SCORES_PER_PAIR, predict_pfa
 
+    if args.scores_per_pair is not None and args.method != "sampling":
+        raise ValueError("--scores-per-pair applies only to --method sampling")
     per_pair = math.inf
     if args.method == "sampling":
         per_pair = DEFAULT_SCORES_PER_PAIR if args.scores_per_pair is None else args.scores_per_pair
@@ -415,7 +410,7 @@ def _add_unused_mc_options(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="wcfar", description=__doc__)
+    parser = argparse.ArgumentParser(prog="wcfar", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -491,8 +486,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help exits 0, usage problems exit 1
-        return int(exc.code or 0)
+    except SystemExit as exc:  # --help and --version exit 0; argparse's usage-error code 2 becomes 1
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except NumericError as exc:

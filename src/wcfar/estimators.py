@@ -57,16 +57,6 @@ class EstimateWithCI:
 _Z99 = ndtri(0.995)  # the normal quantile of a two-sided 99% interval
 
 
-def confidence_interval(values) -> tuple[float, float]:
-    """99% normal-approximation interval for the mean of independent values, clamped to [0, 1]."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise ValueError("confidence interval is undefined for fewer than 2 values")
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1)) / math.sqrt(values.size)
-    return max(mean - _Z99 * stderr, 0.0), min(mean + _Z99 * stderr, 1.0)
-
-
 def _require_pool(packed: PackedCorpus, n_impostors: int):
     """Refuse a corpus without targets or with an empty pair, and an N that some target cannot draw."""
     if packed.n_targets < 1:
@@ -116,15 +106,12 @@ def _target_means(packed: PackedCorpus, weights: np.ndarray, values: np.ndarray)
 
 
 def _estimate(values: np.ndarray) -> EstimateWithCI:
-    """Mean of the independent `values` with its 99% normal interval."""
+    """Mean of the independent `values` with its 99% normal interval, clamped to [0, 1]; a point for one value."""
     value = float(values.mean())
-    low, high = confidence_interval(values) if values.size >= 2 else (value, value)
-    return EstimateWithCI(value, low, high)
-
-
-def estimate_pfa_zero_effort(corpus: PackedCorpus, tau: float) -> EstimateWithCI:
-    """Probability of accepting a random impostor of a random target at threshold `tau`."""
-    return estimate_pfa_worst_case(corpus, tau, 1)
+    if values.size < 2:
+        return EstimateWithCI(value, value, value)
+    stderr = float(values.std(ddof=1)) / math.sqrt(values.size)
+    return EstimateWithCI(value, max(value - _Z99 * stderr, 0.0), min(value + _Z99 * stderr, 1.0))
 
 
 def estimate_pfa_worst_case(corpus: PackedCorpus, tau: float, n_impostors: int) -> EstimateWithCI:

@@ -31,7 +31,6 @@ range are refused.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -71,9 +70,7 @@ class Hyperparameters:
         return {name: getattr(self, name) for name in _JSON_FIELDS}
 
     @classmethod
-    def from_json(cls, obj: "dict | str") -> "Hyperparameters":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "Hyperparameters":
         if not isinstance(obj, dict):
             raise ValueError(f"hyperparameter JSON must be an object, got {type(obj).__name__}")
         missing = [k for k in _JSON_FIELDS if k not in obj]

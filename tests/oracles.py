@@ -10,8 +10,9 @@ iteration, the closest-of-N quadrature integrates the predictors'
 expectation deterministically, the loop corpus estimators draw a target
 and a candidate set per outer iteration, the rank-weight oracle sums
 exact rationals with `math.comb`, the grouped corpus is the original
-dict-of-lists loader, the skewness oracle loops over pairs one at a
-time, and the marginal sampler draws the whole hierarchy per score.
+dict-of-lists loader, the skewness and zero-effort oracles loop over
+pairs one at a time, the 99% intervals take their quantile from scipy,
+and the marginal sampler draws the whole hierarchy per score.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import digamma, gammaln, logsumexp, ndtr, ndtri
 
-from wcfar.estimators import EstimateWithCI, confidence_interval
+from wcfar.estimators import EstimateWithCI
 from wcfar.streams import RngStream
 
 
@@ -183,9 +184,22 @@ def marginal_score_samples(h, count, stream):
 
 
 def _loop_estimate(values):
+    """Mean of `values` with its 99% normal interval, clamped to [0, 1]; a point for one value."""
     value = float(values.mean())
-    low, high = confidence_interval(values) if values.size >= 2 else (value, value)
-    return EstimateWithCI(value, low, high)
+    if values.size < 2:
+        return EstimateWithCI(value, value, value)
+    half = float(ndtri(0.995)) * float(values.std(ddof=1)) / math.sqrt(values.size)
+    return EstimateWithCI(value, max(value - half, 0.0), min(value + half, 1.0))
+
+
+def loop_zero_effort(packed, tau):
+    """Zero-effort rate at `tau`: the mean over targets of each target's mean per-pair fraction of scores above it."""
+    s, pairs, targets = packed.scores, packed.pair_offsets, packed.target_offsets
+    per_target = [
+        np.mean([np.mean(s[pairs[p]:pairs[p + 1]] > tau) for p in range(targets[t], targets[t + 1])])
+        for t in range(len(targets) - 1)
+    ]
+    return float(np.mean(per_target))
 
 
 def loop_predict_pfa_sampling(h, tau, n, *, seed, t_outer, scores_per_pair):

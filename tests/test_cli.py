@@ -335,12 +335,18 @@ class TestPredictCommand:
     @pytest.mark.parametrize("method", ["closed", "sampling"])
     def test_rows_do_not_depend_on_other_populations(self, theta_json, capsys, method):
         common = ["predict", "--theta", theta_json, "--tau", "1.0", "--t-outer", "200",
-                  "--seed", "4", "--method", method, "--scores-per-pair", "16"]
+                  "--seed", "4", "--method", method] + (["--scores-per-pair", "16"] if method == "sampling" else [])
         lines = {}
         for n in ("1,1000", "1", "1000"):
             assert run(common + ["--n", n]) == 0
             lines[n] = capsys.readouterr().out.splitlines()
         assert lines["1,1000"] == lines["1"] + lines["1000"][1:]
+
+    @pytest.mark.parametrize("method", [[], ["--method", "closed"]], ids=["default", "closed"])
+    def test_scores_per_pair_without_sampling_is_refused(self, theta_json, capsys, method):
+        args = ["predict", "--theta", theta_json, "--tau", "1.5", "--n", "1,1000", "--scores-per-pair", "1"]
+        assert run(args + method) == 1
+        assert capsys.readouterr() == ("", "error: --scores-per-pair applies only to --method sampling\n")
 
     @pytest.mark.filterwarnings("error")
     def test_single_score_sets(self, corpus_csv, theta_json, capsys):
@@ -734,6 +740,12 @@ class TestCurveCommand:
             == 1
         )
 
+    def test_scores_per_pair_without_sampling_is_refused(self, corpus_csv, theta_json, capsys):
+        args = ["curve", "--corpus", corpus_csv, "--theta", theta_json, "--tau", "op=1.5", "--n", "1,4",
+                "--scores-per-pair", "1"]
+        assert run(args) == 1
+        assert capsys.readouterr() == ("", "error: --scores-per-pair applies only to --method sampling\n")
+
     def test_bad_tau_spec(self, corpus_csv, theta_json):
         assert (
             run(
@@ -835,6 +847,19 @@ class TestCliContract:
     def test_unknown_command_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("args, err", [
+        ([], "usage: wcfar [-h] [--version]\n"
+             "             {threshold,fit,empirical,predict,simulate,curve,diagnose} ...\n"
+             "wcfar: error: the following arguments are required: command\n"),
+        (["threshold", "--eer"], "usage: wcfar threshold [-h] --labels LABELS (--eer | --dcf P,CMISS,CFA)\n"
+                                 "                       [--out OUT]\n"
+                                 "wcfar threshold: error: the following arguments are required: --labels\n"),
+    ], ids=["top-level", "subcommand"])
+    def test_a_usage_error_is_exit_one_with_usage_and_one_line(self, monkeypatch, capsys, args, err):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", err)
+
     def test_seed_env_default(self, corpus_csv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("WCFAR_SEED", "99")
         out_env = tmp_path / "env.csv"
@@ -853,12 +878,13 @@ class TestCliContract:
         assert len(errors) == 1 and "WCFAR_SEED" in errors[0]
 
 
-def cli_child(args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def cli_child(args, stdout=subprocess.PIPE, preexec_fn=None) -> subprocess.CompletedProcess:
     """`python -m wcfar.cli` on `args` with a block-buffered stdout, as a shell gives one that is no TTY."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)
     return subprocess.run(
-        [sys.executable, "-m", "wcfar.cli", *map(str, args)], stdout=stdout, stderr=subprocess.PIPE, env=env
+        [sys.executable, "-m", "wcfar.cli", *map(str, args)], stdout=stdout, stderr=subprocess.PIPE, env=env,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -912,6 +938,22 @@ class TestProcessEntry:
             proc = cli_child(args, stdout=full)
         assert proc.returncode == 1
         assert proc.stderr.decode().splitlines() == ["error: [Errno 28] No space left on device"]
+
+    @pytest.mark.parametrize("command", ["predict", "simulate"])
+    def test_a_closed_stdout_is_exit_one_and_one_line(self, tmp_path, theta_json, command):
+        if command == "predict":
+            args = ["predict", "--theta", theta_json, "--tau", "1.5", "--n", "1,2"]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(TestSimulateCommand.SPECS["model"]))
+            args = ["simulate", "--spec", spec]
+        # the child closes its fd 1 before it starts python, as `>&-` in a shell does
+        proc = cli_child(args, stdout=None, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == ["error: stdout is closed; name an output file with --out"]
+        proc = cli_child([*args, "--out", tmp_path / "out"], stdout=None, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert (tmp_path / "out").stat().st_size > 0
 
     def test_the_script_runs_what_the_main_block_runs(self):
         pyproject = (SRC.parent / "pyproject.toml").read_text()

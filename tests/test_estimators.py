@@ -11,11 +11,10 @@ from scipy.special import ndtr, ndtri
 from wcfar.errors import ConfigError
 from wcfar.estimators import (
     EstimateWithCI,
+    _estimate,
     _rank_weights,
-    confidence_interval,
     diagnose,
     estimate_pfa_worst_case,
-    estimate_pfa_zero_effort,
 )
 from wcfar.model import Hyperparameters, predict_pfa
 from wcfar.score_data import PackedCorpus, sample_skewness
@@ -24,7 +23,7 @@ from wcfar.streams import RngStream
 from wcfar.synthetic import SyntheticSpec, model_blocks
 
 import corpora
-from oracles import comb_worst_case, loop_diagnose_variances, loop_estimate_pfa_worst_case
+from oracles import comb_worst_case, loop_diagnose_variances, loop_estimate_pfa_worst_case, loop_zero_effort
 
 Z99 = float(ndtri(0.995))
 
@@ -36,15 +35,21 @@ def joint_halfwidth(a: EstimateWithCI, b: EstimateWithCI) -> float:
     return Z99 * math.hypot(se_a, se_b)
 
 
+def interval(values) -> tuple[float, float]:
+    """The interval `_estimate` puts around the mean of `values`."""
+    est = _estimate(np.asarray(values, dtype=float))
+    return est.ci_low, est.ci_high
+
+
 class TestConfidenceInterval:
     def test_constant_values(self):
-        low, high = confidence_interval([0.3] * 10)
+        low, high = interval([0.3] * 10)
         assert high - low <= 1e-12
         assert low == pytest.approx(0.3) and high == pytest.approx(0.3)
 
     def test_bernoulli_closed_form(self):
         values = [0.0, 1.0] * 5000
-        low, high = confidence_interval(values)
+        low, high = interval(values)
         z = ndtri(0.995)
         stderr = np.std(values, ddof=1) / 100.0
         assert low == pytest.approx(0.5 - z * stderr, abs=1e-12)
@@ -52,12 +57,8 @@ class TestConfidenceInterval:
         assert (low, high) == pytest.approx((0.4871, 0.5129), abs=2e-4)
 
     def test_clamped_to_unit_interval(self):
-        low, high = confidence_interval([0.0, 0.0, 1.0])
+        low, high = interval([0.0, 0.0, 1.0])
         assert low == 0.0 and high == 1.0
-
-    def test_too_few_iterations(self):
-        with pytest.raises(ValueError):
-            confidence_interval([0.5])
 
     @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6])
     def test_quantile_matches_scipy(self, level):
@@ -67,20 +68,20 @@ class TestConfidenceInterval:
     def test_interval_is_99_percent(self):
         z = wcfar_ndtri(0.5 * (1.0 + 0.99))
         # deviations -3/8, 1/8, 1/8, 1/8 about 0.5: the mean and the stderr 1/8 are exact
-        low, high = confidence_interval([0.125, 0.625, 0.625, 0.625])
+        low, high = interval([0.125, 0.625, 0.625, 0.625])
         assert (low, high) == (0.5 - z / 8, 0.5 + z / 8)
 
 
 class TestZeroEffort:
     def test_all_below_threshold(self):
         corpus = corpora.groups({"t": {"a": [0.0, 0.1], "b": [-1.0]}})
-        est = estimate_pfa_zero_effort(corpus, 5.0)
+        est = estimate_pfa_worst_case(corpus, 5.0, 1)
         assert est.value == 0.0
         assert (est.ci_low, est.ci_high) == (0.0, 0.0)
 
     def test_single_pair_exact(self):
         corpus = corpora.groups({"t": {"a": [-1.0, 1.0]}})
-        est = estimate_pfa_zero_effort(corpus, 0.0)
+        est = estimate_pfa_worst_case(corpus, 0.0, 1)
         assert est.value == 0.5
 
     def test_iid_gaussian_corpus(self):
@@ -91,7 +92,7 @@ class TestZeroEffort:
                 for i in range(50)
             }
         )
-        est = estimate_pfa_zero_effort(corpus, 1.0)
+        est = estimate_pfa_worst_case(corpus, 1.0, 1)
         expected = float(ndtr(-1.0))
         # the estimator targets the corpus-conditional rate, which itself
         # fluctuates around the population value with the corpus size
@@ -103,13 +104,13 @@ class TestZeroEffort:
 
     def test_infinite_thresholds(self):
         corpus = corpora.groups({"t": {"a": [0.0, 1.0], "b": [2.0]}})
-        assert estimate_pfa_zero_effort(corpus, -math.inf).value == 1.0
-        assert estimate_pfa_zero_effort(corpus, math.inf).value == 0.0
+        assert estimate_pfa_worst_case(corpus, -math.inf, 1).value == 1.0
+        assert estimate_pfa_worst_case(corpus, math.inf, 1).value == 0.0
 
     def test_empty_impostor_list_rejected(self):
         corpus = corpora.groups({"t": {}})
         with pytest.raises(ValueError, match="exceeds the 0 impostors available for target 't'"):
-            estimate_pfa_zero_effort(corpus, 0.0)
+            estimate_pfa_worst_case(corpus, 0.0, 1)
 
     def test_matches_pooled_rate_for_equal_sizes(self):
         # with equal scores per pair the estimator's expectation is the
@@ -119,7 +120,7 @@ class TestZeroEffort:
             {f"t{i}": {f"i{j}": g.standard_normal(10) for j in range(5)} for i in range(40)}
         )
         pooled = float(np.mean(corpus.scores > 0.5))
-        est = estimate_pfa_zero_effort(corpus, 0.5)
+        est = estimate_pfa_worst_case(corpus, 0.5, 1)
         assert abs(est.value - pooled) <= 1e-12
 
 
@@ -157,8 +158,7 @@ class TestWorstCase:
             )
         ))
         worst = estimate_pfa_worst_case(corpus, 1.0, 1)
-        zero = estimate_pfa_zero_effort(corpus, 1.0)
-        assert worst == zero
+        assert abs(worst.value - loop_zero_effort(corpus, 1.0)) <= 1e-12
 
     def test_non_decreasing_in_population_size(self):
         corpus = corpora.pack(model_blocks(
@@ -439,5 +439,4 @@ class TestExactProperties:
     def test_closest_of_one_is_zero_effort(self, groups, tau):
         corpus = corpora.groups(groups)
         worst = estimate_pfa_worst_case(corpus, tau, 1)
-        zero = estimate_pfa_zero_effort(corpus, tau)
-        assert worst == zero
+        assert abs(worst.value - loop_zero_effort(corpus, tau)) <= 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from wcfar.estimators import estimate_pfa_zero_effort
+from wcfar.estimators import estimate_pfa_worst_case
 from wcfar.metrics import DcfParams, eer_threshold, min_dcf_threshold
 from wcfar.score_data import LabeledScoreSet, PackedCorpus
 from wcfar.streams import RngStream
@@ -62,12 +62,12 @@ class TestEmpiricalPfa:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no targets"):
-            estimate_pfa_zero_effort(corpora.groups({}), 0.0)
+            estimate_pfa_worst_case(corpora.groups({}), 0.0, 1)
 
     def test_nan_tau_rejected(self):
         corpus = corpora.groups({"t": {"i": [1.0]}})
         with pytest.raises(ValueError, match="NaN"):
-            estimate_pfa_zero_effort(corpus, math.nan)
+            estimate_pfa_worst_case(corpus, math.nan, 1)
 
     def test_non_increasing_in_tau(self):
         g = RngStream(4).generator()

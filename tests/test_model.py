@@ -34,7 +34,7 @@ def predict(h, tau, n, *, seed, t_outer, scores_per_pair=math.inf):
 class TestHyperparameters:
     def test_json_round_trip(self):
         h = Hyperparameters(0.5, 2.0, 3.0, 4.0, 5.0, 6.0)
-        assert Hyperparameters.from_json(json.dumps(h.to_json())) == h
+        assert Hyperparameters.from_json(json.loads(json.dumps(h.to_json()))) == h
 
     def test_json_missing_key(self):
         with pytest.raises(ValueError, match="missing key"):

@@ -135,6 +135,18 @@ def test_no_library_run_loads_no_numpy(name, probe):
     assert probe(name) == {"wcfar.cli", "wcfar.errors"}
 
 
+def test_import_wcfar_loads_no_submodule_and_no_numpy():
+    code = (
+        "import json, sys, wcfar; "
+        "print(json.dumps([m for m in sys.modules if m == 'numpy' or m.startswith('wcfar.')]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == []
+
+
 @pytest.mark.parametrize("name", NEEDS)
 def test_command_loads_only_what_it_runs(name, probe):
     assert "numpy" in probe(name)
