@@ -171,7 +171,7 @@ def diagnose(corpus: PackedCorpus, n_impostors: int) -> DiagnosticsReport:
     random_sd, random_share = _selected_stdev(pair_var, _rank_weights(corpus, 1))
     return DiagnosticsReport(
         avg_pairwise_skewness=float(kept.mean()) if kept.size else None,
-        pair_mean_skewness=sample_skewness(corpus.pair_means()),
+        pair_mean_skewness=sample_skewness(corpus.pair_means(), "the pair means"),
         skewness_excluded_pairs=int(skews.size - kept.size),
         closest_impostor_stdev=closest_sd,
         random_impostor_stdev=random_sd,

@@ -57,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NumericError, ParseError
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -93,6 +93,7 @@ class LabeledScoreSet:
 
 _LABELS = ("target", "nontarget")
 _BLOCK_ROWS = 1 << 11  # rows per batch that `_validated` checks
+_BLOCK_SCORES = 1 << 16  # scores per block of whole pairs that the per-pair reductions take at a time
 
 
 def _cast(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -452,36 +453,69 @@ def _rank(names: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.argsort(np.array(order, dtype=np.int64)), tuple(names[k] for k in order)
 
 
-def _skewness(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Bias-corrected (adjusted Fisher-Pearson) skewness of each segment.
+def _blocks(x: np.ndarray, offsets: np.ndarray):
+    """``(segments, values, starts, counts)`` of consecutive blocks of whole segments of `x`.
+
+    Segment k is ``x[offsets[k]:offsets[k+1]]``, and every segment must be
+    non-empty.  A block holds the segments ``segments`` (a slice), whose
+    values ``values`` are a view of `x`; ``starts`` are their offsets into
+    ``values`` and ``counts`` their lengths.  A block ends at the last
+    segment boundary within `_BLOCK_SCORES` values of its start, so a longer
+    segment is a block of its own.  A reduction over a block's segments
+    gives each segment the bits it has over all of `x`.
+    """
+    first, n_segments = 0, offsets.size - 1
+    while first < n_segments:
+        stop = int(np.searchsorted(offsets, offsets[first] + _BLOCK_SCORES, side="right")) - 1
+        stop = max(stop, first + 1)  # a segment longer than a block
+        bounds = offsets[first : stop + 1]
+        yield slice(first, stop), x[bounds[0] : bounds[-1]], bounds[:-1] - bounds[0], np.diff(bounds)
+        first = stop
+
+
+def _sums(values: np.ndarray, starts: np.ndarray, what: str, name, first: int = 0) -> np.ndarray:
+    """``np.add.reduceat(values, starts)``, or NumericError naming ``name(first + k)`` for the first sum k
+    that left the float range; call it where numpy's overflow and invalid warnings are ignored."""
+    sums = np.add.reduceat(values, starts)
+    finite = np.isfinite(sums)
+    if not finite.all():
+        raise NumericError(f"{what} of {name(first + int(finite.argmin()))} is not finite")
+    return sums
+
+
+def _skewness(x: np.ndarray, offsets: np.ndarray, name) -> np.ndarray:
+    """Bias-corrected (adjusted Fisher-Pearson) skewness of each segment, over `_blocks`.
 
     Segment k is ``x[offsets[k]:offsets[k+1]]``, and every segment must be
     non-empty.  NaN where a segment has fewer than 3 values or zero range.
     Constant segments are found by their range: their computed mean can be
     off by one ulp, which leaves a tiny second moment and a skewness of
-    about +-2.449 instead of none.
+    about +-2.449 instead of none.  A segment whose sum, sum of squared
+    deviations or sum of cubed deviations is not finite raises NumericError
+    naming ``name(k)``.
     """
-    starts = offsets[:-1]
-    counts = np.diff(offsets)
-    n = counts.astype(float)
-    centered = x - np.repeat(np.add.reduceat(x, starts) / n, counts)
-    m2 = np.add.reduceat(centered**2, starts) / n
-    m3 = np.add.reduceat(centered**3, starts) / n
-    varies = np.maximum.reduceat(x, starts) > np.minimum.reduceat(x, starts)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g1 = m3 / m2**1.5 * np.sqrt(n * (n - 1.0)) / (n - 2.0)
-    return np.where((n >= 3) & varies, g1, np.nan)
+    g1 = np.empty(offsets.size - 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for segments, block, starts, counts in _blocks(x, offsets):
+            n = counts.astype(float)
+            centered = block - np.repeat(_sums(block, starts, "the sum", name, segments.start) / n, counts)
+            m2 = _sums(centered**2, starts, "the sum of squared deviations", name, segments.start) / n
+            m3 = _sums(centered**3, starts, "the sum of cubed deviations", name, segments.start) / n
+            varies = np.maximum.reduceat(block, starts) > np.minimum.reduceat(block, starts)
+            g1[segments] = np.where((n >= 3) & varies, m3 / m2**1.5 * np.sqrt(n * (n - 1.0)) / (n - 2.0), np.nan)
+    return g1
 
 
-def sample_skewness(values) -> float | None:
+def sample_skewness(values, name: str = "the values") -> float | None:
     """Bias-corrected (adjusted Fisher-Pearson) sample skewness.
 
-    Returns None when fewer than 3 values or when all values are equal.
+    Returns None when fewer than 3 values or when all values are equal.  A
+    sum that leaves the float range raises NumericError naming `name`.
     """
     x = np.asarray(values, dtype=float).reshape(-1)
     if x.size < 3:
         return None
-    g1 = _skewness(x, np.array([0, x.size]))[0]
+    g1 = _skewness(x, np.array([0, x.size]), lambda _: name)[0]
     return None if math.isnan(g1) else float(g1)
 
 
@@ -499,6 +533,13 @@ class PackedCorpus:
     once, however many targets it is paired with.  `from_codes`, which
     `load_corpus` goes through, orders targets, impostors, and the pairs
     within a target by id.
+
+    The per-pair reductions run over `_blocks` of whole pairs, so their
+    memory is the score array plus one block of about `_BLOCK_SCORES`
+    scores, and each pair's value has the bits of one reduction over the
+    whole array.  A pair whose sum, or sum of squared or cubed deviations,
+    leaves the float range raises NumericError naming its target and
+    impostor.
     """
 
     target_ids: tuple[str, ...]
@@ -588,20 +629,30 @@ class PackedCorpus:
         """(P,) owning target of each pair."""
         return _frozen_array(np.repeat(np.arange(self.n_targets), self.pairs_per_target), np.int64)
 
+    def _pair_name(self, p: int) -> str:
+        target, impostor = self.target_ids[self.pair_target[p]], self.impostor_ids[self.pair_impostor[p]]
+        return f"the scores of target {target!r} and impostor {impostor!r}"
+
     @cached_property
     def pair_sums(self) -> np.ndarray:
-        """Per-pair sum of scores."""
-        return np.add.reduceat(self.scores, self.pair_offsets[:-1])
+        """Per-pair sum of scores; NumericError names a pair whose sum leaves the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _sums(self.scores, self.pair_offsets[:-1], "the sum", self._pair_name)
 
     @cached_property
     def pair_centered_ss(self) -> np.ndarray:
-        """Per-pair sum of squared deviations from the pair mean.
+        """Per-pair sum of squared deviations from the pair mean, over `_blocks`.
 
         Two-pass computation: exact for constant pairs and free of the
-        cancellation that the raw-moment expansion suffers.
+        cancellation that the raw-moment expansion suffers.  NumericError
+        names a pair whose sum leaves the float range.
         """
-        centered = self.scores - np.repeat(self.pair_means(), self.pair_count)
-        return np.add.reduceat(centered**2, self.pair_offsets[:-1])
+        means, ss = self.pair_means(), np.empty(self.n_pairs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for pairs, block, starts, counts in _blocks(self.scores, self.pair_offsets):
+                centered = block - np.repeat(means[pairs], counts)
+                ss[pairs] = _sums(centered**2, starts, "the sum of squared deviations", self._pair_name, pairs.start)
+        return ss
 
     def pair_means(self) -> np.ndarray:
         return self.pair_sums / self.pair_count
@@ -625,10 +676,12 @@ class PackedCorpus:
 
     def pair_skewness(self) -> np.ndarray:
         """Per-pair `sample_skewness`; NaN where it is undefined."""
-        return _skewness(self.scores, self.pair_offsets)
+        return _skewness(self.scores, self.pair_offsets, self._pair_name)
 
     def pair_exceed_fraction(self, tau: float) -> np.ndarray:
-        """Per-pair fraction of scores strictly above `tau`."""
-        hits = np.add.reduceat((self.scores > tau).astype(float), self.pair_offsets[:-1])
+        """Per-pair fraction of scores strictly above `tau`, over `_blocks`."""
+        hits = np.empty(self.n_pairs)
+        for pairs, block, starts, _ in _blocks(self.scores, self.pair_offsets):
+            hits[pairs] = np.add.reduceat((block > tau).astype(float), starts)
         return hits / self.pair_count
 

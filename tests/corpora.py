@@ -1,5 +1,8 @@
 """Test corpora packed in memory as `load_corpus` packs the rows of a file: from the blocks of
-`wcfar.synthetic`, or from a ``{target: {impostor: scores}}`` dict."""
+`wcfar.synthetic`, or from a ``{target: {impostor: scores}}`` dict; and the traced memory peak
+of a call."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -33,3 +36,13 @@ def labeled(label_blocks):
     for label, block in label_blocks:
         scores[label].append(block)
     return LabeledScoreSet(np.concatenate(scores["target"]), np.concatenate(scores["nontarget"]))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), the peak bytes that tracemalloc traced during the call)``."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -11,7 +11,8 @@ expectation deterministically, the loop corpus estimators draw a target
 and a candidate set per outer iteration, the rank-weight oracle sums
 exact rationals with `math.comb`, the grouped corpus is the original
 dict-of-lists loader, the skewness and zero-effort oracles loop over
-pairs one at a time, the 99% intervals take their quantile from scipy,
+pairs one at a time, the one-block reductions reduce every pair of the
+score array at once, the 99% intervals take their quantile from scipy,
 and the marginal sampler draws the whole hierarchy per score.
 """
 
@@ -389,3 +390,31 @@ def loop_pair_skewness(scores, pair_offsets):
         m2 = np.mean(centered**2)
         out[p] = np.mean(centered**3) / m2**1.5 * math.sqrt(n * (n - 1.0)) / (n - 2.0)
     return out
+
+
+def one_block_centered_ss(scores, pair_offsets):
+    """Sum of squared deviations from the pair mean of each pair, over the whole score array at once."""
+    counts = np.diff(pair_offsets)
+    centered = scores - np.repeat(np.add.reduceat(scores, pair_offsets[:-1]) / counts, counts)
+    return np.add.reduceat(centered**2, pair_offsets[:-1])
+
+
+def one_block_exceed_fraction(scores, pair_offsets, tau):
+    """Fraction of scores strictly above `tau` of each pair, over the whole score array at once."""
+    hits = np.add.reduceat((scores > tau).astype(float), pair_offsets[:-1])
+    return hits / np.diff(pair_offsets)
+
+
+def one_block_skewness(x, offsets):
+    """Adjusted Fisher-Pearson skewness of each segment, over the whole array at once; NaN where a
+    segment has fewer than 3 values or zero range."""
+    starts = offsets[:-1]
+    counts = np.diff(offsets)
+    n = counts.astype(float)
+    centered = x - np.repeat(np.add.reduceat(x, starts) / n, counts)
+    m2 = np.add.reduceat(centered**2, starts) / n
+    m3 = np.add.reduceat(centered**3, starts) / n
+    varies = np.maximum.reduceat(x, starts) > np.minimum.reduceat(x, starts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g1 = m3 / m2**1.5 * np.sqrt(n * (n - 1.0)) / (n - 2.0)
+    return np.where((n >= 3) & varies, g1, np.nan)

@@ -8,7 +8,7 @@ import re
 import stat
 import subprocess
 import sys
-import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -496,12 +496,9 @@ class TestSimulateCommand:
                     "n_impostors_per_target": 250, "l_scores_per_pair": 4, "seed": 3}
             spec_path = tmp_path / "spec.json"
             spec_path.write_text(json.dumps(spec))
-            tracemalloc.start()
-            try:
-                assert run(["simulate", "--spec", spec_path, "--out", tmp_path / "sim.csv"]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak_bytes = corpora.traced_peak(run, ["simulate", "--spec", spec_path, "--out", tmp_path / "sim.csv"])
+            assert code == 0
+            return peak_bytes
 
         peak(1)  # imports
         assert abs(peak(256) - peak(16)) < 256 * 1024
@@ -711,6 +708,31 @@ class TestExactCorpusCommands:
         assert run(args + ["--corpus", corpus_csv]) == 1
         errors = error_lines(capsys)
         assert len(errors) == 1 and "n_impostors must be >= 1" in errors[0]
+
+
+class TestOverflowingSums:
+    """A pair whose sum of scores leaves the float range is refused with exit code 2 and one line."""
+
+    @pytest.mark.parametrize("args, rows", [
+        # both sums overflowed to inf, so the tie went to pair b, and 0.8333 came out where 1.0 is the answer
+        (["empirical", "--tau", "0", "--n", "2"],
+         ["a,b,1.79e308", "a,b,1.79e308", "a,b,-1.7e308", "a,c,1e308", "a,c,1e308", "d,b,0.5", "d,c,0.3"]),
+        # four RuntimeWarnings, then "error: mu0 must be finite, got inf" with exit code 1
+        (["fit"], ["a,b,1e308", "a,b,1.5e308", "a,c,-1e308", "a,c,2", "d,b,0.5", "d,b,0.1", "d,c,0.3", "d,c,0.2"]),
+        # eight RuntimeWarnings, then "error: closest_impostor_stdev is nan" with exit code 1
+        (["diagnose", "--tau", "0", "--n-impostors", "2"],
+         ["a,b,1e308", "a,b,1.5e308", "a,c,-1e308", "a,c,2", "d,b,0.5", "d,c,0.3"]),
+    ], ids=["empirical", "fit", "diagnose"])
+    def test_exit_two_with_one_line_and_no_warning(self, tmp_path, capsys, args, rows):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("\n".join(["target_id,impostor_id,score", *rows]) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([*args, "--corpus", corpus]) == 2
+        assert caught == []
+        assert capsys.readouterr() == (
+            "", "numeric error: the sum of the scores of target 'a' and impostor 'b' is not finite\n"
+        )
 
 
 class TestCurveCommand:

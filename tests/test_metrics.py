@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,12 +242,7 @@ class TestInPlaceScan:
         labeled = LabeledScoreSet(g.normal(1.0, 1.0, 5000), g.normal(-1.0, 1.0, 40_000))
         pooled_bytes = labeled.target_scores.nbytes + labeled.nontarget_scores.nbytes
         for scan in (eer_threshold, lambda s: min_dcf_threshold(s, DcfParams(0.01, 1.0, 1.0))):
-            tracemalloc.start()
-            try:
-                scan(labeled)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = corpora.traced_peak(scan, labeled)
             assert peak <= 5.5 * pooled_bytes
 
 

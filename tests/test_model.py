@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,12 +265,7 @@ class TestPredictorOracles:
 
     @staticmethod
     def peak_bytes(l) -> int:
-        tracemalloc.start()
-        try:
-            predict_pfa(BASE, 1.5, [10**9], seed=33, t_outer=10_000, scores_per_pair=l)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = corpora.traced_peak(predict_pfa, BASE, 1.5, [10**9], seed=33, t_outer=10_000, scores_per_pair=l)
         return peak
 
     def test_closed_form_memory_independent_of_n(self):

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,6 @@ import random
 import string
 import tempfile
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +17,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wcfar import score_data
-from wcfar.errors import ParseError
-from wcfar.estimators import diagnose
+from wcfar.errors import NumericError, ParseError
+from wcfar.estimators import diagnose, estimate_pfa_worst_case
+from wcfar.inference import fit
 from wcfar.model import Hyperparameters
 from wcfar.score_data import PackedCorpus, load_corpus, load_labeled_scores, sample_skewness
 from wcfar.synthetic import SyntheticSpec, model_blocks
 
 import corpora
-from oracles import grouped_corpus, loop_pair_skewness
+from oracles import (
+    grouped_corpus,
+    loop_pair_skewness,
+    one_block_centered_ss,
+    one_block_exceed_fraction,
+    one_block_skewness,
+)
 
 CSV_ROWS = [
     "target_id,impostor_id,score",
@@ -494,12 +501,7 @@ class TestCsvRows:
         rows = [(f"t{k % 5}", f"i{k}", k / 4) for k in range(2000)]
         rows[1000] = ("t" * 50_000, "i1000", 250.0)
         path = write(tmp_path, "c.csv", [CSV_ROWS[0], *(f"{t},{i},{v!r}" for t, i, v in rows)])
-        tracemalloc.start()
-        try:
-            loaded = load_corpus(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        loaded, peak = corpora.traced_peak(load_corpus, path)
         assert peak < 8 * 2**20
         _assert_matches_oracle(loaded, rows)
 
@@ -538,12 +540,7 @@ def _large_corpus_rows() -> list[tuple[str, str, float]]:
 
 def _load_peak(path, load=load_corpus) -> int:
     """Peak traced memory of `load(path)`, which must give the corpus of `_large_corpus_rows`."""
-    tracemalloc.start()
-    try:
-        corpus = load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    corpus, peak = corpora.traced_peak(load, path)
     assert corpus.n_scores == 128 * 250 * 4
     return peak
 
@@ -695,12 +692,7 @@ def test_the_first_bad_row_wins_across_runs_and_batch_edges(tmp_path, monkeypatc
 
 def _parse_peak_ratio(path) -> float:
     """Peak traced memory of `load_corpus(path)`, over the bytes of its scores."""
-    tracemalloc.start()
-    try:
-        corpus = load_corpus(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    corpus, peak = corpora.traced_peak(load_corpus, path)
     return peak / corpus.scores.nbytes
 
 
@@ -867,6 +859,75 @@ class TestCorpusStats:
         payload = json.loads(json.dumps(report.to_json()))
         assert payload["avg_pairwise_skewness"] == pytest.approx(0.0, abs=1e-12)
         assert payload["skewness_excluded_pairs"] == 1
+
+
+@st.composite
+def pair_scores(draw) -> list[list[float]]:
+    """1-12 pairs of 1-40 scores, constant pairs among them, plus exact copies of some, whose means tie."""
+    value = st.sampled_from([-2.5, -0.3, 0.1, 0.2, 0.7, 3.25]) | st.floats(-1e3, 1e3)
+    constant = st.tuples(value, st.integers(1, 40)).map(lambda pair: [pair[0]] * pair[1])
+    pairs = draw(st.lists(st.lists(value, min_size=1, max_size=40) | constant, min_size=1, max_size=12))
+    return pairs + [pairs[k] for k in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=3))]
+
+
+class TestBlockedReductions:
+    """The per-pair reductions run over blocks of whole pairs: each value keeps the bits of one
+    reduction over the whole score array, and memory does not grow with the scores per pair."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pairs=pair_scores(), block=st.integers(1, 64), tau=st.sampled_from([-1.0, 0.1, 0.2, 0.7]))
+    def test_blocks_keep_the_bits_of_one_block(self, monkeypatch, pairs, block, tau):
+        codes = np.arange(len(pairs))
+        counts = np.array([len(scores) for scores in pairs])
+        scores = np.concatenate(pairs)
+        offsets = np.append(0, np.cumsum(counts))
+        corpus = PackedCorpus.from_codes(["t"], [f"i{k:02d}" for k in codes], 0 * codes, codes, counts, scores)
+        with monkeypatch.context() as patched:
+            patched.setattr(score_data, "_BLOCK_SCORES", block)
+            assert np.array_equal(corpus.pair_centered_ss, one_block_centered_ss(scores, offsets))
+            assert np.array_equal(corpus.pair_exceed_fraction(tau), one_block_exceed_fraction(scores, offsets, tau))
+            assert np.array_equal(corpus.pair_skewness(), one_block_skewness(scores, offsets), equal_nan=True)
+            for values in (scores, corpus.pair_means()):
+                skew = sample_skewness(values)
+                want = one_block_skewness(values, np.array([0, values.size]))[0] if values.size >= 3 else np.nan
+                assert np.array_equal(np.nan if skew is None else skew, want, equal_nan=True)
+
+    @pytest.mark.parametrize("scores, what", [
+        ([1e308, 1.5e308], "the sum"),
+        ([1.7e308, -1.7e308, 0.5e308], "the sum of squared deviations"),  # a finite sum
+        ([1e103, -1e103, 3e103], "the sum of cubed deviations"),  # finite squares
+    ])
+    def test_a_sum_out_of_the_float_range_names_its_pair(self, scores, what):
+        corpus = corpora.groups({"t": {"a": [1.0, 2.0, 4.0], "b": scores}})
+        with pytest.raises(NumericError) as info:
+            diagnose(corpus, 1)
+        assert str(info.value) == f"{what} of the scores of target 't' and impostor 'b' is not finite"
+
+    @pytest.mark.parametrize("values, what", [
+        ([1.7e308, 1.7e308, 0.0], "the sum"),
+        ([1.7e308, -1.7e308, 0.0], "the sum of squared deviations"),
+        ([1e103, -1e103, 3e103], "the sum of cubed deviations"),
+    ])
+    def test_sample_skewness_names_its_values(self, values, what):
+        with pytest.raises(NumericError) as info:
+            sample_skewness(values, "the pair means")
+        assert str(info.value) == f"{what} of the pair means is not finite"
+        with pytest.raises(NumericError, match=f"^{what} of the values is not finite$"):
+            sample_skewness(values)
+
+    # five blocks of 2**16 scores: a reduction holds at most four block-length arrays at a time
+    PEAK_BOUND = 2.5 * 2**20
+
+    @pytest.mark.parametrize("l", [4, 25, 100])
+    def test_peak_memory_does_not_grow_with_scores_per_pair(self, l):
+        # the one-block reductions peaked at 10.1 (fit), 10.2 (diagnose) and 5.7 MiB (worst case) at L = 100
+        theta = Hyperparameters(0.0, 1.0, 4.0, 3.0, 4.0, 4.0)
+        corpus = corpora.pack(model_blocks(SyntheticSpec(theta, t_targets=64, n_impostors_per_target=100,
+                                                         l_scores_per_pair=l, seed=1)))
+        calls = [(fit,), *((diagnose, n) for n in (1, 16, 64)), *((estimate_pfa_worst_case, 1.5, n) for n in (1, 16, 64))]
+        for fn, *args in calls:
+            _, peak = corpora.traced_peak(fn, dataclasses.replace(corpus), *args)  # a copy without cached reductions
+            assert peak < self.PEAK_BOUND, (fn.__name__, args, peak)
 
 
 class TestPackCorpus:
