@@ -1,28 +1,17 @@
-"""Exception taxonomy shared across the package.
+"""The package's two exception classes, which the command line client maps to exit codes.
 
-User-input problems (bad files, bad configuration) and numerical failures
-are kept distinct so the command line client can map them to different
-exit codes.
+A bad file raises ParseError, a ValueError like every other input problem
+(exit code 1); a numerical routine that cannot produce a trustworthy result
+raises NumericError (exit code 2).
 """
 
 
 class ParseError(ValueError):
-    """A score file could not be parsed; carries the offending line number."""
+    """A score file could not be parsed; the message starts with ``line N:`` when a line is at fault."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-class ConfigError(ValueError):
-    """A request is inconsistent with the data it is applied to."""
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class NumericError(RuntimeError):
     """A numerical routine failed to produce a trustworthy result."""
-
-
-class InfeasibleMomentsError(NumericError):
-    """Moment pair violates the Jensen gap required by a maximum-likelihood fit."""

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
 from .special_math import ndtri
 
 if TYPE_CHECKING:  # the model predictor imports this module and reads no corpus
@@ -67,8 +66,8 @@ def _require_pool(packed: PackedCorpus, n_impostors: int):
         raise ValueError(f"n_impostors must be >= 1, got {n_impostors}")
     pools = packed.pairs_per_target
     if np.any(pools < n_impostors):
-        bad = packed.target_ids[int(np.argmin(pools))]
-        raise ConfigError(
+        [bad] = packed.ids(int(np.argmin(pools)))
+        raise ValueError(
             f"n_impostors={n_impostors} exceeds the {int(pools.min())} impostors "
             f"available for target {bad!r}"
         )

@@ -12,9 +12,10 @@ the threshold is flagged degenerate.
 `eer_threshold` and `min_dcf_threshold` each return ``(tau, metric,
 degenerate)``: the threshold, the EER or normalised cost achieved there,
 and that flag.  A `LabeledScoreSet` holds finite scores in two non-empty
-arrays, the midpoints are taken as ``0.5 * a + 0.5 * b``, which cannot
-overflow, and the sentinels do not step past the float range, so tau is
-always finite.
+arrays, and the midpoints are taken as ``0.5 * a + 0.5 * b``, which cannot
+overflow, so tau is finite but for one input: when the lowest score is
+``-sys.float_info.max``, the low sentinel is -inf, the one threshold that
+accepts that score.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ def _scan(s: LabeledScoreSet):
         taus = distinct
     else:
         low = distinct[0] - 1.0
-        if low == distinct[0]:  # from about 1e16 in magnitude the step rounds away; take the next finite float down
-            low = np.nextafter(low, -np.finfo(float).max)
+        if low == distinct[0]:  # from about 1e16 in magnitude the step rounds away; take the next float down
+            with np.errstate(over="ignore"):  # -inf below -max, the one threshold that accepts -max
+                low = np.nextafter(low, -np.inf)
         taus = np.empty(distinct.size + 1)
         taus[0], taus[-1] = low, distinct[-1] + 1.0
         distinct *= 0.5  # each midpoint is 0.5 * a + 0.5 * b

@@ -26,12 +26,12 @@ included, is raised after the rows before it are checked, so the first
 fault in a file wins.  Every fault names the physical line on which its
 row starts.
 
-`_cached` saves the arrays of each successful load in
-``$XDG_CACHE_HOME/wcfar`` (else ``$HOME/.cache/wcfar``), one ``.npz`` entry
-per SHA-256 of the loader kind, this module's source, numpy's version and
-the file's bytes, so a later load of the same bytes reads them back instead
-of parsing.  The directory keeps the `_CACHE_ENTRIES` most recently used
-entries.  A failed parse is never saved, and any fault of the cache falls
+`_cached` saves the arrays of each successful load, which are all that
+its record holds, in ``$XDG_CACHE_HOME/wcfar`` (else ``$HOME/.cache/wcfar``),
+one ``.npz`` entry per SHA-256 of the loader kind, this module's source,
+numpy's version and the file's bytes, so a later load of the same bytes
+reads them back instead of parsing.  The directory keeps the
+`_CACHE_ENTRIES` most recently used entries.  A failed parse is never saved, and any fault of the cache falls
 back to the parse.
 """
 
@@ -66,29 +66,38 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+class _Record:
+    """A record of read-only 1-D arrays, each named with its dtype in its class's `ARRAYS`: they are
+    all that it holds, all that `__eq__` compares and all that its cache entry saves."""
+
+    ARRAYS: dict[str, type]
+
+    def __post_init__(self):
+        for name, dtype in self.ARRAYS.items():
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return same and all(np.array_equal(getattr(self, name), getattr(other, name)) for name in self.ARRAYS)
+
+
 @dataclass(frozen=True, eq=False)
-class LabeledScoreSet:
+class LabeledScoreSet(_Record):
     """Target and non-target trial scores for threshold calibration; neither
     array is empty, and every score is finite."""
+
+    ARRAYS = {"target_scores": float, "nontarget_scores": float}
 
     target_scores: np.ndarray
     nontarget_scores: np.ndarray
 
     def __post_init__(self):
-        for name in ("target_scores", "nontarget_scores"):
-            scores = _frozen_array(getattr(self, name))
-            if not scores.size:
+        super().__post_init__()
+        for name in self.ARRAYS:
+            if not getattr(self, name).size:
                 raise ValueError(f"{name} is empty")
-            if not np.isfinite(scores).all():
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} holds a score that is not finite")
-            object.__setattr__(self, name, scores)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LabeledScoreSet)
-            and np.array_equal(self.target_scores, other.target_scores)
-            and np.array_equal(self.nontarget_scores, other.nontarget_scores)
-        )
 
 
 _LABELS = ("target", "nontarget")
@@ -283,11 +292,15 @@ def _cache_key(fh, kind: str) -> str:
     return digest.hexdigest()
 
 
-def _read_entry(entry: Path, from_arrays):
-    """`from_arrays` of cache entry `entry`, whose mtime is refreshed; None if it is missing or bad."""
+def _read_entry(entry: Path, record: type[_Record], build):
+    """`build` of the `record.ARRAYS` of cache entry `entry`, whose mtime is refreshed; None if it is missing
+    or bad: an array is missing, is not 1-D or not of its dtype, or `build` raises ValueError."""
     try:
         with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            loaded = from_arrays(npz)
+            arrays = {name: npz[name] for name in record.ARRAYS}
+        if any(a.ndim != 1 or a.dtype != record.ARRAYS[name] for name, a in arrays.items()):
+            raise ValueError("foreign cache entry")
+        loaded = build(**arrays)
     except _CACHE_FAULTS:
         return None
     with contextlib.suppress(OSError):
@@ -311,8 +324,9 @@ def _write_entry(entry: Path, arrays: dict[str, np.ndarray]) -> None:
             old.unlink(missing_ok=True)
 
 
-def _cached(path, kind: str, parse, to_arrays, from_arrays):
-    """`parse(fh)` on binary file `path`, or `from_arrays` of what `to_arrays` saved of it for the same content.
+def _cached(path, kind: str, parse, record: type[_Record], build=None):
+    """`parse(fh)`, a `record`, on binary file `path`, or `build` (by default `record`) of the arrays of the
+    record that a parse of the same content saved.
 
     Only a regular file is cached, and only when its size and mtime did not
     change from before hashing to the end of a successful parse.
@@ -324,21 +338,13 @@ def _cached(path, kind: str, parse, to_arrays, from_arrays):
             with contextlib.suppress(OSError):
                 entry = where / f"{_cache_key(fh, kind)}.npz"
             fh.seek(0)
-            if entry is not None and (loaded := _read_entry(entry, from_arrays)) is not None:
+            if entry is not None and (loaded := _read_entry(entry, record, build or record)) is not None:
                 return loaded
         result = parse(fh)
         after = os.fstat(fh.fileno())
     if entry is not None and (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
-        _write_entry(entry, to_arrays(result))
+        _write_entry(entry, {name: getattr(result, name) for name in record.ARRAYS})
     return result
-
-
-def _entry_arrays(npz, **dtypes) -> list[np.ndarray]:
-    """The arrays of a cache entry named by `dtypes`, each 1-D and of its dtype, or ValueError."""
-    arrays = [npz[name] for name in dtypes]
-    if any(a.ndim != 1 or a.dtype != dtype for a, dtype in zip(arrays, dtypes.values())):
-        raise ValueError("foreign cache entry")
-    return arrays
 
 
 def _is_offsets(offsets: np.ndarray, total: int) -> bool:
@@ -347,29 +353,15 @@ def _is_offsets(offsets: np.ndarray, total: int) -> bool:
     return offsets.size > 1 and offsets[0] == 0 and offsets[-1] == total and bool((np.diff(offsets) > 0).all())
 
 
-def _corpus_arrays(corpus: PackedCorpus) -> dict[str, np.ndarray]:
-    """`corpus` as a cache entry: its `_ARRAY_FIELDS`, and its target ids, then its distinct
-    impostor ids, as one UTF-8 text with offsets."""
-    names = (*corpus.target_ids, *corpus.impostor_ids)
-    lengths = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
-    return {
-        # a JSON id may be a lone surrogate such as "\ud800"
-        "names": np.frombuffer("".join(names).encode("utf-8", "surrogatepass"), dtype=np.uint8),
-        "name_offsets": np.append(0, np.cumsum(lengths)),
-        **{field: getattr(corpus, field) for field in _ARRAY_FIELDS},
-    }
-
-
-def _corpus_from(npz) -> PackedCorpus:
-    names, name_offsets, target_offsets, pair_impostor, pair_offsets, scores = _entry_arrays(
-        npz, names=np.uint8, name_offsets=np.int64, target_offsets=np.int64, pair_impostor=np.int64,
-        pair_offsets=np.int64, scores=float,
-    )
-    text = names.tobytes().decode("utf-8", "surrogatepass")
+def _corpus_from(**arrays) -> PackedCorpus:
+    """The corpus of a cache entry's arrays, or ValueError unless its names decode and its offsets
+    and impostor codes fit the arrays they index."""
+    names, name_offsets, target_offsets, pair_impostor, pair_offsets, scores = map(arrays.get, PackedCorpus.ARRAYS)
+    n_chars = len(names.tobytes().decode("utf-8", "surrogatepass"))
     n_targets, n_pairs = target_offsets.size - 1, pair_offsets.size - 1
     n_impostors = name_offsets.size - 1 - n_targets
     if not (
-        _is_offsets(name_offsets, len(text))
+        _is_offsets(name_offsets, n_chars)
         and n_impostors >= 0
         and _is_offsets(target_offsets, n_pairs)
         and _is_offsets(pair_offsets, scores.size)
@@ -377,21 +369,7 @@ def _corpus_from(npz) -> PackedCorpus:
         and bool(((pair_impostor >= 0) & (pair_impostor < n_impostors)).all())
     ):
         raise ValueError("inconsistent cache entry")
-    bounds = name_offsets.tolist()
-    ids = [text[start:end] for start, end in zip(bounds, bounds[1:])]
-    return PackedCorpus(
-        target_ids=tuple(ids[:n_targets]),
-        impostor_ids=tuple(ids[n_targets:]),
-        target_offsets=target_offsets,
-        pair_impostor=pair_impostor,
-        pair_offsets=pair_offsets,
-        scores=scores,
-    )
-
-
-def _labels_from(npz) -> LabeledScoreSet:
-    target, nontarget = _entry_arrays(npz, target_scores=float, nontarget_scores=float)
-    return LabeledScoreSet(target_scores=target, nontarget_scores=nontarget)
+    return PackedCorpus(**arrays)
 
 
 FORMAT_BY_SUFFIX = {".csv": "csv", ".jsonl": "jsonl"}
@@ -412,7 +390,7 @@ def load_corpus(path, format: str | None = None) -> PackedCorpus:
             raise ParseError(f"cannot infer format from suffix {path.suffix!r}; pass format=")
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {format!r}, expected 'csv' or 'jsonl'")
-    return _cached(path, format, lambda fh: _parse_corpus(fh, format), _corpus_arrays, _corpus_from)
+    return _cached(path, format, lambda fh: _parse_corpus(fh, format), PackedCorpus, _corpus_from)
 
 
 def _parse_corpus(fh, format: str) -> PackedCorpus:
@@ -435,7 +413,7 @@ def load_labeled_scores(path) -> LabeledScoreSet:
     ParseError naming its line.  A file loaded before is read back from the
     cache (see `_cached`).
     """
-    return _cached(path, "labels", _parse_labels, vars, _labels_from)
+    return _cached(path, "labels", _parse_labels, LabeledScoreSet)
 
 
 def _parse_labels(fh) -> LabeledScoreSet:
@@ -447,10 +425,10 @@ def _parse_labels(fh) -> LabeledScoreSet:
     return LabeledScoreSet(target_scores=target, nontarget_scores=nontarget)
 
 
-def _rank(names: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+def _rank(names: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     """Rank of each name in code point order, and the names in that order."""
     order = sorted(range(len(names)), key=names.__getitem__)
-    return np.argsort(np.array(order, dtype=np.int64)), tuple(names[k] for k in order)
+    return np.argsort(np.array(order, dtype=np.int64)), [names[k] for k in order]
 
 
 def _blocks(x: np.ndarray, offsets: np.ndarray):
@@ -519,20 +497,19 @@ def sample_skewness(values, name: str = "the values") -> float | None:
     return None if math.isnan(g1) else float(g1)
 
 
-_ARRAY_FIELDS = ("target_offsets", "pair_impostor", "pair_offsets", "scores")
-
-
 @dataclass(frozen=True, eq=False)
-class PackedCorpus:
+class PackedCorpus(_Record):
     """A corpus as flat, read-only arrays for vectorised estimation and inference.
 
     Pairs are enumerated target-major, so each target owns the contiguous
     pair range ``target_offsets[i]:target_offsets[i+1]``; pair ``p`` owns the
     contiguous score range ``pair_offsets[p]:pair_offsets[p+1]`` and has
-    impostor ``impostor_ids[pair_impostor[p]]``.  Each impostor id is held
-    once, however many targets it is paired with.  `from_codes`, which
-    `load_corpus` goes through, orders targets, impostors, and the pairs
-    within a target by id.
+    impostor ``impostor_ids[pair_impostor[p]]``.  The ids are one UTF-8
+    text, `names`: the target ids, then the distinct impostor ids, each held
+    once however many targets it is paired with.  `name_offsets` cuts the
+    text into ids, counted in characters, and `ids` decodes the ones asked
+    for.  `from_codes`, which `load_corpus` goes through, orders targets,
+    impostors, and the pairs within a target by id.
 
     The per-pair reductions run over `_blocks` of whole pairs, so their
     memory is the score array plus one block of about `_BLOCK_SCORES`
@@ -542,25 +519,15 @@ class PackedCorpus:
     impostor.
     """
 
-    target_ids: tuple[str, ...]
-    impostor_ids: tuple[str, ...]  # distinct impostors, each with at least one pair
+    ARRAYS = {"names": np.uint8, "name_offsets": np.int64, "target_offsets": np.int64,
+              "pair_impostor": np.int64, "pair_offsets": np.int64, "scores": float}
+
+    names: np.ndarray  # UTF-8 text of the T target ids, then the I distinct impostor ids
+    name_offsets: np.ndarray  # (T+I+1,) character ranges of the ids in the text
     target_offsets: np.ndarray  # (T+1,) pair ranges
     pair_impostor: np.ndarray  # (P,) index into impostor_ids of each pair
     pair_offsets: np.ndarray  # (P+1,) score ranges
     scores: np.ndarray  # flat score values
-
-    def __post_init__(self):
-        for name in _ARRAY_FIELDS:
-            dtype = float if name == "scores" else np.int64
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PackedCorpus)
-            and self.target_ids == other.target_ids
-            and self.impostor_ids == other.impostor_ids
-            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _ARRAY_FIELDS)
-        )
 
     @classmethod
     def from_codes(
@@ -579,34 +546,57 @@ class PackedCorpus:
         is kept, even one without rows, so callers pass only impostor names
         that have rows, as every loader does.
         """
-        target_rank, target_ids = _rank(target_names)
+        target_rank, sorted_ids = _rank(target_names)
         impostor_rank, impostor_sorted = _rank(impostor_names)
         width = max(len(impostor_names), 1)
         key = target_rank[target_codes] * width + impostor_rank[impostor_codes]
+        del target_rank, impostor_rank
         if np.any(key[1:] < key[:-1]):  # runs out of id order are sorted as rows, stably
             key = np.repeat(key, counts)
             order = np.argsort(key, kind="stable")
             key = key[order]  # the unsorted keys are freed before `scores[order]` is built
             scores = scores[order]
+            del order
             ends = None
         else:  # runs in id order, as generated ones are, need no sort
             ends = np.cumsum(counts)  # where each run's rows end in `scores`
         last = np.ones(key.size, dtype=bool)
         last[:-1] = key[1:] != key[:-1]
         pair_key = key[last]
-        pair_ends = np.flatnonzero(last) + 1 if ends is None else ends[last]
+        pair_offsets = np.append(0, np.flatnonzero(last) + 1 if ends is None else ends[last])
+        target_offsets = np.searchsorted(pair_key // width, np.arange(len(target_names) + 1))
+        pair_impostor = pair_key % width
+        del key, last, ends, pair_key  # freed before the text is built, which keeps the text out of the parse's peak
+        sorted_ids += impostor_sorted  # the target ids, then the impostor ids
+        del impostor_sorted
+        lengths = np.fromiter(map(len, sorted_ids), dtype=np.int64, count=len(sorted_ids))
         return cls(
-            target_ids=target_ids,
-            impostor_ids=impostor_sorted,
-            target_offsets=np.searchsorted(pair_key // width, np.arange(len(target_ids) + 1)),
-            pair_impostor=pair_key % width,
-            pair_offsets=np.append(0, pair_ends),
+            # a JSON id may be a lone surrogate such as "\ud800"
+            names=np.frombuffer("".join(sorted_ids).encode("utf-8", "surrogatepass"), dtype=np.uint8),
+            name_offsets=np.append(0, np.cumsum(lengths)),
+            target_offsets=target_offsets,
+            pair_impostor=pair_impostor,
+            pair_offsets=pair_offsets,
             scores=scores,
         )
 
+    def ids(self, *ks: int) -> tuple[str, ...]:
+        """The ids numbered `ks` in the text, where target i is number i and impostor i is ``n_targets + i``."""
+        text = self.names.tobytes().decode("utf-8", "surrogatepass")
+        return tuple(text[self.name_offsets[k] : self.name_offsets[k + 1]] for k in ks)
+
+    @property
+    def target_ids(self) -> tuple[str, ...]:
+        return self.ids(*range(self.n_targets))
+
+    @property
+    def impostor_ids(self) -> tuple[str, ...]:
+        """The distinct impostors, each with at least one pair."""
+        return self.ids(*range(self.n_targets, self.name_offsets.size - 1))
+
     @property
     def n_targets(self) -> int:
-        return len(self.target_ids)
+        return self.target_offsets.size - 1
 
     @property
     def n_pairs(self) -> int:
@@ -630,7 +620,7 @@ class PackedCorpus:
         return _frozen_array(np.repeat(np.arange(self.n_targets), self.pairs_per_target), np.int64)
 
     def _pair_name(self, p: int) -> str:
-        target, impostor = self.target_ids[self.pair_target[p]], self.impostor_ids[self.pair_impostor[p]]
+        target, impostor = self.ids(self.pair_target[p], self.n_targets + self.pair_impostor[p])
         return f"the scores of target {target!r} and impostor {impostor!r}"
 
     @cached_property

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import InfeasibleMomentsError, NumericError
+from .errors import NumericError
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 200
@@ -250,7 +250,7 @@ def gamma_shape(mean_x: float, mean_log_x: float) -> float:
         raise ValueError(f"invalid moments: mean={mean_x}, mean_log={mean_log_x}")
     c = mean_log_x - math.log(mean_x)
     if c >= 0:
-        raise InfeasibleMomentsError(
+        raise NumericError(
             f"E[log x] must be < log E[x]; got gap {-c:.3e} (mean={mean_x}, mean_log={mean_log_x})"
         )
     return _solve_shape(c)

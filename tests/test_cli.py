@@ -99,6 +99,15 @@ class TestThresholdCommand:
         assert np.isfinite(payload["tau"]) and payload["metric_value"] == 0.0
         assert err == ""
 
+    def test_a_lowest_score_of_minus_max_is_refused_for_its_tau(self, tmp_path, capsys):
+        # only tau = -inf accepts a score of -max; the threshold written was -max, which accepts no trial
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"label,score\ntarget,{-sys.float_info.max!r}\nnontarget,0\n")
+        out = tmp_path / "thr.json"
+        assert run(["threshold", "--labels", labels, "--dcf", "0.5,10,1", "--out", out]) == 1
+        assert capsys.readouterr() == ("", "error: tau is -inf: JSON holds no NaN or Infinity\n")
+        assert not out.exists() and not list(tmp_path.glob(".thr.json.*"))
+
     def test_missing_file(self, capsys):
         assert run(["threshold", "--labels", "/nonexistent.csv", "--eer"]) == 1
         assert "error" in capsys.readouterr().err

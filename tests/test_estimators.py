@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from wcfar.errors import ConfigError
 from wcfar.estimators import (
     EstimateWithCI,
     _estimate,
@@ -203,7 +202,7 @@ class TestWorstCase:
 
     def test_pool_too_small(self):
         corpus = corpora.groups({"t": {"a": [0.0], "b": [1.0]}})
-        with pytest.raises(ConfigError, match="exceeds"):
+        with pytest.raises(ValueError, match="exceeds"):
             estimate_pfa_worst_case(corpus, 0.0, 3)
 
     def test_values_within_unit_interval(self):

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -113,8 +114,14 @@ class TestEer:
         tau, dcf, degenerate = min_dcf_threshold(LabeledScoreSet([-1e300], [0.0]), DcfParams(0.5, 10, 1))
         assert dcf == 1.0 and not degenerate
         assert math.isfinite(tau) and tau < -1e300
-        tau, _, _ = min_dcf_threshold(LabeledScoreSet([-sys.float_info.max], [0.0]), DcfParams(0.5, 10, 1))
-        assert math.isfinite(tau)
+
+    def test_a_lowest_score_of_minus_max_gets_minus_inf(self):
+        # no finite float lies below -max: tau = -max accepted no trial, so the cost was 10, not the all-accept 1
+        labeled = LabeledScoreSet([-sys.float_info.max], [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nextafter(-max, -inf) overflows
+            assert min_dcf_threshold(labeled, DcfParams(0.5, 10, 1)) == (-math.inf, 1.0, False)
+            assert eer_threshold(labeled) == (-sys.float_info.max / 2, 1.0, False)
 
     def test_degenerate_flag(self):
         labeled = LabeledScoreSet(target_scores=[2.0, 2.0], nontarget_scores=[2.0])

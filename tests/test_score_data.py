@@ -9,6 +9,7 @@ import random
 import string
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1063,12 +1064,7 @@ _LABEL_ROWS = st.lists(st.tuples(st.sampled_from(["target", "nontarget"]), _SCOR
 def _assert_same_bits(got, want):
     """`got` holds exactly the values, dtypes and bits of `want`, read-only."""
     assert type(got) is type(want)
-    if isinstance(want, PackedCorpus):
-        assert (got.target_ids, got.impostor_ids) == (want.target_ids, want.impostor_ids)
-        fields = score_data._ARRAY_FIELDS
-    else:
-        fields = ("target_scores", "nontarget_scores")
-    for field in fields:
+    for field in type(want).ARRAYS:
         a, b = getattr(got, field), getattr(want, field)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert not a.flags.writeable
@@ -1126,6 +1122,61 @@ class TestCache:
         assert parsed.target_ids == ("\ud800", "\ud83d")
         _assert_same_bits(load_corpus(path), parsed)
         assert parses[0] == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_messages_name_the_same_ids_from_a_hit(self, tmp_path, parses, fmt):
+        # ids beyond ASCII and with a NUL, and in JSON lone surrogates, which UTF-8 text holds only as surrogatepass
+        target, impostor = ("\ud800é", "b\udfff\x00") if fmt == "jsonl" else ("été", "b\x00日")
+        rows = [(target, impostor, 1e308), (target, impostor, 1.5e308), ("z", impostor, 1.0), ("z", "q", 2.0)]
+        path = tmp_path / f"c.{fmt}"
+        if fmt == "csv":
+            path.write_text("target_id,impostor_id,score\n" + "".join(_csv_line([t, i, repr(v)]) for t, i, v in rows))
+        else:
+            path.write_bytes(_jsonl(*({"target": t, "impostor": i, "score": v} for t, i, v in rows)))
+        messages = []
+        for _ in range(2):  # a parse, then a cache hit
+            corpus = load_corpus(path)
+            with pytest.raises(NumericError) as overflow:
+                corpus.pair_sums
+            with pytest.raises(ValueError) as too_many:
+                estimate_pfa_worst_case(corpus, 0.0, 2)
+            messages.append((str(overflow.value), str(too_many.value)))
+        assert parses[0] == 1
+        assert messages[0] == messages[1] == (
+            f"the sum of the scores of target {target!r} and impostor {impostor!r} is not finite",
+            f"n_impostors=2 exceeds the 1 impostors available for target {target!r}",
+        )
+
+    @pytest.mark.parametrize("kind", ["corpus", "labels"])
+    def test_an_entry_holds_the_arrays_that_its_record_declares(self, tmp_path, kind):
+        if kind == "corpus":
+            record = load_corpus(_small_corpus(tmp_path))
+        else:
+            path = tmp_path / "l.csv"
+            path.write_text("label,score\ntarget,1\nnontarget,0\n")
+            record = load_labeled_scores(path)
+        [entry] = _entries()
+        with np.load(entry) as npz:
+            arrays = dict(npz)
+        assert [(name, a.dtype) for name, a in arrays.items()] == list(type(record).ARRAYS.items())
+        assert all(np.array_equal(a, getattr(record, name)) for name, a in arrays.items())
+
+    def test_a_hit_holds_no_more_than_the_arrays_of_its_corpus(self, tmp_path):
+        # 30 000 distinct impostor ids: held as `str` objects, they took about 1.5 MB more than these arrays
+        n_targets, n_ids = 3, 30_000
+        path = tmp_path / "c.csv"
+        path.write_text(HEADER.decode() + "".join(f"t{k % n_targets},i{k:05d},{k / 8}\n" for k in range(n_ids)))
+        load_corpus(path)
+        tracemalloc.start()
+        try:
+            hit = load_corpus(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (hit.n_targets, hit.n_pairs, hit.n_scores) == (n_targets, n_ids, n_ids)
+        text = 2 * n_targets + 6 * n_ids  # "t0" and "i00000" for each id
+        arrays = 8 * (n_ids + (n_targets + 1) + n_ids + (n_ids + 1) + (n_targets + n_ids + 1)) + text
+        assert held < arrays + 32 * 1024  # the arrays and the objects that hold them
 
     def test_an_edited_file_is_parsed_again(self, tmp_path, parses):
         path = _small_corpus(tmp_path)
